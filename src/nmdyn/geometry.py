@@ -37,9 +37,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KGrid:
     """Midpoint quadrature grid on [-K, K)^d, treated as immutable.
+
+    Compared and hashed by identity, so it can key memoized per-grid data.
 
     Attributes
     ----------
@@ -68,7 +70,7 @@ class KGrid:
         return self.nodes.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarizationBasis:
     """Transverse orthonormal frame at every grid node.
 

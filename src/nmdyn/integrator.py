@@ -18,14 +18,23 @@ orders live in ``SCHEME_ORDER``, and the two schemes are tested against each
 other.  Steps are fixed; adaptivity is deliberately excluded so that
 convergence-order measurements and property tests are reproducible.
 
-Diagnostics (energy and the X^sigma norms at sigma = 0, 1/2, 1) are
-recomputed from the state at every step, never interpolated.  Particle
+One stepping loop drives every run: ``stepper`` yields the physical state
+after each step and stops with NumericalBlowupError at the first non-finite
+one.  ``evolve`` records diagnostics along it, ``divergence_report`` runs
+two of them in lockstep, and a caller that needs only the endpoint (the
+duhamel-order suite) takes the last item and computes no diagnostics.
+``refuse_flagged`` is the one place that refuses a spec whose hypothesis
+check is flagged.
+
+In ``evolve``, diagnostics (energy and the X^sigma norms at sigma = 0, 1/2,
+1) are recomputed from the state at every step, never interpolated.  Particle
 positions and momenta are recorded every step; field snapshots are kept at a
 configurable stride (endpoints always included).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -37,13 +46,11 @@ from .interaction import (
     HypothesisReport,
     PotentialSpec,
     check_hypotheses,
-    default_basis,
     hamiltonian,
     nonlinearity_G,
     vartheta,
 )
 from .state import (
-    FieldState,
     ParticleSpec,
     ParticleState,
     PhaseSpacePoint,
@@ -59,6 +66,8 @@ __all__ = [
     "NumericalBlowupError",
     "strang_step",
     "rk4_interaction_step",
+    "refuse_flagged",
+    "stepper",
     "evolve",
     "divergence_report",
     "trajectory_to_csv",
@@ -172,7 +181,6 @@ def strang_step(u: PhaseSpacePoint, dt: float, spec: ParticleSpec, pot: Potentia
     """One symmetric splitting step; dt may be negative (time reversal)."""
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
-    basis = default_basis(grid) if basis is None else basis
     half = free_flow(u, dt / 2.0, spec)
     kicked = _rk4_kick(half, dt, spec, pot, grid, basis)
     return free_flow(kicked, dt / 2.0, spec)
@@ -184,7 +192,6 @@ def rk4_interaction_step(t: float, u: PhaseSpacePoint, dt: float, spec: Particle
     """One RK4 step on the interaction-picture equation du/dt = vartheta(t, u)."""
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
-    basis = default_basis(grid) if basis is None else basis
     k1 = vartheta(t, u, spec, pot, grid, basis)
     k2 = vartheta(t + dt / 2.0, u + (dt / 2.0) * k1, spec, pot, grid, basis)
     k3 = vartheta(t + dt / 2.0, u + (dt / 2.0) * k2, spec, pot, grid, basis)
@@ -200,6 +207,59 @@ def _step_count(T: float, dt: float) -> int:
     return n
 
 
+def refuse_flagged(spec: ParticleSpec, grid: KGrid, allow_flagged: bool,
+                   report: Optional[HypothesisReport] = None) -> HypothesisReport:
+    """The hypothesis report of (spec, grid), refused when flagged.
+
+    Computes the report unless one is given, and raises
+    FlaggedHypothesesError on a flagged report unless allow_flagged is set.
+    """
+    if report is None:
+        report = check_hypotheses(spec, 0.5, grid)
+    if report.flagged and not allow_flagged:
+        raise FlaggedHypothesesError(
+            "form-factor norms are not resolution-stable on this grid "
+            "(see check_hypotheses); pass allow_flagged=True to override"
+        )
+    return report
+
+
+def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
+            pot: PotentialSpec, grid: KGrid, scheme: str = "strang",
+            basis: Optional[PolarizationBasis] = None):
+    """Iterator over the physical states after each of the T/dt steps from u0.
+
+    The arguments are checked when it is called; each item then costs one
+    step.  A non-finite state raises NumericalBlowupError carrying the time,
+    the state and figures of the last finite state.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    times = np.arange((_step_count(T, dt) if T != 0.0 else 0) + 1) * dt
+
+    def states():
+        state = last = u0
+        for k in range(1, times.size):
+            if scheme == "strang":
+                state = strang_step(state, dt, spec, pot, grid, basis)
+                physical = state
+            else:
+                state = rk4_interaction_step(times[k - 1], state, dt, spec, pot, grid, basis)
+                physical = free_flow(state, times[k], spec)
+            if not physical.is_finite():
+                raise NumericalBlowupError(
+                    f"non-finite state at t={times[k]:.6g} (step {k}); "
+                    f"last finite |p|={np.abs(last.p).max():.3e}, "
+                    f"norm_X0={phase_norm(last, 0.0):.3e}",
+                    time=float(times[k]),
+                    state=physical,
+                )
+            last = physical
+            yield physical
+
+    return states()
+
+
 def evolve(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
            pot: PotentialSpec, grid: KGrid, scheme: str = "strang",
            store_every: int = 1, basis: Optional[PolarizationBasis] = None,
@@ -212,65 +272,33 @@ def evolve(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
     re-checking (ensemble pushes reuse one report for every sample).
     Recorded samples are physical variables for both schemes.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    states = stepper(u0, T, dt, spec, pot, grid, scheme, basis)
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
-    n = _step_count(T, dt) if T != 0.0 else 0
-    if hypothesis_report is None:
-        hypothesis_report = check_hypotheses(spec, 0.5, grid)
-    if hypothesis_report.flagged and not allow_flagged:
-        raise FlaggedHypothesesError(
-            "form-factor norms are not resolution-stable on this grid "
-            "(see check_hypotheses); pass allow_flagged=True to override"
-        )
-    basis = default_basis(grid) if basis is None else basis
+    refuse_flagged(spec, grid, allow_flagged, hypothesis_report)
 
-    n_part, d = u0.p.shape
-    times = np.arange(n + 1) * dt
-    energies = np.empty(n + 1)
-    norms = np.empty((n + 1, 3))
-    p_hist = np.empty((n + 1, n_part, d))
-    q_hist = np.empty((n + 1, n_part, d))
-    stored_indices = [0]
-    stored_fields = [u0.field]
-
-    def record(k: int, physical: PhaseSpacePoint) -> None:
-        energies[k] = hamiltonian(physical, spec, pot, grid, basis)
-        norms[k] = [phase_norm(physical, s) for s in NORM_SIGMAS]
-        p_hist[k] = physical.p
-        q_hist[k] = physical.q
-        if k > 0 and (k % store_every == 0 or k == n):
+    energies, norms, p_hist, q_hist = [], [], [], []
+    stored_indices, stored_fields = [], []
+    for k, physical in enumerate(itertools.chain([u0], states)):
+        energies.append(hamiltonian(physical, spec, pot, grid, basis))
+        norms.append([phase_norm(physical, s) for s in NORM_SIGMAS])
+        p_hist.append(physical.p)
+        q_hist.append(physical.q)
+        if k % store_every == 0:
             stored_indices.append(k)
             stored_fields.append(physical.field)
-
-    record(0, u0)
-    state = u0
-    for k in range(1, n + 1):
-        if scheme == "strang":
-            state = strang_step(state, dt, spec, pot, grid, basis)
-            physical = state
-        else:
-            state = rk4_interaction_step(times[k - 1], state, dt, spec, pot, grid, basis)
-            physical = free_flow(state, times[k], spec)
-        if not physical.is_finite():
-            raise NumericalBlowupError(
-                f"non-finite state at t={times[k]:.6g} (step {k}); "
-                f"last finite |p|={np.abs(p_hist[k - 1]).max():.3e}, "
-                f"norm_X0={norms[k - 1, 0]:.3e}",
-                time=float(times[k]),
-                state=physical,
-            )
-        record(k, physical)
+    if stored_indices[-1] != k:  # the endpoint is always stored
+        stored_indices.append(k)
+        stored_fields.append(physical.field)
 
     return Trajectory(
         scheme=scheme,
         dt=float(dt),
-        times=times,
-        energies=energies,
-        norms=norms,
-        p=p_hist,
-        q=q_hist,
+        times=np.arange(k + 1) * dt,
+        energies=np.array(energies),
+        norms=np.array(norms),
+        p=np.array(p_hist),
+        q=np.array(q_hist),
         store_every=store_every,
         stored_indices=np.asarray(stored_indices),
         stored_fields=tuple(stored_fields),
@@ -298,38 +326,16 @@ def divergence_report(u0: PhaseSpacePoint, epsilon: float, direction: PhaseSpace
     dir_norm = phase_norm(direction, 0.0)
     if abs(dir_norm - 1.0) > 1e-8:
         raise ValueError(f"direction must have unit X^0 norm, got {dir_norm}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    report = check_hypotheses(spec, 0.5, grid)
-    if report.flagged and not allow_flagged:
-        raise FlaggedHypothesesError(
-            "form-factor norms are not resolution-stable on this grid"
-        )
-    basis = default_basis(grid) if basis is None else basis
-
-    n = _step_count(T, dt) if T != 0.0 else 0
-    times = np.arange(n + 1) * dt
-    dist = np.empty(n + 1)
     a = u0
     b = u0 + epsilon * direction
-    dist[0] = phase_norm(b - a, 0.0)
-    ta = a
-    tb = b
-    for k in range(1, n + 1):
-        if scheme == "strang":
-            ta = strang_step(ta, dt, spec, pot, grid, basis)
-            tb = strang_step(tb, dt, spec, pot, grid, basis)
-            pa, pb = ta, tb
-        else:
-            ta = rk4_interaction_step(times[k - 1], ta, dt, spec, pot, grid, basis)
-            tb = rk4_interaction_step(times[k - 1], tb, dt, spec, pot, grid, basis)
-            pa = free_flow(ta, times[k], spec)
-            pb = free_flow(tb, times[k], spec)
-        if not (pa.is_finite() and pb.is_finite()):
-            raise NumericalBlowupError("non-finite state in divergence run",
-                                       time=float(times[k]), state=pb)
-        dist[k] = phase_norm(pb - pa, 0.0)
+    pairs = zip(stepper(a, T, dt, spec, pot, grid, scheme, basis),
+                stepper(b, T, dt, spec, pot, grid, scheme, basis))
+    refuse_flagged(spec, grid, allow_flagged)
 
+    dist = np.array([phase_norm(b - a, 0.0)]
+                    + [phase_norm(pb - pa, 0.0) for pa, pb in pairs])
+    n = dist.size - 1
+    times = np.arange(n + 1) * dt
     safe = np.maximum(dist, 1e-300)
     log_ratio = np.log(safe / safe[0])
     tpos = times[1:]

@@ -25,11 +25,22 @@ Every integral is a quadrature sum on the given grid, so all bounds asserted
 in the tests are *grid-consistent*: they are exact finite-dimensional
 inequalities (Cauchy-Schwarz plus |e^{i a} - e^{i b}| <= |a - b|), not
 continuum statements.
+
+The state-independent data of the flow live in one immutable ``Model``:
+the contiguous per-polarization slices of the basis, chi_i/sqrt(2|k|) with
+and without quadrature weights for each particle, and the weighted pair
+kernels g chi_i chi_j/|k|^2 for i < j.  ``compile_model(spec, pot, grid,
+basis)`` builds it once per combination of those four objects; the key is
+their identity (all four are ``eq=False`` dataclasses, which hash by
+identity), and ``basis=None`` means ``default_basis(grid)``.  The
+kernels keep their ``(spec, pot, grid, basis)`` signatures and fetch the
+model on entry, so one model serves every kernel call of a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,6 +72,8 @@ __all__ = [
     "vartheta",
     "characteristic_density_m",
     "default_basis",
+    "Model",
+    "compile_model",
 ]
 
 HYPOTHESIS_LABELS = (
@@ -90,7 +103,6 @@ class FormFactor:
     radius: float = 0.0
     r_samples: Optional[np.ndarray] = None
     chi_samples: Optional[np.ndarray] = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def gaussian(cls, width: float) -> "FormFactor":
@@ -139,16 +151,10 @@ class FormFactor:
                              left=self.chi_samples[0], right=0.0)
         raise ValueError(f"unknown form-factor family {self.family!r}")
 
+    @functools.lru_cache(maxsize=64)
     def values_on(self, grid: KGrid) -> np.ndarray:
-        """chi at the grid nodes, memoized per grid (grids are immutable)."""
-        key = id(grid)
-        hit = self._cache.get(key)
-        if hit is None or hit[0] is not grid:
-            if len(self._cache) > 16:
-                self._cache.clear()
-            hit = (grid, self.profile(grid.absk))
-            self._cache[key] = hit
-        return hit[1]
+        """chi at the grid nodes, memoized per (form factor, grid) identity."""
+        return self.profile(grid.absk)
 
 
 # --------------------------------------------------------------------------
@@ -197,21 +203,6 @@ def _pair_kernel(i: int, j: int, spec: ParticleSpec, pot: PotentialSpec,
     return pot.g * chi_i * chi_j / grid.absk**2
 
 
-_PAIR_CACHE: dict = {}
-
-
-def _pair_weighted_kernel(i, j, spec, pot, grid):
-    """Quadrature-weighted pair kernel, memoized on the immutable inputs."""
-    key = (id(spec), id(pot), id(grid), min(i, j), max(i, j))
-    hit = _PAIR_CACHE.get(key)
-    if hit is None or hit[0] is not spec or hit[1] is not pot or hit[2] is not grid:
-        if len(_PAIR_CACHE) > 64:
-            _PAIR_CACHE.clear()
-        hit = (spec, pot, grid, grid.weights * _pair_kernel(i, j, spec, pot, grid))
-        _PAIR_CACHE[key] = hit
-    return hit[3]
-
-
 def _smeared_pair_complex(i, j, x, spec, pot, grid):
     """Complex quadrature values (w, grad w) before taking real parts."""
     kernel = _pair_kernel(i, j, spec, pot, grid)
@@ -246,9 +237,10 @@ def _cos_pair(pot: PotentialSpec, x: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w), grad
 
 
-def _potential_core(q, phases, spec, pot, grid):
+def _potential_core(q, phases, model):
     """V and grad V; smeared pairs reuse per-particle plane-wave phases
     through e^{2 pi i k.(q_i - q_j)} = conj(phase_i) * phase_j."""
+    pot = model.pot
     n = q.shape[0]
     grad = np.zeros_like(q)
     total = 0.0
@@ -258,9 +250,9 @@ def _potential_core(q, phases, spec, pot, grid):
         for j in range(i + 1, n):
             if pot.kind == "smeared-coulomb":
                 rel = np.conj(phases[i]) * phases[j]
-                vw = _pair_weighted_kernel(i, j, spec, pot, grid) * rel
+                vw = model.pair[i, j] * rel
                 w = float(np.real(np.sum(vw)))
-                gw = -2.0 * np.pi * np.imag(vw @ grid.nodes)
+                gw = -2.0 * np.pi * np.imag(vw @ model.grid.nodes)
             elif pot.kind == "product-of-cos":
                 w, gw = _cos_pair(pot, q[i] - q[j])
             else:
@@ -278,9 +270,10 @@ def potential(q: np.ndarray, spec: ParticleSpec, pot: PotentialSpec,
     Sign convention: grad_{q_i} V = sum_{j != i} (grad w_ij)(q_i - q_j), with
     the evenness of w_ij supplying the action-reaction antisymmetry.
     """
+    model = compile_model(spec, pot, grid)
     q = np.asarray(q, dtype=float)
     phases = _phases(grid, q) if pot.kind == "smeared-coulomb" else None
-    return _potential_core(q, phases, spec, pot, grid)
+    return _potential_core(q, phases, model)
 
 
 def potential_gradient_bound(spec: ParticleSpec, pot: PotentialSpec,
@@ -408,35 +401,53 @@ def check_hypotheses(spec: ParticleSpec, sigma: float, grid: KGrid) -> Hypothesi
 # vector potential and nonlinearities
 # --------------------------------------------------------------------------
 
-_BASIS_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=16)
 def default_basis(grid: KGrid) -> PolarizationBasis:
     """Deterministic polarization basis for the grid, memoized by identity."""
-    key = id(grid)
-    hit = _BASIS_CACHE.get(key)
-    if hit is None or hit.grid is not grid:
-        if len(_BASIS_CACHE) > 16:
-            _BASIS_CACHE.clear()
-        hit = polarization_basis(grid)
-        _BASIS_CACHE[key] = hit
-    return hit
+    return polarization_basis(grid)
 
 
-_PREF_CACHE: dict = {}
+@dataclass(frozen=True, eq=False)
+class Model:
+    """State-independent data of the flow, built once by :func:`compile_model`.
+
+    ``slices[lam]`` is the contiguous (M, d) array of eps_lam over the nodes;
+    ``pref[i]`` and ``wpref[i]`` are chi_i/sqrt(2|k|) without and with the
+    quadrature weights; ``pair[i, j]`` for i < j is the weighted smeared
+    Coulomb kernel weights * g chi_i chi_j/|k|^2 (empty for other potentials).
+    """
+
+    pot: Optional[PotentialSpec]
+    grid: KGrid
+    slices: tuple
+    pref: tuple
+    wpref: tuple
+    pair: dict
 
 
-def _prefactors(ff: FormFactor, grid: KGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(chi/sqrt(2|k|), weights * chi/sqrt(2|k|)) on the nodes, memoized."""
-    key = (id(ff), id(grid))
-    hit = _PREF_CACHE.get(key)
-    if hit is None or hit[0] is not ff or hit[1] is not grid:
-        if len(_PREF_CACHE) > 64:
-            _PREF_CACHE.clear()
-        pref = ff.values_on(grid) / np.sqrt(2.0 * grid.absk)
-        hit = (ff, grid, pref, grid.weights * pref)
-        _PREF_CACHE[key] = hit
-    return hit[2], hit[3]
+def compile_model(spec: ParticleSpec, pot: Optional[PotentialSpec], grid: KGrid,
+                  basis: Optional[PolarizationBasis] = None) -> Model:
+    """The model of (spec, pot, grid, basis), memoized by their identity.
+
+    basis=None means default_basis(grid), so both spellings return the same
+    model; pot=None builds a model without pair kernels (for the vector
+    potential, which does not depend on V).
+    """
+    return _compile(spec, pot, grid, default_basis(grid) if basis is None else basis)
+
+
+@functools.lru_cache(maxsize=16)
+def _compile(spec, pot, grid, basis) -> Model:
+    slices = tuple(np.ascontiguousarray(basis.vectors[:, lam, :])
+                   for lam in range(basis.vectors.shape[1]))
+    pref = tuple(ff.values_on(grid) / np.sqrt(2.0 * grid.absk)
+                 for ff in spec.form_factors)
+    pair = {}
+    if pot is not None and pot.kind == "smeared-coulomb":
+        pair = {(i, j): grid.weights * _pair_kernel(i, j, spec, pot, grid)
+                for i in range(spec.n) for j in range(i + 1, spec.n)}
+    return Model(pot=pot, grid=grid, slices=slices, pref=pref,
+                 wpref=tuple(grid.weights * p for p in pref), pair=pair)
 
 
 def _phases(grid: KGrid, q: np.ndarray) -> np.ndarray:
@@ -449,32 +460,15 @@ def _phase_neg(grid: KGrid, q_i: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * (grid.nodes @ q_i))
 
 
-_SLICE_CACHE: dict = {}
-
-
-def _basis_slices(basis: PolarizationBasis) -> tuple:
-    """Contiguous per-polarization (M, d) views of the basis vectors."""
-    key = id(basis)
-    hit = _SLICE_CACHE.get(key)
-    if hit is None or hit[0] is not basis:
-        if len(_SLICE_CACHE) > 16:
-            _SLICE_CACHE.clear()
-        slices = tuple(np.ascontiguousarray(basis.vectors[:, lam, :])
-                       for lam in range(basis.vectors.shape[1]))
-        hit = (basis, slices)
-        _SLICE_CACHE[key] = hit
-    return hit[1]
-
-
-def _half_bracket(alpha_vals, coeff, basis):
+def _half_bracket(alpha_vals, coeff, slices):
     """Real and imaginary parts of the half bracket, each (M, d).
 
     t_{j nu} = sum_lam conj(alpha_lam(j)) coeff_j eps_lam^nu(j); with
     coeff = weights * chi/sqrt(2|k|) * e^{-2 pi i k.q_i}, the column sums give
     A^nu = 2 sum_j Re t_{j nu} and d A^nu/d q^mu = 4 pi sum_j Im t_{j nu} k_j^mu.
-    The polarization vectors are real, so the parts separate cleanly.
+    The polarization vectors (the model's ``slices``) are real, so the parts
+    separate cleanly.
     """
-    slices = _basis_slices(basis)
     c = np.conj(alpha_vals) * coeff
     cre, cim = c.real, c.imag
     tr = cre[0][:, None] * slices[0]
@@ -485,50 +479,38 @@ def _half_bracket(alpha_vals, coeff, basis):
     return tr, ti
 
 
-def _vector_potential_half(i, q_i, alpha, spec, grid, basis):
-    _, wpref = _prefactors(spec.form_factors[i], grid)
-    tr, ti = _half_bracket(alpha.values, wpref * _phase_neg(grid, q_i), basis)
-    return tr.sum(axis=0) + 1j * ti.sum(axis=0)  # (d,) complex, A = 2 Re
-
-
 def vector_potential(i: int, q_i: np.ndarray, alpha: FieldState, spec: ParticleSpec,
                      grid: KGrid, basis: Optional[PolarizationBasis] = None) -> np.ndarray:
     """Smeared vector potential A_i(q_i, alpha), a real vector in R^d."""
     if alpha.grid is not grid and alpha.grid.node_count != grid.node_count:
         raise ValueError("field state lives on a different grid")
-    basis = default_basis(grid) if basis is None else basis
-    a = _vector_potential_half(i, np.asarray(q_i, dtype=float), alpha, spec, grid, basis)
-    return 2.0 * np.real(a)
+    model = compile_model(spec, None, grid, basis)
+    coeff = model.wpref[i] * _phase_neg(grid, np.asarray(q_i, dtype=float))
+    tr, _ = _half_bracket(alpha.values, coeff, model.slices)
+    return 2.0 * tr.sum(axis=0)
 
 
 def grad_vector_potential(i: int, nu: int, q_i: np.ndarray, alpha: FieldState,
                           spec: ParticleSpec, grid: KGrid,
                           basis: Optional[PolarizationBasis] = None) -> np.ndarray:
     """Gradient in q_i of the nu-th component of A_i (the 2 pi i k weight)."""
-    basis = default_basis(grid) if basis is None else basis
-    q_i = np.asarray(q_i, dtype=float)
-    return _grad_vector_potential_full(i, q_i, alpha, spec, grid, basis)[nu]
-
-
-def _grad_vector_potential_full(i, q_i, alpha, spec, grid, basis):
-    """All components at once: dA[nu, mu] = d A^nu / d q^mu."""
-    _, wpref = _prefactors(spec.form_factors[i], grid)
-    _, ti = _half_bracket(alpha.values, wpref * _phase_neg(grid, q_i), basis)
-    return 4.0 * np.pi * (ti.T @ grid.nodes)
+    model = compile_model(spec, None, grid, basis)
+    coeff = model.wpref[i] * _phase_neg(grid, np.asarray(q_i, dtype=float))
+    _, ti = _half_bracket(alpha.values, coeff, model.slices)
+    return (4.0 * np.pi * (ti.T @ grid.nodes))[nu]
 
 
 def hamiltonian(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
                 grid: KGrid, basis: Optional[PolarizationBasis] = None) -> float:
     """Total energy: kinetic (with minimal coupling) + V + free-field energy."""
-    basis = default_basis(grid) if basis is None else basis
+    model = compile_model(spec, pot, grid, basis)
     phases = _phases(grid, u.q)
     kinetic = 0.0
     for i in range(spec.n):
-        _, wpref = _prefactors(spec.form_factors[i], grid)
-        tr, _ = _half_bracket(u.alpha, wpref * phases[i], basis)
+        tr, _ = _half_bracket(u.alpha, model.wpref[i] * phases[i], model.slices)
         a_i = 2.0 * tr.sum(axis=0)
         kinetic += float(np.sum((u.p[i] - a_i) ** 2)) / (2.0 * spec.masses[i])
-    v, _ = _potential_core(u.q, phases, spec, pot, grid)
+    v, _ = _potential_core(u.q, phases, model)
     return kinetic + v + field_norm(u.field, 0.5, "homogeneous") ** 2
 
 
@@ -539,24 +521,23 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     G_p,i = (1/m_i) sum_nu (p_i - A_i)^nu grad_{q_i} A_i^nu - grad_{q_i} V
     G_alpha,lam(k) = i sum_i chi_i/sqrt(2|k|) ((p_i - A_i)/m_i . eps_lam) e^{-2 pi i k.q_i}
     """
-    basis = default_basis(grid) if basis is None else basis
-    slices = _basis_slices(basis)
+    model = compile_model(spec, pot, grid, basis)
+    slices = model.slices
     n, d = u.p.shape
     gp = np.empty((n, d))
     gq = np.empty((n, d))
     galpha = np.zeros((d - 1, grid.node_count), dtype=complex)
     phases = _phases(grid, u.q)
-    _, grad_v = _potential_core(u.q, phases, spec, pot, grid)
+    _, grad_v = _potential_core(u.q, phases, model)
     for i in range(n):
-        pref, wpref = _prefactors(spec.form_factors[i], grid)
-        tr, ti = _half_bracket(u.alpha, wpref * phases[i], basis)
+        tr, ti = _half_bracket(u.alpha, model.wpref[i] * phases[i], slices)
         a_i = 2.0 * tr.sum(axis=0)
         da_i = 4.0 * np.pi * (ti.T @ grid.nodes)
         pma = u.p[i] - a_i
         v_i = pma / spec.masses[i]
         gp[i] = da_i.T @ pma / spec.masses[i] - grad_v[i]
         gq[i] = -a_i / spec.masses[i]
-        s = pref * phases[i]  # i*s has real part -Im s, imaginary part Re s
+        s = model.pref[i] * phases[i]  # i*s has real part -Im s, imaginary part Re s
         s_re, s_im = s.real, s.imag
         for lam in range(d - 1):
             proj = slices[lam] @ v_i
@@ -613,7 +594,7 @@ def characteristic_density_m(s: float, xi: PhaseSpacePoint, u: PhaseSpacePoint,
     m(s, xi) = -2 pi Re< vartheta(s, u), xi~ >_{X^0} with
     xi~ = (z_0/(i pi), alpha_0/(sqrt(2) pi)) is enforced by the tests.
     """
-    basis = default_basis(grid) if basis is None else basis
+    model = compile_model(spec, pot, grid, basis)
     masses = spec.masses
     x = u.q + s * u.p / masses[:, None]
     x0 = xi.q + s * xi.p / masses[:, None]
@@ -622,10 +603,9 @@ def characteristic_density_m(s: float, xi: PhaseSpacePoint, u: PhaseSpacePoint,
 
     total = 0.0
     for i in range(spec.n):
-        _, wpref = _prefactors(spec.form_factors[i], grid)
-        coeff = wpref * (phases[i] * stream)
-        tr_u, ti_u = _half_bracket(u.alpha, coeff, basis)
-        _, ti_xi = _half_bracket(xi.alpha, coeff, basis)
+        coeff = model.wpref[i] * (phases[i] * stream)
+        tr_u, ti_u = _half_bracket(u.alpha, coeff, model.slices)
+        _, ti_xi = _half_bracket(xi.alpha, coeff, model.slices)
         kdotx0 = grid.nodes @ x0[i]
         grad_dot = 4.0 * np.pi * (kdotx0 @ ti_u)
         a_vec = 2.0 * tr_u.sum(axis=0)
@@ -635,6 +615,6 @@ def characteristic_density_m(s: float, xi: PhaseSpacePoint, u: PhaseSpacePoint,
             + np.sqrt(2.0) * float(pma @ ti_xi.sum(axis=0))
             + 2.0 * float(a_vec @ xi.p[i])
         ) / masses[i]
-    _, grad_v = _potential_core(x, phases, spec, pot, grid)
+    _, grad_v = _potential_core(x, phases, model)
     total -= 2.0 * float(np.sum(grad_v * x0))
     return total

@@ -34,14 +34,13 @@ defects.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geometry import KGrid, PolarizationBasis
-from .integrator import FlaggedHypothesesError, Trajectory, evolve
+from .integrator import Trajectory, evolve, refuse_flagged
 from .interaction import (
     HypothesisReport,
     PotentialSpec,
@@ -250,13 +249,8 @@ def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
     are collected in sample order, so the output is identical for any thread
     count.  A failing sample aborts the push with its index.
     """
-    if hypothesis_report is None:
-        hypothesis_report = check_hypotheses(spec, 0.5, grid)
-    if hypothesis_report.flagged and not allow_flagged:
-        # a property of (spec, grid), not of any sample: refuse up front
-        raise FlaggedHypothesesError(
-            "form-factor norms are not resolution-stable on this grid "
-            "(see check_hypotheses); pass allow_flagged=True to override")
+    # a property of (spec, grid), not of any sample: refuse up front
+    hypothesis_report = refuse_flagged(spec, grid, allow_flagged, hypothesis_report)
 
     def _run_one(item) -> Trajectory:
         m, u0 = item
@@ -472,7 +466,12 @@ _DRIFT_SLACK = 1.05
 
 
 def _exponential_form(times: np.ndarray, values: np.ndarray) -> float:
-    """Smallest c with c e^{c |t_k|} >= values_k at every sampled time."""
+    """Smallest c with c e^{c |t_k|} >= values_k at every sampled time, by
+    bisection on the increasing gap(c) = min_k (c e^{c |t_k|} - values_k).
+
+    Returns the bracket's upper end, so gap >= 0 and the envelope holds; it
+    lies within 1e-12 relative of the root.
+    """
     peak = float(np.max(values))
     if peak <= 0.0:
         return 0.0
@@ -486,7 +485,13 @@ def _exponential_form(times: np.ndarray, values: np.ndarray) -> float:
     lo = min(1e-12, hi / 2.0)
     if gap(lo) >= 0.0:
         return lo
-    return float(brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12))
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec,

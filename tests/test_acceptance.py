@@ -89,7 +89,7 @@ def test_03_interaction_bounds_hold_on_random_draws(ref):
     assert outcome.passed, "\n" + outcome.table()
 
 
-def test_04_both_schemes_converge_at_second_order():
+def test_04_both_schemes_converge_at_design_order():
     cfg = scenario(grid={"d": 3, "K": 2.0, "N": 12},
                    run={"T": 1.0, "dt": 0.01})
     outcome = run_suite("duhamel-order", cfg)

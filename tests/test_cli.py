@@ -7,9 +7,16 @@ depend on resolution.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import nmdyn.cli
+import nmdyn.integrator
+import nmdyn.interaction
 
 from nmdyn.cli import (
     ConfigError,
@@ -253,6 +260,22 @@ class TestCommands:
         assert (base / "ensemble.csv").read_bytes() == \
                (via_env / "ensemble.csv").read_bytes()
 
+    def test_threads_env_rejects_non_integer(self, config_file, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.setenv("NMDYN_THREADS", "abc")
+        assert main(["ensemble", config_file, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: NMDYN_THREADS")
+
+    def test_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nmdyn.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, nmdyn.cli; print('scipy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_seed_override_changes_samples(self, config_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["ensemble", config_file, "--out", str(a)]) == 0
@@ -372,6 +395,23 @@ class TestSuitesOnSmallScenario:
         assert named["interaction-rk4 error ratio"]["value"] > 10.0
         assert named["interaction-rk4 error ratio ceiling"]["passed"]
         assert outcome.passed, outcome.table()
+
+    def test_duhamel_order_takes_no_diagnostics(self, cfg, monkeypatch):
+        calls = {"hamiltonian": 0, "check_hypotheses": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            original = getattr(nmdyn.interaction, name)
+            for module in (nmdyn.interaction, nmdyn.integrator, nmdyn.cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted(name, original))
+        assert run_suite("duhamel-order", cfg).passed
+        assert calls == {"hamiltonian": 0, "check_hypotheses": 1}
 
     def test_outcome_table_lists_every_check(self, cfg):
         outcome = run_suite("gauge", cfg)

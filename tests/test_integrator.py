@@ -25,6 +25,7 @@ from nmdyn.integrator import (
     evolve,
     export_states_json,
     rk4_interaction_step,
+    stepper,
     strang_step,
     trajectory_to_csv,
 )
@@ -121,6 +122,17 @@ class TestSteps:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("scheme", ["strang", "interaction-rk4"])
+    def test_stepper_last_state_is_evolve_endpoint(self, coupled, scheme):
+        grid, spec, pot, u0, _ = coupled
+        states = list(stepper(u0, 0.1, 0.02, spec, pot, grid, scheme))
+        end = evolve(u0, 0.1, 0.02, spec, pot, grid, scheme=scheme,
+                     store_every=3).endpoint()
+        assert len(states) == 5
+        assert np.array_equal(states[-1].p, end.p)
+        assert np.array_equal(states[-1].q, end.q)
+        assert np.array_equal(states[-1].alpha, end.alpha)
+
     def test_zero_horizon_records_initial_state(self, decoupled):
         grid, spec, pot, u0 = decoupled
         traj = evolve(u0, 0.0, 1e-2, spec, pot, grid, allow_flagged=True)

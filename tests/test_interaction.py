@@ -18,6 +18,7 @@ from nmdyn.interaction import (
     PotentialSpec,
     characteristic_density_m,
     check_hypotheses,
+    compile_model,
     default_basis,
     grad_vector_potential,
     hamiltonian,
@@ -469,6 +470,28 @@ class TestEnergy:
         h1 = hamiltonian(u, spec, pot, small_grid, basis)
         h2 = hamiltonian(u2, spec, pot, small_grid, rotated_basis)
         assert h1 == pytest.approx(h2, abs=1e-12 * (1 + abs(h1)))
+
+
+class TestModel:
+    def test_default_basis_spellings_share_one_model(self, small_grid):
+        spec = two_particle_spec()
+        pot = PotentialSpec.coulomb(0.8)
+        model = compile_model(spec, pot, small_grid)
+        assert model is compile_model(spec, pot, small_grid, default_basis(small_grid))
+        assert set(model.pair) == {(0, 1)}
+
+    def test_equal_grids_get_distinct_models_and_equal_results(self, rng):
+        spec = two_particle_spec()
+        pot = PotentialSpec.coulomb(0.8)
+        grid_a, grid_b = build_kgrid(3, 2.0, 6), build_kgrid(3, 2.0, 6)
+        assert compile_model(spec, pot, grid_a) is not compile_model(spec, pot, grid_b)
+        u = random_point(rng, grid_a, decay=False)
+        u_b = PhaseSpacePoint(u.particles, FieldState(grid_b, u.alpha))
+        g_a = nonlinearity_G(u, spec, pot, grid_a)
+        g_b = nonlinearity_G(u_b, spec, pot, grid_b)
+        assert np.array_equal(g_a.p, g_b.p)
+        assert np.array_equal(g_a.q, g_b.q)
+        assert np.array_equal(g_a.alpha, g_b.alpha)
 
 
 class TestNonlinearities:

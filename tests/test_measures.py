@@ -32,6 +32,7 @@ from nmdyn.measures import (
     push_forward,
     sample_measure,
 )
+from nmdyn.measures import _exponential_form
 from nmdyn.state import (
     FieldState,
     ParticleSpec,
@@ -508,6 +509,19 @@ class TestMoments:
         with pytest.raises(ValueError, match="trajectories"):
             moment_report(sample_measure(gauss_measure, 2, seed=0),
                           scenario["spec"], scenario["pot"], grid10)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exponential_form_is_tight_certificate(self, seed):
+        rng = np.random.default_rng(seed)
+        times = np.sort(rng.uniform(-1.0, 3.0, size=12))
+        values = rng.uniform(0.01, 20.0, size=12)
+
+        def gap(c):
+            return float(np.min(c * np.exp(c * np.abs(times)) - values))
+
+        c = _exponential_form(times, values)
+        assert gap(c) >= 0.0
+        assert gap(c * (1.0 - 1e-11)) < 0.0
 
 
 class TestExports:
