@@ -72,15 +72,21 @@ from .measures import (
     push_forward,
     sample_measure,
 )
-from .cli import (
-    CONFIG_SCHEMA,
-    FORMAT_VERSION,
-    ConfigError,
-    ScenarioConfig,
-    VerifyOutcome,
-    load_config,
-    reference_scenario,
-    run_suite,
-)
+
+# ``cli`` is imported on first use, so ``python -m nmdyn.cli`` does not find
+# it already in sys.modules when it starts running it as __main__.
+_CLI_NAMES = ("CONFIG_SCHEMA", "FORMAT_VERSION", "ConfigError", "ScenarioConfig",
+              "VerifyOutcome", "load_config", "reference_scenario", "run_suite")
+
+# every name imported above, as a star import took them before, plus cli's
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_CLI_NAMES)
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

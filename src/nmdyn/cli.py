@@ -271,6 +271,10 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+# CONFIG_SCHEMA is a constant whose meta-schema check lives in the tests, so
+# the validator is built once instead of re-checking the schema per call.
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
@@ -387,11 +391,10 @@ def load_config(source, base_dir: str = ".",
                 raw = json.load(handle)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"not valid JSON: {err}") from err
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
-        path = ".".join(str(part) for part in err.absolute_path) or "(root)"
-        raise ConfigError(f"{path}: {err.message}") from err
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        path = ".".join(str(part) for part in error.absolute_path) or "(root)"
+        raise ConfigError(f"{path}: {error.message}") from error
 
     # resolve defaults so the embedded config is complete
     raw["run"].setdefault("scheme", "strang")

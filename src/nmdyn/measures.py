@@ -44,7 +44,7 @@ from .integrator import Trajectory, evolve, refuse_flagged
 from .interaction import (
     HypothesisReport,
     PotentialSpec,
-    check_hypotheses,
+    _hypothesis_norms,
     potential_value_bound,
     vartheta,
 )
@@ -519,7 +519,7 @@ def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec,
              for states in per_sample])))
 
     # conserved-energy certificates from the initial samples
-    chi_over_k = check_hypotheses(spec, 0.5, grid).norms[:, 0]
+    chi_over_k = _hypothesis_norms(spec, 0.5, grid)[:, 0]
     v_bound = potential_value_bound(spec, pot, grid)
     c_dim = np.sqrt(2.0 * (grid.d - 1))
     bound_terms = []

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ import nmdyn.integrator
 import nmdyn.interaction
 
 from nmdyn.cli import (
+    CONFIG_SCHEMA,
     ConfigError,
     FORMAT_VERSION,
     load_config,
@@ -84,6 +86,10 @@ class TestConfig:
         # scenario definition shows up here first
         h0 = hamiltonian(cfg.point, cfg.spec, cfg.pot, cfg.grid, cfg.basis)
         assert h0 == pytest.approx(0.38915860021068427, abs=1e-12)
+
+    def test_schema_is_valid_against_its_meta_schema(self):
+        # load_config builds its validator once and does not re-check the schema
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
     def test_defaults_are_resolved_into_raw(self):
         raw = small_scenario()
@@ -275,6 +281,12 @@ class TestCommands:
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
+
+    def test_module_entry_runs_without_warning(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nmdyn.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "nmdyn.cli",
+                        "--help"], env=env, capture_output=True, check=True)
 
     def test_seed_override_changes_samples(self, config_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

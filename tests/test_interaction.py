@@ -30,7 +30,7 @@ from nmdyn.interaction import (
     vartheta,
     vector_potential,
 )
-from nmdyn.interaction import _smeared_pair_complex
+from nmdyn.interaction import _phases, _smeared_pair_complex
 from nmdyn.state import (
     FieldState,
     ParticleSpec,
@@ -232,6 +232,11 @@ class TestHypotheses:
         spec = ParticleSpec(np.array([1.0]), (FormFactor.gaussian(1.0),))
         report = check_hypotheses(spec, 0.5, grid)
         assert np.allclose(report.norms_wide, report.norms, rtol=1e-8)
+
+    def test_refinement_grids_are_not_memoized(self):
+        FormFactor.values_on.cache_clear()
+        check_hypotheses(two_particle_spec(), 0.5, build_kgrid(3, 2.0, 6))
+        assert FormFactor.values_on.cache_info().currsize == 0
 
     def test_sigma_validation(self, small_grid):
         with pytest.raises(ValueError):
@@ -492,6 +497,172 @@ class TestModel:
         assert np.array_equal(g_a.p, g_b.p)
         assert np.array_equal(g_a.q, g_b.q)
         assert np.array_equal(g_a.alpha, g_b.alpha)
+
+
+class TestTensorProductPhases:
+    @pytest.mark.parametrize("d, K, N", [(3, 2.0, 6), (4, 2.0, 6)])
+    def test_axes_reproduce_nodes(self, d, K, N):
+        grid = build_kgrid(d, K, N)
+        model = compile_model(two_particle_spec(), None, grid)
+        assert model.axes.shape == (d, N)
+        mesh = np.stack(np.meshgrid(*model.axes, indexing="ij"), axis=-1)
+        assert np.array_equal(mesh.reshape(-1, d), grid.nodes)
+
+    @pytest.mark.parametrize("d, K, N", [(3, 2.0, 6), (4, 2.0, 6)])
+    def test_phases_match_direct_exponential(self, d, K, N, rng):
+        """Both sides round the argument 2 pi k.q, at about 1e-15 |k.q|, so
+        positions stay in the unit box."""
+        grid = build_kgrid(d, K, N)
+        model = compile_model(two_particle_spec(), None, grid)
+        for _ in range(20):
+            q = rng.uniform(-1.0, 1.0, size=(2, d))
+            direct = np.exp(-2j * np.pi * q @ grid.nodes.T)
+            assert np.abs(_phases(model, q) - direct).max() <= 1e-14
+
+
+# The interaction docstring formulas as plain loops over the grid nodes,
+# sharing nothing with the kernel but the grid, the frame and chi's profile.
+
+def _node_kernel(spec, grid, i, x, s):
+    """w_j chi_i/sqrt(2|k_j|) e^{-2 pi i k_j.x + i s |k_j|} for every node j."""
+    chi = spec.form_factors[i].profile(grid.absk)
+    out = np.empty(grid.node_count, dtype=complex)
+    for j in range(grid.node_count):
+        out[j] = (grid.weights[j] * chi[j] / np.sqrt(2.0 * grid.absk[j])
+                  * np.exp(-2j * np.pi * (grid.nodes[j] @ x) + 1j * s * grid.absk[j]))
+    return out
+
+
+def _loop_vector_potential(spec, grid, basis, i, q, alpha):
+    """A_i^nu = sum (z + conj z) with z = w eps^nu chi/sqrt(2|k|) alpha e^{2 pi i k.q},
+    and d A_i^nu/d q^mu = sum 2 Re(2 pi i k^mu z)."""
+    d = grid.d
+    chi = spec.form_factors[i].profile(grid.absk)
+    a, da = np.zeros(d), np.zeros((d, d))
+    for j in range(grid.node_count):
+        k = grid.nodes[j]
+        for lam in range(d - 1):
+            z = (grid.weights[j] * basis.vectors[j, lam] * chi[j] / np.sqrt(2.0 * grid.absk[j])
+                 * alpha[lam, j] * np.exp(2j * np.pi * (k @ q)))
+            a += 2.0 * z.real
+            da += 2.0 * np.real(2j * np.pi * z[:, None] * k[None, :])
+    return a, da
+
+
+def _loop_potential(spec, pot, grid, q):
+    """V = sum_{i<j} w_ij(q_i - q_j) and grad V, with
+    w_ij(x) = g int chi_i chi_j/|k|^2 e^{2 pi i k.x} dk."""
+    n = q.shape[0]
+    v, grad = 0.0, np.zeros_like(q)
+    for i in range(n):
+        for j in range(i + 1, n):
+            chi_i = spec.form_factors[i].profile(grid.absk)
+            chi_j = spec.form_factors[j].profile(grid.absk)
+            for node in range(grid.node_count):
+                k = grid.nodes[node]
+                kern = (grid.weights[node] * pot.g * chi_i[node] * chi_j[node]
+                        / grid.absk[node] ** 2)
+                e = np.exp(2j * np.pi * (k @ (q[i] - q[j])))
+                v += (kern * e).real
+                gw = (2j * np.pi * kern * e * k).real
+                grad[i] += gw
+                grad[j] -= gw
+    return v, grad
+
+
+def _loop_G(u, spec, pot, grid, basis):
+    n, d = u.p.shape
+    _, grad_v = _loop_potential(spec, pot, grid, u.q)
+    gp, gq = np.zeros((n, d)), np.zeros((n, d))
+    galpha = np.zeros((d - 1, grid.node_count), dtype=complex)
+    for i in range(n):
+        a, da = _loop_vector_potential(spec, grid, basis, i, u.q[i], u.alpha)
+        pma = u.p[i] - a
+        chi = spec.form_factors[i].profile(grid.absk)
+        for nu in range(d):
+            gp[i] += pma[nu] * da[nu] / spec.masses[i]
+        gp[i] -= grad_v[i]
+        gq[i] = -a / spec.masses[i]
+        for j in range(grid.node_count):
+            for lam in range(d - 1):
+                galpha[lam, j] += (1j * chi[j] / np.sqrt(2.0 * grid.absk[j])
+                                   * (pma / spec.masses[i] @ basis.vectors[j, lam])
+                                   * np.exp(-2j * np.pi * (grid.nodes[j] @ u.q[i])))
+    return gp, gq, galpha
+
+
+def _loop_density_m(s, xi, u, spec, pot, grid, basis):
+    n, d = u.p.shape
+    x = u.q + s * u.p / spec.masses[:, None]
+    x0 = xi.q + s * xi.p / spec.masses[:, None]
+    total = 0.0
+    for i in range(n):
+        kern = _node_kernel(spec, grid, i, x[i], s)
+        a, b, g = (np.zeros(d, dtype=complex) for _ in range(3))
+        for j in range(grid.node_count):
+            for lam in range(d - 1):
+                big_k = kern[j] * basis.vectors[j, lam]
+                a += np.conj(u.alpha[lam, j]) * big_k
+                b += np.conj(xi.alpha[lam, j]) * big_k
+                g += np.conj(u.alpha[lam, j]) * (grid.nodes[j] @ x0[i]) * big_k
+        big_a = 2.0 * a.real
+        pma = u.p[i] - big_a
+        total += (2.0 * pma @ (4.0 * np.pi * g.imag) + np.sqrt(2.0) * pma @ b.imag
+                  + 2.0 * big_a @ xi.p[i]) / spec.masses[i]
+    _, grad_v = _loop_potential(spec, pot, grid, x)
+    return total - 2.0 * float(np.sum(grad_v * x0))
+
+
+def _assert_close(value, reference):
+    value, reference = np.asarray(value), np.asarray(reference)
+    assert np.abs(value - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+KERNEL_GRIDS = [(3, 2.0, 6), (4, 1.5, 4)]
+
+
+class TestKernelMatchesNodeSums:
+    """Every coupling term against its docstring formula summed node by node."""
+
+    @pytest.fixture(params=KERNEL_GRIDS, ids=["d3", "d4"])
+    def case(self, request, rng):
+        grid = build_kgrid(*request.param)
+        return (grid, default_basis(grid), two_particle_spec(), PotentialSpec.coulomb(0.8),
+                random_point(rng, grid, decay=False), random_point(rng, grid, decay=False))
+
+    def test_vector_potential_and_gradient(self, case):
+        grid, basis, spec, _, u, _ = case
+        for i in range(2):
+            a, da = _loop_vector_potential(spec, grid, basis, i, u.q[i], u.alpha)
+            _assert_close(vector_potential(i, u.q[i], u.field, spec, grid), a)
+            for nu in range(grid.d):
+                _assert_close(grad_vector_potential(i, nu, u.q[i], u.field, spec, grid),
+                              da[nu])
+
+    def test_hamiltonian(self, case):
+        grid, basis, spec, pot, u, _ = case
+        kinetic = 0.0
+        for i in range(2):
+            a, _ = _loop_vector_potential(spec, grid, basis, i, u.q[i], u.alpha)
+            kinetic += np.sum((u.p[i] - a) ** 2) / (2.0 * spec.masses[i])
+        v, _ = _loop_potential(spec, pot, grid, u.q)
+        field = sum(grid.weights[j] * grid.absk[j] * np.abs(u.alpha[lam, j]) ** 2
+                    for j in range(grid.node_count) for lam in range(grid.d - 1))
+        _assert_close(hamiltonian(u, spec, pot, grid), kinetic + v + field)
+
+    def test_nonlinearity_G(self, case):
+        grid, basis, spec, pot, u, _ = case
+        gp, gq, galpha = _loop_G(u, spec, pot, grid, basis)
+        g = nonlinearity_G(u, spec, pot, grid)
+        _assert_close(g.p, gp)
+        _assert_close(g.q, gq)
+        _assert_close(g.alpha, galpha)
+
+    def test_characteristic_density_m(self, case):
+        grid, basis, spec, pot, u, xi = case
+        for s in (0.0, 0.7):
+            _assert_close(characteristic_density_m(s, xi, u, spec, pot, grid),
+                          _loop_density_m(s, xi, u, spec, pot, grid, basis))
 
 
 class TestNonlinearities:

@@ -18,6 +18,7 @@ import pytest
 
 from conftest import random_point
 
+from nmdyn import interaction
 from nmdyn.geometry import build_kgrid, polarization_basis
 from nmdyn.integrator import FlaggedHypothesesError, evolve
 from nmdyn.interaction import FormFactor, PotentialSpec, hamiltonian
@@ -468,6 +469,18 @@ class TestMoments:
         blob = rep.to_json()
         assert blob["violations_bounded"] == 0
         assert blob["times"] == rep.times.tolist()
+
+    def test_builds_no_refinement_grid(self, grid10, scenario, pushed_pair,
+                                       monkeypatch):
+        """The certificates need the base-grid ||chi/|k||| norms only."""
+        args = (pushed_pair["fine"], scenario["spec"], scenario["pot"], grid10)
+        expected = moment_report(*args).to_json()
+
+        def refuse(*_):
+            raise AssertionError("moment_report built a refinement grid")
+
+        monkeypatch.setattr(interaction, "build_kgrid", refuse)
+        assert moment_report(*args).to_json() == expected
 
     def test_decoupled_moments_are_constants(self, tiny_grid, decoupled):
         meas = MeasureSpec.gaussian(decoupled["center"], particle_scale=0.1)
