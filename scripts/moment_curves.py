@@ -31,7 +31,6 @@ def main(argv=None):
                     help="scenario JSON (default: reference physics on a "
                          "coarser grid, T=5)")
     ap.add_argument("--out", default="moment_curves.csv")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     cfg = load_config(args.config if args.config else default_scenario())
@@ -39,8 +38,7 @@ def main(argv=None):
                                       cfg.seed),
                        cfg.T, cfg.dt, cfg.spec, cfg.pot, cfg.grid,
                        scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                       keep_trajectories=True, threads=args.threads,
-                       basis=cfg.basis)
+                       keep_trajectories=True, basis=cfg.basis)
     rep = moment_report(ens, cfg.spec, cfg.pot, cfg.grid)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -18,7 +18,6 @@ def main(argv=None):
     ap.add_argument("--config", help="scenario JSON (default: built-in reference)")
     ap.add_argument("--out", default="out/reference")
     ap.add_argument("--seed", type=int)
-    ap.add_argument("--threads", type=int)
     args = ap.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
@@ -33,11 +32,10 @@ def main(argv=None):
     extra = []
     if args.seed is not None:
         extra += ["--seed", str(args.seed)]
-    threads = ["--threads", str(args.threads)] if args.threads else []
     rc = cli_main(["simulate", config, "--out", args.out] + extra)
     if rc:
         return rc
-    return cli_main(["ensemble", config, "--out", args.out] + extra + threads)
+    return cli_main(["ensemble", config, "--out", args.out] + extra)
 
 
 if __name__ == "__main__":

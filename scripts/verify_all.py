@@ -17,7 +17,9 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", help="scenario JSON (default: built-in reference)")
     ap.add_argument("--out", default="out/verify")
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    ap.add_argument("--threads", type=int,
+                    help="ignored: the suites run serially (kept so existing "
+                         "command lines still parse)")
     args = ap.parse_args(argv)
 
     cfg = load_config(args.config if args.config else reference_scenario(),
@@ -25,7 +27,7 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
     results = {}
     for name in sorted(SUITES):
-        outcome = run_suite(name, cfg, threads=args.threads)
+        outcome = run_suite(name, cfg)
         results[name] = outcome.passed
         payload = {"format_version": FORMAT_VERSION, "config": cfg.raw,
                    **outcome.to_json()}

@@ -17,9 +17,9 @@ problem (schema violation, inconsistent shapes, or a flagged form factor
 without --allow-flagged), 3 numerical abort (non-finite state).
 
 Every output file embeds the resolved scenario (defaults applied, --seed
-applied) plus a format-version field; runtime placement concerns (output
-directory, worker count) are deliberately not part of the resolved scenario,
-so identical scenarios produce byte-identical files at any thread count.
+applied) plus a format-version field; the output directory is runtime
+placement and deliberately not part of the resolved scenario, so identical
+scenarios produce byte-identical files wherever they are written.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .integrator import (
     SCHEMES,
     FlaggedHypothesesError,
     NumericalBlowupError,
+    _step_count,
     divergence_report,
     evolve,
     refuse_flagged,
@@ -434,6 +435,10 @@ def load_config(source, base_dir: str = ".",
     run = raw["run"]
     if run["scheme"] not in SCHEMES:
         raise ConfigError(f"run.scheme: unknown scheme {run['scheme']!r}")
+    try:
+        _step_count(float(run["T"]), float(run["dt"]))
+    except ValueError as err:
+        raise ConfigError(f"run: {err}") from err
     return ScenarioConfig(
         raw=raw, grid=grid, basis=basis, spec=spec, pot=pot,
         point=point, measure=measure,
@@ -523,19 +528,6 @@ def _check(name: str, value: float, limit: float, relation: str = "<=") -> dict:
             "relation": relation, "passed": bool(ok)}
 
 
-def _random_direction(rng: np.random.Generator, grid: KGrid, n: int,
-                      scale: float = 0.5) -> PhaseSpacePoint:
-    """Decay-weighted random phase-space direction (finite in every X^sigma)."""
-    decay = np.exp(-grid.absk**2)
-    alpha = scale * (rng.standard_normal((grid.d - 1, grid.node_count))
-                     + 1j * rng.standard_normal((grid.d - 1, grid.node_count)))
-    return PhaseSpacePoint(
-        ParticleState(scale * rng.standard_normal((n, grid.d)),
-                      scale * rng.standard_normal((n, grid.d))),
-        FieldState(grid, alpha * decay[None, :]),
-    )
-
-
 def _random_state(rng: np.random.Generator, grid: KGrid, n: int,
                   scale: float) -> PhaseSpacePoint:
     alpha = scale * (rng.standard_normal((grid.d - 1, grid.node_count))
@@ -545,6 +537,14 @@ def _random_state(rng: np.random.Generator, grid: KGrid, n: int,
                       scale * rng.standard_normal((n, grid.d))),
         FieldState(grid, alpha),
     )
+
+
+def _random_direction(rng: np.random.Generator, grid: KGrid, n: int,
+                      scale: float = 0.5) -> PhaseSpacePoint:
+    """Decay-weighted random phase-space direction (finite in every X^sigma)."""
+    u = _random_state(rng, grid, n, scale)
+    decay = np.exp(-grid.absk**2)
+    return PhaseSpacePoint(u.particles, FieldState(grid, u.alpha * decay[None, :]))
 
 
 def verify_gauge(cfg: ScenarioConfig, **_) -> VerifyOutcome:
@@ -678,10 +678,6 @@ def verify_duhamel_order(cfg: ScenarioConfig, allow_flagged: bool = False,
     return VerifyOutcome("duhamel-order", tuple(checks))
 
 
-def _steps(T: float, dt: float) -> int:
-    return int(round(T / dt))
-
-
 def verify_gronwall(cfg: ScenarioConfig, allow_flagged: bool = False,
                     **_) -> VerifyOutcome:
     """Exponential-envelope divergence of perturbed trajectories.
@@ -707,8 +703,7 @@ def verify_gronwall(cfg: ScenarioConfig, allow_flagged: bool = False,
     return VerifyOutcome("gronwall", tuple(checks))
 
 
-def verify_characteristic(cfg: ScenarioConfig, threads: int = 1,
-                          allow_flagged: bool = False,
+def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
                           directions: int = 5, **_) -> VerifyOutcome:
     """The characteristic equation along the pushed ensemble.
 
@@ -726,7 +721,7 @@ def verify_characteristic(cfg: ScenarioConfig, threads: int = 1,
     checks = []
 
     if cfg.point is not None:
-        if _steps(cfg.T, cfg.dt) % 4 != 0:
+        if _step_count(cfg.T, cfg.dt) % 4 != 0:
             raise ConfigError("run: the characteristic suite refines dt by 4,"
                               " so T/dt must be divisible by 4")
         dirac = MeasureSpec.dirac(cfg.point)
@@ -745,7 +740,7 @@ def verify_characteristic(cfg: ScenarioConfig, threads: int = 1,
                              res[1] / res[2], 3.4, ">="))
 
     common = dict(scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                  keep_trajectories=True, threads=threads, basis=cfg.basis,
+                  keep_trajectories=True, basis=cfg.basis,
                   allow_flagged=allow_flagged)
     ens0 = sample_measure(measure, cfg.m_samples, cfg.seed)
     fine = push_forward(ens0, cfg.T, cfg.dt, *args, **common)
@@ -788,15 +783,15 @@ def verify_mvfi_identity(cfg: ScenarioConfig, draws: int = 100, **_) -> VerifyOu
     ))
 
 
-def verify_moments(cfg: ScenarioConfig, threads: int = 1,
-                   allow_flagged: bool = False, **_) -> VerifyOutcome:
+def verify_moments(cfg: ScenarioConfig, allow_flagged: bool = False,
+                   **_) -> VerifyOutcome:
     """Fourth-moment propagation against conserved-energy certificates."""
     measure = cfg.require_measure()
     ens = push_forward(sample_measure(measure, cfg.m_samples, cfg.seed),
                        cfg.T, cfg.dt, cfg.spec, cfg.pot, cfg.grid,
                        scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                       keep_trajectories=True, threads=threads,
-                       basis=cfg.basis, allow_flagged=allow_flagged)
+                       keep_trajectories=True, basis=cfg.basis,
+                       allow_flagged=allow_flagged)
     rep = moment_report(ens, cfg.spec, cfg.pot, cfg.grid)
     return VerifyOutcome("moments", (
         _check("bounded-envelope violations", rep.violations_bounded, 0, "=="),
@@ -845,19 +840,6 @@ def _write_csv(path: str, cfg: ScenarioConfig, writer) -> None:
         writer(handle)
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("NMDYN_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"NMDYN_THREADS: expected an integer, "
-                              f"got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def _out_dir(cfg: ScenarioConfig) -> str:
     os.makedirs(cfg.output, exist_ok=True)
     return cfg.output
@@ -876,7 +858,7 @@ def cmd_simulate(args) -> int:
     h = traj.energies
     drift = float(np.max(np.abs(h - h[0]))) / max(abs(h[0]), 1e-300)
     summary = _payload(cfg, {
-        "steps": _steps(cfg.T, cfg.dt),
+        "steps": traj.n_steps,
         "energy_initial": float(h[0]),
         "energy_final": float(h[-1]),
         "relative_energy_drift": drift,
@@ -886,7 +868,7 @@ def cmd_simulate(args) -> int:
         "endpoint": point_to_json(traj.endpoint()),
     })
     _write_json(os.path.join(out, "summary.json"), summary)
-    print(f"simulate: {_steps(cfg.T, cfg.dt)} steps, relative energy drift "
+    print(f"simulate: {traj.n_steps} steps, relative energy drift "
           f"{drift:.3e}; wrote {out}/trajectory.csv, {out}/summary.json")
     return 0
 
@@ -895,12 +877,11 @@ def cmd_ensemble(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed,
                       out_override=args.out)
     measure = cfg.require_measure()
-    threads = _resolve_threads(args)
     ens = push_forward(sample_measure(measure, cfg.m_samples, cfg.seed),
                        cfg.T, cfg.dt, cfg.spec, cfg.pot, cfg.grid,
                        scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                       keep_trajectories=True, threads=threads,
-                       basis=cfg.basis, allow_flagged=args.allow_flagged)
+                       keep_trajectories=True, basis=cfg.basis,
+                       allow_flagged=args.allow_flagged)
     rng = np.random.default_rng(cfg.seed)
     ys = [_random_direction(rng, cfg.grid, cfg.spec.masses.size)
           for _ in range(3)]
@@ -923,8 +904,7 @@ def cmd_ensemble(args) -> int:
 def cmd_verify(args) -> int:
     source = args.config if args.config else reference_scenario()
     cfg = load_config(source, seed_override=args.seed, out_override=args.out)
-    kwargs = {"threads": _resolve_threads(args),
-              "allow_flagged": args.allow_flagged}
+    kwargs = {"allow_flagged": args.allow_flagged}
     if args.draws is not None:
         kwargs["draws"] = args.draws
     outcome = run_suite(args.suite, cfg, **kwargs)
@@ -963,7 +943,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's ensemble seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: NMDYN_THREADS or cores)")
+                       help="ignored: ensembles run serially (kept so existing "
+                            "command lines still parse)")
         p.add_argument("--allow-flagged", action="store_true",
                        help="run even if the hypothesis check flags the grid")
 

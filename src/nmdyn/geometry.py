@@ -76,7 +76,7 @@ class PolarizationBasis:
 
     ``vectors[j, lam, :]`` is the polarization vector eps_lam at node j;
     together with nodes[j]/absk[j] the rows complete an orthonormal basis
-    of R^d.  Immutable, safe for concurrent reads.
+    of R^d.  Immutable.
     """
 
     grid: KGrid

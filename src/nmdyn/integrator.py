@@ -200,6 +200,7 @@ def rk4_interaction_step(t: float, u: PhaseSpacePoint, dt: float, spec: Particle
 
 
 def _step_count(T: float, dt: float) -> int:
+    """The number of dt steps in T; ValueError unless it is a whole number."""
     ratio = T / dt
     n = int(round(ratio))
     if n < 0 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):

@@ -88,6 +88,9 @@ HYPOTHESIS_LABELS = (
 # form factors
 # --------------------------------------------------------------------------
 
+FORM_FACTOR_FAMILIES = ("gaussian", "ball", "point", "table")
+
+
 @dataclass(frozen=True, eq=False)
 class FormFactor:
     """Radial charge form factor chi(|k|), real and bounded.
@@ -103,6 +106,11 @@ class FormFactor:
     radius: float = 0.0
     r_samples: Optional[np.ndarray] = None
     chi_samples: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.family not in FORM_FACTOR_FAMILIES:
+            raise ValueError(f"family must be one of {FORM_FACTOR_FAMILIES}, "
+                             f"got {self.family!r}")
 
     @classmethod
     def gaussian(cls, width: float) -> "FormFactor":
@@ -146,10 +154,8 @@ class FormFactor:
             return (r <= self.radius).astype(float)
         if self.family == "point":
             return np.ones_like(r)
-        if self.family == "table":
-            return np.interp(r, self.r_samples, self.chi_samples,
-                             left=self.chi_samples[0], right=0.0)
-        raise ValueError(f"unknown form-factor family {self.family!r}")
+        return np.interp(r, self.r_samples, self.chi_samples,
+                         left=self.chi_samples[0], right=0.0)
 
     @functools.lru_cache(maxsize=64)
     def values_on(self, grid: KGrid) -> np.ndarray:
@@ -160,6 +166,9 @@ class FormFactor:
 # --------------------------------------------------------------------------
 # potentials
 # --------------------------------------------------------------------------
+
+POTENTIAL_KINDS = ("zero", "smeared-coulomb", "product-of-cos")
+
 
 @dataclass(frozen=True, eq=False)
 class PotentialSpec:
@@ -176,6 +185,10 @@ class PotentialSpec:
     g: float = 0.0
     amplitude: float = 0.0
     wavevector: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.kind not in POTENTIAL_KINDS:
+            raise ValueError(f"kind must be one of {POTENTIAL_KINDS}, got {self.kind!r}")
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
@@ -253,10 +266,8 @@ def _potential_core(q, phases, model):
                 vw = model.pair[i, j] * rel
                 w = float(np.real(np.sum(vw)))
                 gw = -2.0 * np.pi * np.imag(vw @ model.grid.nodes)
-            elif pot.kind == "product-of-cos":
-                w, gw = _cos_pair(pot, q[i] - q[j])
             else:
-                raise ValueError(f"unknown potential kind {pot.kind!r}")
+                w, gw = _cos_pair(pot, q[i] - q[j])
             total += w
             grad[i] += gw
             grad[j] -= gw
@@ -292,10 +303,8 @@ def potential_gradient_bound(spec: ParticleSpec, pot: PotentialSpec,
             if pot.kind == "smeared-coulomb":
                 kernel = _pair_kernel(i, j, spec, pot, grid)
                 b = 2.0 * np.pi * float(integrate_k(grid, kernel * grid.absk))
-            elif pot.kind == "product-of-cos":
-                b = abs(pot.amplitude) * float(np.linalg.norm(pot.wavevector))
             else:
-                raise ValueError(f"unknown potential kind {pot.kind!r}")
+                b = abs(pot.amplitude) * float(np.linalg.norm(pot.wavevector))
             pair[i, j] = pair[j, i] = b
     return pair.sum(axis=1)
 
@@ -318,10 +327,8 @@ def potential_value_bound(spec: ParticleSpec, pot: PotentialSpec,
             if pot.kind == "smeared-coulomb":
                 kernel = _pair_kernel(i, j, spec, pot, grid)
                 total += float(integrate_k(grid, np.abs(kernel)))
-            elif pot.kind == "product-of-cos":
-                total += abs(pot.amplitude)
             else:
-                raise ValueError(f"unknown potential kind {pot.kind!r}")
+                total += abs(pot.amplitude)
     return total
 
 

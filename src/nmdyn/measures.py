@@ -10,10 +10,10 @@ mixtures.
 
 Reproducibility contract: sampling uses a counter-based generator keyed by
 (seed, sample index), so sample m is a pure function of the seed no matter
-how many samples are drawn, in which order, or on how many threads.  All
-ensemble reductions run in fixed sample order with compensated (Kahan)
-summation after a synchronization point, which makes outputs byte-identical
-across worker counts.
+how many samples are drawn or in which order.  Samples are pushed one after
+another, and all ensemble reductions run in fixed sample order with
+compensated (Kahan) summation, so identical inputs give byte-identical
+outputs.
 
 The characteristic-equation check works in the interaction picture: with
 u~(s) = free_flow(-s) applied to the physical sample at time s, the exact
@@ -33,14 +33,13 @@ defects.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .geometry import KGrid, PolarizationBasis
-from .integrator import Trajectory, evolve, refuse_flagged
+from .integrator import evolve, refuse_flagged
 from .interaction import (
     HypothesisReport,
     PotentialSpec,
@@ -239,35 +238,27 @@ def sample_measure(measure: MeasureSpec, m_samples: int, seed: int) -> Ensemble:
 def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
                  pot: PotentialSpec, grid: KGrid, scheme: str = "strang",
                  store_every: int = 1, keep_trajectories: bool = False,
-                 threads: int = 1, allow_flagged: bool = False,
+                 allow_flagged: bool = False,
                  basis: Optional[PolarizationBasis] = None,
                  hypothesis_report: Optional[HypothesisReport] = None) -> Ensemble:
     """Transport every sample through the flow; returns the time-T ensemble.
 
     The form-factor resolution check runs once and is shared by all samples.
-    Samples propagate independently (optionally on a thread pool); results
-    are collected in sample order, so the output is identical for any thread
-    count.  A failing sample aborts the push with its index.
+    Samples propagate independently, one after another in sample order.  A
+    failing sample aborts the push with its index.
     """
     # a property of (spec, grid), not of any sample: refuse up front
     hypothesis_report = refuse_flagged(spec, grid, allow_flagged, hypothesis_report)
 
-    def _run_one(item) -> Trajectory:
-        m, u0 = item
+    trajectories = []
+    for m, u0 in enumerate(ensemble.points):
         try:
-            return evolve(u0, T, dt, spec, pot, grid, scheme=scheme,
-                          store_every=store_every, basis=basis,
-                          allow_flagged=allow_flagged,
-                          hypothesis_report=hypothesis_report)
+            trajectories.append(evolve(u0, T, dt, spec, pot, grid, scheme=scheme,
+                                       store_every=store_every, basis=basis,
+                                       allow_flagged=allow_flagged,
+                                       hypothesis_report=hypothesis_report))
         except Exception as err:
             raise EnsemblePropagationError(f"sample {m} failed: {err}", m) from err
-
-    items = list(enumerate(ensemble.points))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(pool.map(_run_one, items))
-    else:
-        trajectories = [_run_one(item) for item in items]
 
     return Ensemble(
         points=tuple(traj.endpoint() for traj in trajectories),

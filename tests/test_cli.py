@@ -266,13 +266,17 @@ class TestCommands:
         assert (base / "ensemble.csv").read_bytes() == \
                (via_env / "ensemble.csv").read_bytes()
 
-    def test_threads_env_rejects_non_integer(self, config_file, tmp_path,
-                                             monkeypatch, capsys):
-        monkeypatch.setenv("NMDYN_THREADS", "abc")
-        assert main(["ensemble", config_file, "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("command", [["simulate"], ["ensemble"],
+                                         ["verify", "gronwall"]])
+    def test_dt_not_dividing_T_is_a_config_error(self, command, tmp_path, capsys):
+        raw = small_scenario()
+        raw["run"].update(T=0.25, dt=0.1)
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(raw))
+        assert main(command + [str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("config error: NMDYN_THREADS")
+        assert err.startswith("config error: run")
 
     def test_import_leaves_scipy_out(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(nmdyn.__file__)))

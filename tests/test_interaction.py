@@ -94,6 +94,10 @@ class TestFormFactor:
         with pytest.raises(ValueError):
             FormFactor.table([0.0, 1.0], [1.0, 1.0, 1.0])
 
+    def test_unknown_family_rejected_when_built(self):
+        with pytest.raises(ValueError, match="family must be one of"):
+            FormFactor(family="lorentzian")
+
     def test_values_on_memoized(self, small_grid):
         ff = FormFactor.gaussian(1.0)
         assert ff.values_on(small_grid) is ff.values_on(small_grid)
@@ -211,6 +215,10 @@ class TestPotential:
             PotentialSpec.coulomb(0.0)
         with pytest.raises(ValueError):
             PotentialSpec.cosine(1.0, [[1.0, 2.0]])
+
+    def test_unknown_kind_rejected_when_built(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            PotentialSpec(kind="yukawa")
 
 
 class TestHypotheses:

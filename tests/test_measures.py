@@ -114,7 +114,7 @@ def pushed_pair(grid10, scenario, gauss_measure):
     """
     ens0 = sample_measure(gauss_measure, 32, seed=2026)
     common = dict(spec=scenario["spec"], pot=scenario["pot"], grid=grid10,
-                  store_every=10, keep_trajectories=True, threads=4,
+                  store_every=10, keep_trajectories=True,
                   basis=scenario["basis"])
     fine = push_forward(ens0, 1.0, 1e-2, **common)
     coarse = push_forward(ens0, 1.0, 2e-2, **common)
@@ -308,19 +308,6 @@ class TestPushForward:
                                0.2, 2e-2, *args, **kw)
         assert all(points_equal(a, b)
                    for a, b in zip(one_hop.points, two_hop.points))
-
-    def test_thread_count_is_byte_invisible(self, grid10, scenario,
-                                            gauss_measure, directions):
-        ens0 = sample_measure(gauss_measure, 8, seed=8)
-        args = (scenario["spec"], scenario["pot"], grid10)
-        serial = push_forward(ens0, 0.1, 1e-2, *args, threads=1,
-                              basis=scenario["basis"])
-        pooled = push_forward(ens0, 0.1, 1e-2, *args, threads=8,
-                              basis=scenario["basis"])
-        assert all(points_equal(a, b)
-                   for a, b in zip(serial.points, pooled.points))
-        y = directions["y0"]
-        assert characteristic_function(serial, y) == characteristic_function(pooled, y)
 
     def test_failure_carries_sample_index(self, tiny_grid, decoupled):
         calm = decoupled["center"]
