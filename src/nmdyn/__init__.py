@@ -54,7 +54,6 @@ from .integrator import (
     Trajectory,
     divergence_report,
     evolve,
-    export_states_json,
     rk4_interaction_step,
     strang_step,
     trajectory_to_csv,

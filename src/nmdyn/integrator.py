@@ -1,6 +1,6 @@
 """Time evolution of the coupled particle-field system.
 
-Two independent schemes share the exact free flow:
+Two independent schemes share the exact free flow and one RK4 step (``_rk4``):
 
 * ``strang``: the symmetric splitting Phi^0_{dt/2} o Kick_dt o Phi^0_{dt/2},
   where the kick integrates du/dt = G(u) with one classical 4-stage
@@ -35,7 +35,6 @@ configurable stride (endpoints always included).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,7 +55,6 @@ from .state import (
     PhaseSpacePoint,
     free_flow,
     phase_norm,
-    point_to_json,
 )
 
 __all__ = [
@@ -71,7 +69,6 @@ __all__ = [
     "evolve",
     "divergence_report",
     "trajectory_to_csv",
-    "export_states_json",
 ]
 
 # design order of accuracy per scheme; the duhamel-order suite checks it
@@ -128,16 +125,12 @@ class Trajectory:
         return self.times[self.stored_indices]
 
     def stored_states(self) -> list[PhaseSpacePoint]:
-        """Full phase-space states at the field-snapshot steps."""
-        return [
-            PhaseSpacePoint(ParticleState(self.p[k], self.q[k]), fld)
-            for k, fld in zip(self.stored_indices, self.stored_fields)
-        ]
+        """Full phase-space states at the field-snapshot steps, each packed anew."""
+        return [PhaseSpacePoint(ParticleState(self.p[k], self.q[k]), fld)
+                for k, fld in zip(self.stored_indices, self.stored_fields)]
 
     def endpoint(self) -> PhaseSpacePoint:
-        return PhaseSpacePoint(
-            ParticleState(self.p[-1], self.q[-1]), self.stored_fields[-1]
-        )
+        return PhaseSpacePoint(ParticleState(self.p[-1], self.q[-1]), self.stored_fields[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,21 +161,22 @@ class DivergenceReport:
         }
 
 
-def _rk4_kick(u: PhaseSpacePoint, dt: float, spec, pot, grid, basis) -> PhaseSpacePoint:
-    k1 = nonlinearity_G(u, spec, pot, grid, basis)
-    k2 = nonlinearity_G(u + (dt / 2.0) * k1, spec, pot, grid, basis)
-    k3 = nonlinearity_G(u + (dt / 2.0) * k2, spec, pot, grid, basis)
-    k4 = nonlinearity_G(u + dt * k3, spec, pot, grid, basis)
+def _rk4(f, t: float, u: PhaseSpacePoint, dt: float) -> PhaseSpacePoint:
+    """One classical 4-stage Runge-Kutta step of du/dt = f(t, u)."""
+    if dt == 0.0:
+        raise ValueError("dt must be nonzero")
+    k1 = f(t, u)
+    k2 = f(t + dt / 2.0, u + (dt / 2.0) * k1)
+    k3 = f(t + dt / 2.0, u + (dt / 2.0) * k2)
+    k4 = f(t + dt, u + dt * k3)
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def strang_step(u: PhaseSpacePoint, dt: float, spec: ParticleSpec, pot: PotentialSpec,
                 grid: KGrid, basis: Optional[PolarizationBasis] = None) -> PhaseSpacePoint:
     """One symmetric splitting step; dt may be negative (time reversal)."""
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
     half = free_flow(u, dt / 2.0, spec)
-    kicked = _rk4_kick(half, dt, spec, pot, grid, basis)
+    kicked = _rk4(lambda _, v: nonlinearity_G(v, spec, pot, grid, basis), 0.0, half, dt)
     return free_flow(kicked, dt / 2.0, spec)
 
 
@@ -190,13 +184,7 @@ def rk4_interaction_step(t: float, u: PhaseSpacePoint, dt: float, spec: Particle
                          pot: PotentialSpec, grid: KGrid,
                          basis: Optional[PolarizationBasis] = None) -> PhaseSpacePoint:
     """One RK4 step on the interaction-picture equation du/dt = vartheta(t, u)."""
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
-    k1 = vartheta(t, u, spec, pot, grid, basis)
-    k2 = vartheta(t + dt / 2.0, u + (dt / 2.0) * k1, spec, pot, grid, basis)
-    k3 = vartheta(t + dt / 2.0, u + (dt / 2.0) * k2, spec, pot, grid, basis)
-    k4 = vartheta(t + dt, u + dt * k3, spec, pot, grid, basis)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _rk4(lambda s, v: vartheta(s, v, spec, pot, grid, basis), t, u, dt)
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -283,8 +271,8 @@ def evolve(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
     for k, physical in enumerate(itertools.chain([u0], states)):
         energies.append(hamiltonian(physical, spec, pot, grid, basis))
         norms.append([phase_norm(physical, s) for s in NORM_SIGMAS])
-        p_hist.append(physical.p)
-        q_hist.append(physical.q)
+        p_hist.append(physical.p.copy())  # a view would keep the whole state alive
+        q_hist.append(physical.q.copy())
         if k % store_every == 0:
             stored_indices.append(k)
             stored_fields.append(physical.field)
@@ -369,14 +357,3 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         traj.q.reshape(steps, -1),
     ])
     np.savetxt(path, table, delimiter=",", header=",".join(header), comments="")
-
-
-def export_states_json(traj: Trajectory, path) -> None:
-    """Dump the retained full states (with field snapshots) as a JSON list."""
-    payload = []
-    for t, state in zip(traj.stored_times, traj.stored_states()):
-        entry = {"t": float(t)}
-        entry.update(point_to_json(state))
-        payload.append(entry)
-    with open(path, "w") as fh:
-        json.dump(payload, fh)

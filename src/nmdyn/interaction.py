@@ -49,7 +49,6 @@ from .geometry import KGrid, PolarizationBasis, build_kgrid, integrate_k, polari
 from .state import (
     FieldState,
     ParticleSpec,
-    ParticleState,
     PhaseSpacePoint,
     field_norm,
     free_flow,
@@ -564,19 +563,20 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     a = _vector_potentials(model, c)
     da = _grad_vector_potentials(model, c)
     v = (u.p - a) / masses
-    gp = np.einsum("inm,in->im", da, v) - grad_v
-    gq = -a / masses
+    out = PhaseSpacePoint._of(grid, np.empty_like(u.data))
+    np.subtract(np.einsum("inm,in->im", da, v), grad_v, out=out.p)
+    np.divide(-a, masses, out=out.q)
     proj = (v @ model.eps.T).reshape(n, d - 1, -1)  # eps_lam(k) . v_i
-    galpha = 1j * np.einsum("im,ilm->lm", model.pref * phases, proj)
-    return PhaseSpacePoint(ParticleState(gp, gq), FieldState(grid, galpha))
+    np.multiply(1j, np.einsum("im,ilm->lm", model.pref * phases, proj), out=out.alpha)
+    return out
 
 
 def nonlinearity_F(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
                    grid: KGrid, basis: Optional[PolarizationBasis] = None) -> PhaseSpacePoint:
     """Full nonlinearity: F = G + (0, p_i/m_i, 0)."""
-    g = nonlinearity_G(u, spec, pot, grid, basis)
-    fq = g.q + u.p / spec.masses[:, None]
-    return PhaseSpacePoint(ParticleState(g.p, fq), FieldState(grid, g.alpha))
+    f = nonlinearity_G(u, spec, pot, grid, basis)
+    f.q[...] += u.p / spec.masses[:, None]
+    return f
 
 
 def vartheta(t: float, u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,

@@ -498,16 +498,14 @@ def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec,
     p4 = np.empty(n_times)
     half4 = np.empty(n_times)
     l2_4 = np.empty(n_times)
-    per_sample = [traj.stored_states() for traj in ensemble.trajectories]
+    trajs = ensemble.trajectories  # read in place: packing every stored state would copy it
     for k in range(n_times):
         p4[k] = float(np.real(_kahan_mean(
-            [float(np.sum(states[k].p ** 2)) ** 2 for states in per_sample])))
+            [float(np.sum(tr.p[tr.stored_indices[k]] ** 2)) ** 2 for tr in trajs])))
         half4[k] = float(np.real(_kahan_mean(
-            [field_norm(states[k].field, 0.5, "homogeneous") ** 4
-             for states in per_sample])))
+            [field_norm(tr.stored_fields[k], 0.5, "homogeneous") ** 4 for tr in trajs])))
         l2_4[k] = float(np.real(_kahan_mean(
-            [field_norm(states[k].field, 0.0, "homogeneous") ** 4
-             for states in per_sample])))
+            [field_norm(tr.stored_fields[k], 0.0, "homogeneous") ** 4 for tr in trajs])))
 
     # conserved-energy certificates from the initial samples
     chi_over_k = _hypothesis_norms(spec, 0.5, grid)[:, 0]

@@ -19,8 +19,10 @@ structure z = q + i p; the real inner product on X^sigma is
 The free flow is exact:  Phi_t^0 (p, q, alpha) = (p, q_i + t p_i/m_i,
 e^{-i t |k|} alpha_lam), a one-parameter group.
 
-All containers are value-semantic and treated as immutable; operations return
-new objects.  Finiteness is *not* validated here (the integrator checks it
+A PhaseSpacePoint is one float64 vector [p | q | alpha as (re, im) pairs]
+with p, q and alpha as views.  ParticleState and FieldState validate at the
+API edge; the stepping arithmetic builds new vectors unchecked and never
+mutates one.  Finiteness is *not* validated here (the integrator checks it
 after every step, where a failure has diagnostic context).
 """
 
@@ -38,7 +40,6 @@ __all__ = [
     "ParticleSpec",
     "FieldState",
     "PhaseSpacePoint",
-    "SobolevWeight",
     "field_norm",
     "phase_norm",
     "real_inner",
@@ -65,14 +66,6 @@ class ParticleState:
             raise ValueError(f"p and q must share shape (n, d), got {p.shape} vs {q.shape}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.p.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,82 +107,85 @@ class FieldState:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True, eq=False)
 class PhaseSpacePoint:
-    """u = (p, q, alpha); doubles as its own tangent type for the integrators."""
+    """u = (p, q, alpha) in one vector ``data``; doubles as its own tangent type.
 
-    particles: ParticleState
-    field: FieldState
+    The constructor packs validated containers once; the arithmetic and the
+    kernels wrap new vectors through the unchecked ``_of(grid, data)``.
+    """
+
+    __slots__ = ("grid", "data")
+
+    def __init__(self, particles: ParticleState, field: FieldState):
+        if particles.p.shape[1] != field.grid.d:
+            raise ValueError(f"particles in R^{particles.p.shape[1]}, grid in R^{field.grid.d}")
+        self.grid = field.grid
+        alpha = np.ascontiguousarray(field.values).view(float)
+        self.data = np.concatenate([particles.p.ravel(), particles.q.ravel(), alpha.ravel()])
+
+    @classmethod
+    def _of(cls, grid: KGrid, data: np.ndarray) -> "PhaseSpacePoint":
+        u = cls.__new__(cls)
+        u.grid, u.data = grid, data
+        return u
+
+    @property
+    def _nd(self) -> int:
+        return (self.data.size - 2 * (self.grid.d - 1) * self.grid.node_count) // 2
 
     @property
     def p(self) -> np.ndarray:
-        return self.particles.p
+        return self.data[: self._nd].reshape(-1, self.grid.d)
 
     @property
     def q(self) -> np.ndarray:
-        return self.particles.q
+        nd = self._nd
+        return self.data[nd : 2 * nd].reshape(-1, self.grid.d)
 
     @property
     def alpha(self) -> np.ndarray:
-        return self.field.values
+        return self.data[2 * self._nd :].view(complex).reshape(self.grid.d - 1, -1)
 
     @property
-    def grid(self) -> KGrid:
-        return self.field.grid
+    def particles(self) -> ParticleState:
+        return ParticleState(self.p, self.q)
+
+    @property
+    def field(self) -> FieldState:
+        return FieldState(self.grid, self.alpha)
 
     # -- linear-space operations used by the Runge-Kutta stages -------------
     def __add__(self, other: "PhaseSpacePoint") -> "PhaseSpacePoint":
-        return PhaseSpacePoint(
-            ParticleState(self.p + other.p, self.q + other.q),
-            FieldState(self.grid, self.alpha + other.alpha),
-        )
+        return self._of(self.grid, self.data + other.data)
 
     def __sub__(self, other: "PhaseSpacePoint") -> "PhaseSpacePoint":
-        return PhaseSpacePoint(
-            ParticleState(self.p - other.p, self.q - other.q),
-            FieldState(self.grid, self.alpha - other.alpha),
-        )
+        return self._of(self.grid, self.data - other.data)
 
     def __rmul__(self, c: float) -> "PhaseSpacePoint":
-        return PhaseSpacePoint(
-            ParticleState(c * self.p, c * self.q),
-            FieldState(self.grid, c * self.alpha),
-        )
+        return self._of(self.grid, c * self.data)
 
     def is_finite(self) -> bool:
-        return (
-            bool(np.all(np.isfinite(self.p)))
-            and bool(np.all(np.isfinite(self.q)))
-            and bool(np.all(np.isfinite(self.alpha)))
-        )
+        return bool(np.all(np.isfinite(self.data)))
 
 
-@dataclass(frozen=True)
-class SobolevWeight:
-    """Exponent and flavor of a field weight; sigma in [0, 1] operationally.
+def _weights(grid: KGrid, sigma: float, flavor: str) -> np.ndarray:
+    """Field weight |k|^{2 sigma} (homogeneous) or (1+|k|^2)^sigma, sigma in [0, 1].
 
     The inhomogeneous weight is what enters the X^sigma block operator
     diag(1, 1, (1+|k|^2)^sigma) used by real_inner.
     """
-
-    sigma: float
-    flavor: str = INHOMOGENEOUS
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
-        if self.flavor not in (HOMOGENEOUS, INHOMOGENEOUS):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-
-    def field_weights(self, grid: KGrid) -> np.ndarray:
-        if self.flavor == HOMOGENEOUS:
-            return grid.absk ** (2.0 * self.sigma)
-        return (1.0 + grid.absk**2) ** self.sigma
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
+    if flavor == HOMOGENEOUS:
+        return grid.absk ** (2.0 * sigma)
+    if flavor == INHOMOGENEOUS:
+        return (1.0 + grid.absk**2) ** sigma
+    raise ValueError(f"unknown flavor {flavor!r}")
 
 
 def field_norm(alpha: FieldState, sigma: float, flavor: str = INHOMOGENEOUS) -> float:
     """Weighted L^2 norm of the field, sqrt(sum_lam int weight |alpha_lam|^2 dk)."""
-    w = SobolevWeight(sigma, flavor).field_weights(alpha.grid)
+    w = _weights(alpha.grid, sigma, flavor)
     dens = np.sum(np.abs(alpha.values) ** 2, axis=0) * w
     return float(np.sqrt(integrate_k(alpha.grid, dens)))
 
@@ -211,7 +207,7 @@ def real_inner(a: PhaseSpacePoint, b: PhaseSpacePoint, sigma: float) -> float:
     za = a.q + 1j * a.p
     zb = b.q + 1j * b.p
     particle = float(np.sum(np.conj(za) * zb).real)
-    w = SobolevWeight(sigma, INHOMOGENEOUS).field_weights(a.grid)
+    w = _weights(a.grid, sigma, INHOMOGENEOUS)
     dens = np.sum(np.conj(a.alpha) * b.alpha, axis=0) * w
     return particle + float(np.real(integrate_k(a.grid, dens)))
 
@@ -222,12 +218,11 @@ def free_flow(u: PhaseSpacePoint, t: float, spec: ParticleSpec) -> PhaseSpacePoi
     (p, q, alpha) -> (p, q_i + t p_i/m_i, e^{-i t |k|} alpha_lam).  Exact
     group law and norm preservation up to rounding.
     """
-    q_new = u.q + t * u.p / spec.masses[:, None]
-    phases = np.exp(-1j * t * u.grid.absk)
-    return PhaseSpacePoint(
-        ParticleState(u.p.copy(), q_new),
-        FieldState(u.grid, u.alpha * phases),
-    )
+    out = PhaseSpacePoint._of(u.grid, np.empty_like(u.data))
+    out.p[...] = u.p
+    out.q[...] = u.q + t * u.p / spec.masses[:, None]
+    np.multiply(u.alpha, np.exp(-1j * t * u.grid.absk), out=out.alpha)
+    return out
 
 
 def point_to_json(u: PhaseSpacePoint) -> dict:
@@ -242,8 +237,6 @@ def point_to_json(u: PhaseSpacePoint) -> dict:
 
 def point_from_json(data: dict, grid: KGrid) -> PhaseSpacePoint:
     """Inverse of :func:`point_to_json` for a known grid."""
-    p = np.asarray(data["p"], dtype=float)
-    q = np.asarray(data["q"], dtype=float)
     shape = (grid.d - 1, grid.node_count)
     re = np.asarray(data["alpha_re"], dtype=float)
     im = np.asarray(data["alpha_im"], dtype=float)
@@ -252,4 +245,4 @@ def point_from_json(data: dict, grid: KGrid) -> PhaseSpacePoint:
             f"alpha arrays of length {re.size} incompatible with grid ({shape[0]}x{shape[1]})"
         )
     alpha = (re + 1j * im).reshape(shape)
-    return PhaseSpacePoint(ParticleState(p, q), FieldState(grid, alpha))
+    return PhaseSpacePoint(ParticleState(data["p"], data["q"]), FieldState(grid, alpha))

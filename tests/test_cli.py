@@ -278,6 +278,20 @@ class TestCommands:
         assert err.count("\n") == 1
         assert err.startswith("config error: run")
 
+    def test_mixture_odd_characteristic_steps_are_a_config_error(self, tmp_path, capsys):
+        raw = small_scenario()
+        center = raw["initial"]["measure"]["center"]
+        raw["initial"] = {"measure": {"kind": "mixture", "components": [
+            {"weight": 1.0, "measure": {"kind": "dirac", "center": center}}]}}
+        raw["run"].update(T=0.05, dt=0.01)
+        raw["ensemble"]["M"] = 2
+        path = tmp_path / "mix.json"
+        path.write_text(json.dumps(raw))
+        assert main(["verify", "characteristic", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: run")
+
     def test_import_leaves_scipy_out(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(nmdyn.__file__)))
         env = dict(os.environ, PYTHONPATH=src)

@@ -11,10 +11,14 @@ against its own 8x refinement).
 """
 
 import json
+import os
+import weakref
 
 import numpy as np
 import pytest
 
+import nmdyn.integrator
+from nmdyn.cli import load_config
 from nmdyn.geometry import build_kgrid
 from nmdyn.integrator import (
     DivergenceReport,
@@ -23,7 +27,6 @@ from nmdyn.integrator import (
     Trajectory,
     divergence_report,
     evolve,
-    export_states_json,
     rk4_interaction_step,
     stepper,
     strang_step,
@@ -43,7 +46,6 @@ from nmdyn.state import (
     PhaseSpacePoint,
     free_flow,
     phase_norm,
-    point_from_json,
 )
 
 from conftest import random_point
@@ -112,6 +114,27 @@ class TestSteps:
         back = strang_step(forward, -1e-2, spec, pot, grid)
         err = phase_norm(back - u0, 0.0)
         assert err <= 1e-12 * (1.0 + phase_norm(u0, 0.0))
+
+    def test_steps_validate_no_containers(self, monkeypatch):
+        path = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs",
+                            "quickstart.json")
+        cfg = load_config(path)
+        calls = {ParticleState: 0, FieldState: 0}
+
+        def counted(cls):
+            original = cls.__post_init__
+
+            def wrapper(self):
+                calls[cls] += 1
+                original(self)
+            return wrapper
+
+        for cls in calls:
+            monkeypatch.setattr(cls, "__post_init__", counted(cls))
+        args = (cfg.spec, cfg.pot, cfg.grid, cfg.basis)
+        strang_step(cfg.point, cfg.dt, *args)
+        rk4_interaction_step(0.0, cfg.point, cfg.dt, *args)
+        assert calls == {ParticleState: 0, FieldState: 0}
 
     def test_zero_dt_rejected(self, decoupled):
         grid, spec, pot, u0 = decoupled
@@ -285,6 +308,34 @@ def short_trajectory(coupled):
                   hypothesis_report=report)
 
 
+class TestHistory:
+    def test_trajectory_p_q_share_no_memory_with_stored_fields(self, short_trajectory):
+        for fld in short_trajectory.stored_fields:
+            state = fld.values.base  # the flat vector of the state it came from
+            assert state.dtype == np.float64 and state.ndim == 1
+            assert not np.shares_memory(short_trajectory.p, state)
+            assert not np.shares_memory(short_trajectory.q, state)
+
+    def test_history_keeps_no_past_state_alive(self, coupled, monkeypatch):
+        grid, spec, pot, u0, report = coupled
+        original = nmdyn.integrator.stepper
+        alive = []
+
+        def watched(*args, **kwargs):
+            refs = []
+            for state in original(*args, **kwargs):
+                refs.append(weakref.ref(state.data))
+                # evolve still holds the previous state; every older one is gone
+                alive.append(sum(r() is not None for r in refs[:-2]))
+                yield state
+
+        monkeypatch.setattr(nmdyn.integrator, "stepper", watched)
+        traj = evolve(u0, 0.1, 1e-2, spec, pot, grid, store_every=100,
+                      hypothesis_report=report)
+        assert traj.n_steps == 10
+        assert alive == [0] * 10
+
+
 class TestDivergence:
     def test_initial_separation_equals_epsilon(self, coupled, direction):
         grid, spec, pot, u0, _ = coupled
@@ -351,15 +402,3 @@ class TestExports:
         assert np.allclose(table[:, 0], short_trajectory.times)
         assert np.allclose(table[:, 1], short_trajectory.energies)
         assert np.allclose(table[:, 5:11], short_trajectory.p.reshape(6, -1))
-
-    def test_json_states_reconstruct(self, short_trajectory, coupled, tmp_path):
-        grid = coupled[0]
-        path = tmp_path / "states.json"
-        export_states_json(short_trajectory, path)
-        payload = json.loads(path.read_text())
-        assert [entry["t"] for entry in payload] == \
-            short_trajectory.stored_times.tolist()
-        last = point_from_json(payload[-1], grid)
-        end = short_trajectory.endpoint()
-        assert np.allclose(last.p, end.p, atol=1e-15)
-        assert np.allclose(last.alpha, end.alpha, atol=1e-15)

@@ -6,13 +6,12 @@ from conftest import random_field, random_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmdyn.geometry import build_kgrid
+from nmdyn.geometry import build_kgrid, polarization_basis
 from nmdyn.state import (
     FieldState,
     ParticleSpec,
     ParticleState,
     PhaseSpacePoint,
-    SobolevWeight,
     field_norm,
     free_flow,
     phase_norm,
@@ -69,11 +68,12 @@ class TestFieldNorm:
         lo, hi = sorted((s1, s2))
         assert field_norm(alpha, lo) <= field_norm(alpha, hi) * (1 + 1e-12)
 
-    def test_weight_validation(self):
+    def test_weight_validation(self, small_grid, rng):
+        alpha = random_field(rng, small_grid)
         with pytest.raises(ValueError):
-            SobolevWeight(1.5)
+            field_norm(alpha, 1.5)
         with pytest.raises(ValueError):
-            SobolevWeight(0.5, "fancy")
+            field_norm(alpha, 0.5, "fancy")
 
 
 class TestPhaseNorm:
@@ -214,3 +214,21 @@ class TestContainers:
         c = 2.0 * a + b - a
         np.testing.assert_allclose(c.p, a.p + b.p, atol=1e-15)
         np.testing.assert_allclose(c.alpha, a.alpha + b.alpha, atol=1e-15)
+
+    def test_components_are_views_of_one_vector(self, small_grid):
+        c = np.exp(-small_grid.absk**2)[:, None] * np.array([1.0, 0.5, -0.2])
+        alpha = np.einsum("jlv,jv->lj", polarization_basis(small_grid).vectors, c)
+        assert not alpha.flags.c_contiguous
+        u = PhaseSpacePoint(ParticleState(np.ones((2, 3)), np.zeros((2, 3))),
+                            FieldState(small_grid, alpha))
+        assert u.data.dtype == np.float64 and u.data.ndim == 1
+        assert u.data.size == 2 * 2 * 3 + 2 * 2 * small_grid.node_count
+        for part in (u.p, u.q, u.alpha, u.particles.p, u.field.values):
+            assert np.shares_memory(part, u.data)
+        assert np.array_equal(u.alpha, alpha)
+        assert np.array_equal(u.p, np.ones((2, 3)))
+
+    def test_particles_must_live_in_the_grid_dimension(self, tiny_grid):
+        with pytest.raises(ValueError):
+            PhaseSpacePoint(ParticleState(np.zeros((1, 2)), np.zeros((1, 2))),
+                            FieldState(tiny_grid, np.zeros((2, 8))))
