@@ -38,7 +38,7 @@ def main(argv=None):
                                       cfg.seed),
                        cfg.T, cfg.dt, cfg.spec, cfg.pot, cfg.grid,
                        scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                       keep_trajectories=True, basis=cfg.basis)
+                       basis=cfg.basis)
     rep = moment_report(ens, cfg.spec, cfg.pot, cfg.grid)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -5,12 +5,11 @@ and exits nonzero if any suite fails.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from nmdyn.cli import (FORMAT_VERSION, SUITES, load_config,
-                       reference_scenario, run_suite)
+from nmdyn.cli import (SUITES, load_config, reference_scenario, run_suite,
+                       write_payload)
 
 
 def main(argv=None):
@@ -29,11 +28,8 @@ def main(argv=None):
     for name in sorted(SUITES):
         outcome = run_suite(name, cfg)
         results[name] = outcome.passed
-        payload = {"format_version": FORMAT_VERSION, "config": cfg.raw,
-                   **outcome.to_json()}
-        with open(os.path.join(args.out, f"verify_{name}.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_payload(os.path.join(args.out, f"verify_{name}.json"), cfg,
+                      outcome.to_json())
         print(outcome.table())
         print()
     width = max(map(len, results))

@@ -94,6 +94,7 @@ __all__ = [
     "load_config",
     "reference_scenario",
     "run_suite",
+    "write_payload",
     "SUITES",
     "main",
 ]
@@ -603,10 +604,11 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
 
         diff = FieldState(grid, u.alpha - v.alpha)
         dq = np.linalg.norm(u.q[i] - v.q[i])
+        field_v = v.field
         a_diff = np.linalg.norm(
-            a - vector_potential(i, v.q[i], v.field, spec, grid))
+            a - vector_potential(i, v.q[i], field_v, spec, grid))
         lip = (c_dim * norms[i, 1] * field_norm(diff, 0.0)
-               + 2 * np.pi * c_dim * norms[i, 2] * dq * field_norm(v.field, 0.0))
+               + 2 * np.pi * c_dim * norms[i, 2] * dq * field_norm(field_v, 0.0))
         if a_diff > lip * slack + floor:
             v_lip += 1
 
@@ -628,9 +630,10 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
                 v_vf += 1
             rhs_h1 += field_factor * norms[j, 2] * pma / m_j
             rhs_l2 += field_factor * norms[j, 1] * pma / m_j
-        if field_norm(f.field, 1.0, "homogeneous") > rhs_h1 * slack + floor:
+        field_f = f.field
+        if field_norm(field_f, 1.0, "homogeneous") > rhs_h1 * slack + floor:
             v_vf += 1
-        if field_norm(f.field, 0.0) > rhs_l2 * slack + floor:
+        if field_norm(field_f, 0.0) > rhs_l2 * slack + floor:
             v_vf += 1
 
     return VerifyOutcome("lemma-bounds", (
@@ -731,8 +734,7 @@ def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
         for mult in (4, 2, 1):
             ens = push_forward(sample_measure(dirac, 1, cfg.seed), cfg.T,
                                mult * cfg.dt, *args, scheme=cfg.scheme,
-                               keep_trajectories=True, basis=cfg.basis,
-                               allow_flagged=allow_flagged)
+                               basis=cfg.basis, allow_flagged=allow_flagged)
             chk = characteristic_residual(ens, ys[0], cfg.T, 0.0, 0.0, *args,
                                           cfg.basis)
             res.append(chk.residual)
@@ -742,8 +744,7 @@ def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
                              res[1] / res[2], 3.4, ">="))
 
     common = dict(scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                  keep_trajectories=True, basis=cfg.basis,
-                  allow_flagged=allow_flagged)
+                  basis=cfg.basis, allow_flagged=allow_flagged)
     ens0 = sample_measure(measure, cfg.m_samples, cfg.seed)
     fine = push_forward(ens0, cfg.T, cfg.dt, *args, **common)
     coarse = push_forward(ens0, cfg.T, 2 * cfg.dt, *args, **common)
@@ -792,8 +793,7 @@ def verify_moments(cfg: ScenarioConfig, allow_flagged: bool = False,
     ens = push_forward(sample_measure(measure, cfg.m_samples, cfg.seed),
                        cfg.T, cfg.dt, cfg.spec, cfg.pot, cfg.grid,
                        scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                       keep_trajectories=True, basis=cfg.basis,
-                       allow_flagged=allow_flagged)
+                       basis=cfg.basis, allow_flagged=allow_flagged)
     rep = moment_report(ens, cfg.spec, cfg.pot, cfg.grid)
     return VerifyOutcome("moments", (
         _check("bounded-envelope violations", rep.violations_bounded, 0, "=="),
@@ -825,11 +825,9 @@ def run_suite(name: str, cfg: ScenarioConfig, **kwargs) -> VerifyOutcome:
 # commands
 # --------------------------------------------------------------------------
 
-def _payload(cfg: ScenarioConfig, body: dict) -> dict:
-    return {"format_version": FORMAT_VERSION, "config": cfg.raw, **body}
-
-
-def _write_json(path: str, payload: dict) -> None:
+def write_payload(path: str, cfg: ScenarioConfig, body: dict) -> None:
+    """Write body as JSON, after the format version and the scenario it ran."""
+    payload = {"format_version": FORMAT_VERSION, "config": cfg.raw, **body}
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -859,7 +857,7 @@ def cmd_simulate(args) -> int:
                lambda handle: trajectory_to_csv(traj, handle))
     h = traj.energies
     drift = float(np.max(np.abs(h - h[0]))) / max(abs(h[0]), 1e-300)
-    summary = _payload(cfg, {
+    write_payload(os.path.join(out, "summary.json"), cfg, {
         "steps": traj.n_steps,
         "energy_initial": float(h[0]),
         "energy_final": float(h[-1]),
@@ -869,7 +867,6 @@ def cmd_simulate(args) -> int:
                         "X1": float(traj.norms[-1, 2])},
         "endpoint": point_to_json(traj.endpoint()),
     })
-    _write_json(os.path.join(out, "summary.json"), summary)
     print(f"simulate: {traj.n_steps} steps, relative energy drift "
           f"{drift:.3e}; wrote {out}/trajectory.csv, {out}/summary.json")
     return 0
@@ -882,8 +879,7 @@ def cmd_ensemble(args) -> int:
     ens = push_forward(sample_measure(measure, cfg.m_samples, cfg.seed),
                        cfg.T, cfg.dt, cfg.spec, cfg.pot, cfg.grid,
                        scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                       keep_trajectories=True, basis=cfg.basis,
-                       allow_flagged=args.allow_flagged)
+                       basis=cfg.basis, allow_flagged=args.allow_flagged)
     rng = np.random.default_rng(cfg.seed)
     ys = [_random_direction(rng, cfg.grid, cfg.spec.masses.size)
           for _ in range(3)]
@@ -893,10 +889,10 @@ def cmd_ensemble(args) -> int:
     out = _out_dir(cfg)
     _write_csv(os.path.join(out, "ensemble.csv"), cfg,
                lambda handle: ensemble_to_csv(ens, handle))
-    _write_json(os.path.join(out, "reports.json"), _payload(cfg, {
+    write_payload(os.path.join(out, "reports.json"), cfg, {
         "moments": moments.to_json(),
         "characteristic": [c.to_json() for c in char],
-    }))
+    })
     print(f"ensemble: {cfg.m_samples} samples to T={cfg.T}; moment envelope "
           f"violations {moments.violations_bounded}+{moments.violations_exp}; "
           f"wrote {out}/ensemble.csv, {out}/reports.json")
@@ -911,8 +907,8 @@ def cmd_verify(args) -> int:
         kwargs["draws"] = args.draws
     outcome = run_suite(args.suite, cfg, **kwargs)
     out = _out_dir(cfg)
-    _write_json(os.path.join(out, f"verify_{outcome.suite}.json"),
-                _payload(cfg, outcome.to_json()))
+    write_payload(os.path.join(out, f"verify_{outcome.suite}.json"), cfg,
+                  outcome.to_json())
     print(outcome.table())
     return 0 if outcome.passed else 1
 
@@ -922,8 +918,8 @@ def cmd_hypotheses(args) -> int:
                       out_override=args.out)
     report = check_hypotheses(cfg.spec, 0.5, cfg.grid)
     out = _out_dir(cfg)
-    _write_json(os.path.join(out, "hypotheses.json"),
-                _payload(cfg, {"hypotheses": report.to_json()}))
+    write_payload(os.path.join(out, "hypotheses.json"), cfg,
+                  {"hypotheses": report.to_json()})
     flag = "FLAGGED" if report.flagged else "stable"
     print(f"hypotheses: form-factor norms {flag}; wrote {out}/hypotheses.json")
     return 0

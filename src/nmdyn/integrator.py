@@ -28,8 +28,9 @@ check is flagged.
 
 In ``evolve``, diagnostics (energy and the X^sigma norms at sigma = 0, 1/2,
 1) are recomputed from the state at every step, never interpolated.  Particle
-positions and momenta are recorded every step; field snapshots are kept at a
-configurable stride (endpoints always included).
+positions and momenta are recorded every step; whole states are kept at a
+configurable stride (endpoints always included), as the rows of one read-only
+array whose stored states and endpoint are views.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .interaction import (
 )
 from .state import (
     ParticleSpec,
-    ParticleState,
     PhaseSpacePoint,
     free_flow,
     phase_norm,
@@ -96,21 +96,23 @@ class Trajectory:
     """Uniform-step trajectory with per-step diagnostics.
 
     ``times``/``energies``/``norms``/``p``/``q`` cover every step;
-    ``stored_indices`` marks the steps whose field snapshot is retained, so
-    full phase-space states can be reconstructed there (endpoints always).
+    ``stored_indices`` marks the steps whose whole state is retained
+    (endpoints always), and ``stored`` holds those states' packed
+    ``PhaseSpacePoint.data`` vectors as the rows of one read-only
+    (n_stored, D) array.  ``stored_states()`` and ``endpoint()`` are views of
+    its rows, so they keep the whole array alive and cannot be written to.
     ``norms`` columns are phase_norm at sigma = 0, 1/2, 1 (inhomogeneous).
     """
 
-    scheme: str
+    grid: KGrid
     dt: float
     times: np.ndarray
     energies: np.ndarray
     norms: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    store_every: int
     stored_indices: np.ndarray
-    stored_fields: tuple
+    stored: np.ndarray
 
     def __post_init__(self):
         if np.any(np.diff(self.times) * np.sign(self.dt) <= 0):
@@ -125,12 +127,11 @@ class Trajectory:
         return self.times[self.stored_indices]
 
     def stored_states(self) -> list[PhaseSpacePoint]:
-        """Full phase-space states at the field-snapshot steps, each packed anew."""
-        return [PhaseSpacePoint(ParticleState(self.p[k], self.q[k]), fld)
-                for k, fld in zip(self.stored_indices, self.stored_fields)]
+        """Full phase-space states at the stored steps, as views of ``stored``."""
+        return [PhaseSpacePoint._of(self.grid, row) for row in self.stored]
 
     def endpoint(self) -> PhaseSpacePoint:
-        return PhaseSpacePoint(ParticleState(self.p[-1], self.q[-1]), self.stored_fields[-1])
+        return PhaseSpacePoint._of(self.grid, self.stored[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +190,8 @@ def rk4_interaction_step(t: float, u: PhaseSpacePoint, dt: float, spec: Particle
 
 def _step_count(T: float, dt: float) -> int:
     """The number of dt steps in T; ValueError unless it is a whole number."""
+    if dt == 0.0:
+        raise ValueError("dt must be nonzero")
     ratio = T / dt
     n = int(round(ratio))
     if n < 0 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
@@ -224,7 +227,7 @@ def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    times = np.arange((_step_count(T, dt) if T != 0.0 else 0) + 1) * dt
+    times = np.arange(_step_count(T, dt) + 1) * dt
 
     def states():
         state = last = u0
@@ -266,32 +269,26 @@ def evolve(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
         raise ValueError("store_every must be >= 1")
     refuse_flagged(spec, grid, allow_flagged, hypothesis_report)
 
-    energies, norms, p_hist, q_hist = [], [], [], []
-    stored_indices, stored_fields = [], []
+    n = _step_count(T, dt)
+    stored_indices = np.arange(0, n + 1, store_every)
+    if stored_indices[-1] != n:  # the endpoint is always stored
+        stored_indices = np.append(stored_indices, n)
+    energies, norms = np.empty(n + 1), np.empty((n + 1, len(NORM_SIGMAS)))
+    p, q = np.empty((n + 1, *u0.p.shape)), np.empty((n + 1, *u0.q.shape))
+    stored = np.empty((stored_indices.size, u0.data.size))
+    row = 0
     for k, physical in enumerate(itertools.chain([u0], states)):
-        energies.append(hamiltonian(physical, spec, pot, grid, basis))
-        norms.append([phase_norm(physical, s) for s in NORM_SIGMAS])
-        p_hist.append(physical.p.copy())  # a view would keep the whole state alive
-        q_hist.append(physical.q.copy())
-        if k % store_every == 0:
-            stored_indices.append(k)
-            stored_fields.append(physical.field)
-    if stored_indices[-1] != k:  # the endpoint is always stored
-        stored_indices.append(k)
-        stored_fields.append(physical.field)
+        energies[k] = hamiltonian(physical, spec, pot, grid, basis)
+        norms[k] = [phase_norm(physical, s) for s in NORM_SIGMAS]
+        p[k], q[k] = physical.p, physical.q
+        if k == stored_indices[row]:
+            stored[row] = physical.data
+            row += 1
+    stored.flags.writeable = False
 
-    return Trajectory(
-        scheme=scheme,
-        dt=float(dt),
-        times=np.arange(k + 1) * dt,
-        energies=np.array(energies),
-        norms=np.array(norms),
-        p=np.array(p_hist),
-        q=np.array(q_hist),
-        store_every=store_every,
-        stored_indices=np.asarray(stored_indices),
-        stored_fields=tuple(stored_fields),
-    )
+    return Trajectory(grid=u0.grid, dt=float(dt), times=np.arange(n + 1) * dt,
+                      energies=energies, norms=norms, p=p, q=q,
+                      stored_indices=stored_indices, stored=stored)
 
 
 def divergence_report(u0: PhaseSpacePoint, epsilon: float, direction: PhaseSpacePoint,

@@ -13,7 +13,9 @@ Reproducibility contract: sampling uses a counter-based generator keyed by
 how many samples are drawn or in which order.  Samples are pushed one after
 another, and all ensemble reductions run in fixed sample order with
 compensated (Kahan) summation, so identical inputs give byte-identical
-outputs.
+outputs.  A pushed ensemble keeps every sample's trajectory; its points and
+the snapshots the checks below read are read-only views of each trajectory's
+one array of stored states, never copies.
 
 The characteristic-equation check works in the interaction picture: with
 u~(s) = free_flow(-s) applied to the physical sample at time s, the exact
@@ -39,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import KGrid, PolarizationBasis
-from .integrator import evolve, refuse_flagged
+from .integrator import NumericalBlowupError, evolve, refuse_flagged
 from .interaction import (
     HypothesisReport,
     PotentialSpec,
@@ -157,8 +159,9 @@ class MeasureSpec:
 class Ensemble:
     """Equal-weight samples representing a measure; immutable once built.
 
-    ``trajectories`` is populated by push_forward when requested; sample m
-    of ``points`` is then the endpoint of ``trajectories[m]``.
+    ``trajectories`` is populated by push_forward; sample m of ``points`` is
+    then the endpoint of ``trajectories[m]``, a read-only view of its last
+    stored row.  A sampled, unpushed ensemble has none.
     """
 
     points: tuple
@@ -237,15 +240,17 @@ def sample_measure(measure: MeasureSpec, m_samples: int, seed: int) -> Ensemble:
 
 def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
                  pot: PotentialSpec, grid: KGrid, scheme: str = "strang",
-                 store_every: int = 1, keep_trajectories: bool = False,
-                 allow_flagged: bool = False,
+                 store_every: int = 1, allow_flagged: bool = False,
                  basis: Optional[PolarizationBasis] = None,
                  hypothesis_report: Optional[HypothesisReport] = None) -> Ensemble:
     """Transport every sample through the flow; returns the time-T ensemble.
 
     The form-factor resolution check runs once and is shared by all samples.
-    Samples propagate independently, one after another in sample order.  A
-    failing sample aborts the push with its index.
+    Samples propagate independently, one after another in sample order.  The
+    result keeps every sample's trajectory, and its points are views of the
+    trajectories' endpoints.  A sample whose state stops being finite (or
+    raises FloatingPointError under a raising ``np.errstate``) aborts the
+    push with its index; invalid arguments raise ValueError unwrapped.
     """
     # a property of (spec, grid), not of any sample: refuse up front
     hypothesis_report = refuse_flagged(spec, grid, allow_flagged, hypothesis_report)
@@ -257,14 +262,14 @@ def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
                                        store_every=store_every, basis=basis,
                                        allow_flagged=allow_flagged,
                                        hypothesis_report=hypothesis_report))
-        except Exception as err:
+        except (NumericalBlowupError, FloatingPointError) as err:
             raise EnsemblePropagationError(f"sample {m} failed: {err}", m) from err
 
     return Ensemble(
         points=tuple(traj.endpoint() for traj in trajectories),
         seed=ensemble.seed,
         measure=ensemble.measure,
-        trajectories=tuple(trajectories) if keep_trajectories else None,
+        trajectories=tuple(trajectories),
     )
 
 
@@ -342,17 +347,16 @@ def characteristic_residual(ensemble: Ensemble,
     Returns one CharacteristicCheck, or a list of them in direction order.
     """
     if ensemble.trajectories is None:
-        raise ValueError("characteristic_residual needs trajectories; "
-                         "run push_forward with keep_trajectories=True")
+        raise ValueError("characteristic_residual needs the trajectories of "
+                         "a pushed ensemble")
     single = isinstance(y, PhaseSpacePoint)
     directions = [y] if single else list(y)
     if not directions:
         raise ValueError("need at least one direction y")
     lo, hi = (t0, t) if t0 <= t else (t, t0)
-    ref = ensemble.trajectories[0]
-    stored = ref.stored_times
-    mask = (stored >= lo - 1e-12) & (stored <= hi + 1e-12)
-    times = stored[mask]
+    stored = ensemble.trajectories[0].stored_times
+    rows = np.flatnonzero((stored >= lo - 1e-12) & (stored <= hi + 1e-12))
+    times = stored[rows]
     for endpoint in (t0, t):
         if not np.any(np.abs(times - endpoint) <= 1e-9):
             raise ValueError(f"time {endpoint} is not a stored snapshot time")
@@ -364,8 +368,8 @@ def characteristic_residual(ensemble: Ensemble,
     z_t0 = np.empty((n_dir, ensemble.size), dtype=complex)
     integrals = np.empty((n_dir, ensemble.size), dtype=complex)
     for m, traj in enumerate(ensemble.trajectories):
-        t_mask = (traj.stored_times >= lo - 1e-12) & (traj.stored_times <= hi + 1e-12)
-        states = [s for s, keep in zip(traj.stored_states(), t_mask) if keep]
+        # the stored times are monotone, so the rows in [lo, hi] are one slice
+        states = traj.stored_states()[rows[0]:rows[-1] + 1]
         acc = np.zeros(n_dir, dtype=complex)
         for s, w, state in zip(times, weights, states):
             interaction = free_flow(state, -float(s), spec)
@@ -489,23 +493,22 @@ def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec,
                   grid: KGrid) -> MomentReport:
     """Ensemble fourth moments at every stored snapshot time."""
     if ensemble.trajectories is None:
-        raise ValueError("moment_report needs trajectories; "
-                         "run push_forward with keep_trajectories=True")
-    ref = ensemble.trajectories[0]
-    times = ref.stored_times.copy()
+        raise ValueError("moment_report needs the trajectories of a pushed ensemble")
+    times = ensemble.trajectories[0].stored_times
     n_times = times.size
 
     p4 = np.empty(n_times)
     half4 = np.empty(n_times)
     l2_4 = np.empty(n_times)
-    trajs = ensemble.trajectories  # read in place: packing every stored state would copy it
+    kept = [tr.stored_states() for tr in ensemble.trajectories]  # views, no copies
     for k in range(n_times):
+        fields = [states[k].field for states in kept]
         p4[k] = float(np.real(_kahan_mean(
-            [float(np.sum(tr.p[tr.stored_indices[k]] ** 2)) ** 2 for tr in trajs])))
+            [float(np.sum(states[k].p ** 2)) ** 2 for states in kept])))
         half4[k] = float(np.real(_kahan_mean(
-            [field_norm(tr.stored_fields[k], 0.5, "homogeneous") ** 4 for tr in trajs])))
+            [field_norm(f, 0.5, "homogeneous") ** 4 for f in fields])))
         l2_4[k] = float(np.real(_kahan_mean(
-            [field_norm(tr.stored_fields[k], 0.0, "homogeneous") ** 4 for tr in trajs])))
+            [field_norm(f, 0.0, "homogeneous") ** 4 for f in fields])))
 
     # conserved-energy certificates from the initial samples
     chi_over_k = _hypothesis_norms(spec, 0.5, grid)[:, 0]
@@ -513,13 +516,12 @@ def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec,
     c_dim = np.sqrt(2.0 * (grid.d - 1))
     bound_terms = []
     l2_curves = []
-    for m, traj in enumerate(ensemble.trajectories):
+    for traj, states in zip(ensemble.trajectories, kept):
         ebar = traj.energies[0] + v_bound
         p_bounds = np.sqrt(2.0 * spec.masses * ebar) + c_dim * chi_over_k * np.sqrt(ebar)
         bound_terms.append(float(np.sum(p_bounds**2)) ** 2 + ebar**2)
         rate = 2.0 * ebar * float(np.sum(chi_over_k / np.sqrt(spec.masses)))
-        l2_0 = field_norm(ensemble.trajectories[m].stored_fields[0], 0.0,
-                          "homogeneous") ** 2
+        l2_0 = field_norm(states[0].field, 0.0, "homogeneous") ** 2
         l2_curves.append((l2_0 + rate * np.abs(times)) ** 2)
     c_bounded = _DRIFT_SLACK * float(np.real(_kahan_mean(bound_terms)))
     certificate_l2 = _DRIFT_SLACK * np.mean(np.asarray(l2_curves), axis=0)

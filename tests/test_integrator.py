@@ -199,7 +199,7 @@ class TestEvolve:
         assert traj.stored_indices.tolist() == [0, 3, 6, 9, 10]
         assert np.allclose(traj.stored_times, [0.0, 0.3, 0.6, 0.9, 1.0])
         states = traj.stored_states()
-        assert len(states) == len(traj.stored_fields)
+        assert len(states) == len(traj.stored)
         for k, state in zip(traj.stored_indices, states):
             assert np.array_equal(state.p, traj.p[k])
             assert np.array_equal(state.q, traj.q[k])
@@ -285,11 +285,10 @@ class TestEvolve:
         times = np.array([0.0, 0.1, 0.1])
         with pytest.raises(ValueError, match="monotone"):
             Trajectory(
-                scheme="strang", dt=0.1, times=times,
+                grid=None, dt=0.1, times=times,
                 energies=np.zeros(3), norms=np.zeros((3, 3)),
                 p=np.zeros((3, 1, 3)), q=np.zeros((3, 1, 3)),
-                store_every=1, stored_indices=np.array([0, 2]),
-                stored_fields=(None, None),
+                stored_indices=np.array([0, 2]), stored=np.zeros((2, 6)),
             )
 
 
@@ -309,12 +308,39 @@ def short_trajectory(coupled):
 
 
 class TestHistory:
-    def test_trajectory_p_q_share_no_memory_with_stored_fields(self, short_trajectory):
-        for fld in short_trajectory.stored_fields:
-            state = fld.values.base  # the flat vector of the state it came from
-            assert state.dtype == np.float64 and state.ndim == 1
-            assert not np.shares_memory(short_trajectory.p, state)
-            assert not np.shares_memory(short_trajectory.q, state)
+    def test_trajectory_p_q_share_no_memory_with_stored(self, short_trajectory):
+        stored = short_trajectory.stored
+        assert stored.dtype == np.float64 and stored.ndim == 2
+        assert not np.shares_memory(short_trajectory.p, stored)
+        assert not np.shares_memory(short_trajectory.q, stored)
+
+    def test_stored_states_are_read_only_views(self, short_trajectory):
+        stored = short_trajectory.stored
+        views = [short_trajectory.endpoint(), *short_trajectory.stored_states()]
+        for state in views:
+            assert np.shares_memory(state.data, stored)
+            for part in (state.data, state.p, state.q, state.alpha):
+                with pytest.raises(ValueError, match="read-only"):
+                    part[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0] = 0.0
+
+    @pytest.mark.parametrize("T, dt, store_every", [
+        (0.1, 0.02, 1), (0.1, 0.02, 3), (0.1, 0.02, 10**9),
+        (0.0, 0.02, 1), (-0.1, -0.02, 3),
+    ])
+    def test_stored_rows_are_the_stepper_states(self, coupled, T, dt, store_every):
+        grid, spec, pot, u0, report = coupled
+        traj = evolve(u0, T, dt, spec, pot, grid, store_every=store_every,
+                      hypothesis_report=report)
+        states = [u0, *stepper(u0, T, dt, spec, pot, grid)]
+        expected = list(range(0, len(states), store_every))
+        if expected[-1] != len(states) - 1:
+            expected.append(len(states) - 1)
+        assert traj.stored_indices.tolist() == expected
+        assert traj.stored.shape == (len(expected), u0.data.size)
+        for row, k in zip(traj.stored, expected):
+            assert row.tobytes() == states[k].data.tobytes()
 
     def test_history_keeps_no_past_state_alive(self, coupled, monkeypatch):
         grid, spec, pot, u0, report = coupled

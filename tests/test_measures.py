@@ -114,8 +114,7 @@ def pushed_pair(grid10, scenario, gauss_measure):
     """
     ens0 = sample_measure(gauss_measure, 32, seed=2026)
     common = dict(spec=scenario["spec"], pot=scenario["pot"], grid=grid10,
-                  store_every=10, keep_trajectories=True,
-                  basis=scenario["basis"])
+                  store_every=10, basis=scenario["basis"])
     fine = push_forward(ens0, 1.0, 1e-2, **common)
     coarse = push_forward(ens0, 1.0, 2e-2, **common)
     return {"initial": ens0, "fine": fine, "coarse": coarse,
@@ -321,11 +320,32 @@ class TestPushForward:
         mix = MeasureSpec.mixture([(0.5, MeasureSpec.dirac(calm)),
                                    (0.5, MeasureSpec.dirac(wild))])
         ens0 = sample_measure(mix, 2, seed=0)
-        with np.errstate(all="ignore"):
-            with pytest.raises(EnsemblePropagationError, match="sample 1") as exc:
-                push_forward(ens0, 3.0, 1.0, spec, PotentialSpec.coulomb(0.5),
-                             tiny_grid, allow_flagged=True)
-        assert exc.value.sample_index == 1
+        # a non-finite state, or a FloatingPointError under a raising errstate
+        for mode in ("ignore", "raise"):
+            with np.errstate(all=mode):
+                with pytest.raises(EnsemblePropagationError, match="sample 1") as exc:
+                    push_forward(ens0, 3.0, 1.0, spec, PotentialSpec.coulomb(0.5),
+                                 tiny_grid, allow_flagged=True)
+            assert exc.value.sample_index == 1
+
+    @pytest.mark.parametrize("run, T, kwargs, match", [
+        (push_forward, 0.1, dict(scheme="euler"), "scheme"),
+        (push_forward, 0.1, dict(store_every=0), "store_every"),
+        (push_forward, 0.1, dict(dt=0.03), "whole number"),
+        (push_forward, 0.1, dict(dt=0.0), "dt must be nonzero"),
+        (evolve, 1.0, dict(dt=0.0), "dt must be nonzero"),
+        (evolve, 0.0, dict(dt=0.0), "dt must be nonzero"),
+    ], ids=["scheme", "store_every", "dt-not-dividing-T", "dt-zero", "evolve-dt-zero",
+            "evolve-T-and-dt-zero"])
+    def test_bad_arguments_are_no_sample_failure(self, tiny_grid, decoupled, run,
+                                                 T, kwargs, match):
+        center = decoupled["center"]
+        first = sample_measure(MeasureSpec.dirac(center), 2, seed=0) \
+            if run is push_forward else center
+        args = dict(T=T, dt=0.1, spec=decoupled["spec"], pot=decoupled["pot"],
+                    grid=tiny_grid, allow_flagged=True)
+        with pytest.raises(ValueError, match=match):
+            run(first, **{**args, **kwargs})
 
     def test_flagged_grid_refused(self, small_grid, decoupled):
         ff = FormFactor.gaussian(1.0)
@@ -348,6 +368,13 @@ class TestPushForward:
         assert fine.seed == pushed_pair["initial"].seed
         assert fine.measure is pushed_pair["initial"].measure
 
+    def test_points_are_read_only_views_of_trajectories(self, pushed_pair):
+        fine = pushed_pair["fine"]
+        for u, traj in zip(fine.points, fine.trajectories):
+            assert np.shares_memory(u.data, traj.stored)
+            with pytest.raises(ValueError, match="read-only"):
+                u.data[0] = 0.0
+
 
 class TestCharacteristicResidual:
     def test_zero_coupling_is_exact(self, tiny_grid, decoupled):
@@ -355,7 +382,7 @@ class TestCharacteristicResidual:
         meas = MeasureSpec.gaussian(decoupled["center"], particle_scale=0.1)
         ens = push_forward(sample_measure(meas, 4, seed=9), 0.5, 0.1,
                            decoupled["spec"], decoupled["pot"], tiny_grid,
-                           keep_trajectories=True, allow_flagged=True)
+                           allow_flagged=True)
         y = random_point(np.random.default_rng(1), tiny_grid, scale=0.3,
                          decay=False)
         chk = characteristic_residual(ens, y, 0.5, 0.0, 0.0,
@@ -371,8 +398,7 @@ class TestCharacteristicResidual:
         res = {}
         for dt in (4e-2, 2e-2, 1e-2):
             ens = push_forward(sample_measure(dirac, 1, seed=0), 0.4, dt,
-                               *args, keep_trajectories=True,
-                               basis=scenario["basis"])
+                               *args, basis=scenario["basis"])
             chk = characteristic_residual(ens, directions["y0"], 0.4, 0.0,
                                           0.0, *args, scenario["basis"])
             assert chk.mc_stderr == 0.0  # a point mass has a single path
@@ -473,7 +499,7 @@ class TestMoments:
         meas = MeasureSpec.gaussian(decoupled["center"], particle_scale=0.1)
         ens = push_forward(sample_measure(meas, 4, seed=9), 0.5, 0.1,
                            decoupled["spec"], decoupled["pot"], tiny_grid,
-                           keep_trajectories=True, allow_flagged=True)
+                           allow_flagged=True)
         rep = moment_report(ens, decoupled["spec"], decoupled["pot"],
                             tiny_grid)
         # free flow: p untouched bitwise, field norms conserved to rounding
@@ -497,7 +523,7 @@ class TestMoments:
         )
         ens = push_forward(sample_measure(MeasureSpec.dirac(u0), 2, seed=0),
                            1.0, 0.25, spec, pot, tiny_grid,
-                           keep_trajectories=True, allow_flagged=True)
+                           allow_flagged=True)
         rep = moment_report(ens, spec, pot, tiny_grid)
         assert rep.c_exp == 0.0 and rep.violations_exp == 0
         assert np.all(rep.mean_field_l2_4 == 0.0)
@@ -529,7 +555,7 @@ class TestExports:
         meas = MeasureSpec.gaussian(decoupled["center"], particle_scale=0.1)
         ens = push_forward(sample_measure(meas, 3, seed=9), 0.4, 0.1,
                            decoupled["spec"], decoupled["pot"], tiny_grid,
-                           keep_trajectories=True, allow_flagged=True)
+                           allow_flagged=True)
         path = tmp_path / "ensemble.csv"
         ensemble_to_csv(ens, path)
         header = path.read_text().splitlines()[0]

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from nmdyn import cli
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -49,8 +51,24 @@ def test_run_reference(quickstart, tmp_path):
         assert (out / name).stat().st_size > 0
 
 
-def test_verify_all_accepts_ignored_threads_flag(quickstart, tmp_path):
-    out = tmp_path / "verify"
+@pytest.fixture(scope="module")
+def verify_all_run(tmp_path_factory):
+    """verify_all on quickstart, run once: (its config copy, exit code, out dir)."""
+    tmp = tmp_path_factory.mktemp("verify_all")
+    config = str(shutil.copy(SCRIPTS / "configs" / "quickstart.json", tmp))
+    out = tmp / "verify"
     main = load_script("verify_all").main
-    assert main(["--config", quickstart, "--threads", "2", "--out", str(out)]) == 0
+    return config, main(["--config", config, "--threads", "2", "--out", str(out)]), out
+
+
+def test_verify_all_accepts_ignored_threads_flag(verify_all_run):
+    _, code, out = verify_all_run
+    assert code == 0
     assert len(list(out.glob("verify_*.json"))) == 7
+
+
+def test_verify_all_writes_what_nmdyn_verify_writes(verify_all_run, tmp_path):
+    config, _, out = verify_all_run
+    assert cli.main(["verify", "gauge", config, "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "verify_gauge.json").read_bytes()
+    assert written == (out / "verify_gauge.json").read_bytes()
