@@ -825,11 +825,62 @@ def run_suite(name: str, cfg: ScenarioConfig, **kwargs) -> VerifyOutcome:
 # commands
 # --------------------------------------------------------------------------
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar_json(value) -> str:
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    return json.dumps(value)
+
+
+def _json_chunks(value, indent: str = ""):
+    """The text of ``json.dump(value, indent=2, sort_keys=True)``, in pieces.
+
+    With an indent, json falls back to its pure-Python encoder, which
+    formats each float separately.  Here a list of plain floats and ints is
+    written from the repr of 1,024 items at a time, which spells every item
+    as json does unless one is not finite.  Values other than dicts, lists,
+    tuples and json's scalars are left to json, which rejects them.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict) and value:
+        for i, key in enumerate(sorted(value)):
+            name = key if isinstance(key, str) else _scalar_json(key)
+            yield ("{\n" if i == 0 else ",\n") + inner + json.dumps(name) + ": "
+            yield from _json_chunks(value[key], inner)
+        yield "\n" + indent + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        yield "[\n" + inner
+        if set(map(type, value)) <= {float, int}:
+            for start in range(0, len(value), 1024):
+                part = list(value[start:start + 1024])
+                text = repr(part)[1:-1]  # "n" only in nan and inf
+                yield ((sep if start else "")
+                       + (sep.join(map(_scalar_json, part)) if "n" in text
+                          else text.replace(", ", sep)))
+        else:
+            for i, item in enumerate(value):
+                yield sep if i else ""
+                yield from _json_chunks(item, inner)
+        yield "\n" + indent + "]"
+    elif isinstance(value, (dict, list, tuple)):
+        yield "{}" if isinstance(value, dict) else "[]"
+    else:
+        yield _scalar_json(value)
+
+
 def write_payload(path: str, cfg: ScenarioConfig, body: dict) -> None:
-    """Write body as JSON, after the format version and the scenario it ran."""
+    """Write body as JSON, after the format version and the scenario it ran.
+
+    The bytes are those of ``json.dump(payload, indent=2, sort_keys=True)``
+    plus a newline.
+    """
     payload = {"format_version": FORMAT_VERSION, "config": cfg.raw, **body}
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.writelines(_json_chunks(payload))
         handle.write("\n")
 
 

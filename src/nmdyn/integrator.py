@@ -20,14 +20,16 @@ convergence-order measurements and property tests are reproducible.
 
 One stepping loop drives every run: ``stepper`` yields the physical state
 after each step and stops with NumericalBlowupError at the first non-finite
-one.  ``evolve`` records diagnostics along it, ``divergence_report`` runs
-two of them in lockstep, and a caller that needs only the endpoint (the
-duhamel-order suite) takes the last item and computes no diagnostics.
-``refuse_flagged`` is the one place that refuses a spec whose hypothesis
-check is flagged.
+one.  It steps one point (D,) or a stack (S, D) of samples, one per row, with
+each row's arithmetic that of the single point.  ``evolve`` records
+diagnostics along it through ``_record``, which ``push_forward`` also runs on
+blocks of samples; ``divergence_report`` steps its pair as one 2-row stack,
+and a caller that needs only the endpoint (the duhamel-order suite) takes the
+last item and computes no diagnostics.  ``refuse_flagged`` is the one place
+that refuses a spec whose hypothesis check is flagged.
 
-In ``evolve``, diagnostics (energy and the X^sigma norms at sigma = 0, 1/2,
-1) are recomputed from the state at every step, never interpolated.  Particle
+Diagnostics (energy and the X^sigma norms at sigma = 0, 1/2, 1) are
+recomputed from the state at every step, never interpolated.  Particle
 positions and momenta are recorded every step; whole states are kept at a
 configurable stride (endpoints always included), as the rows of one read-only
 array whose stored states and endpoint are views.
@@ -99,8 +101,10 @@ class Trajectory:
     ``stored_indices`` marks the steps whose whole state is retained
     (endpoints always), and ``stored`` holds those states' packed
     ``PhaseSpacePoint.data`` vectors as the rows of one read-only
-    (n_stored, D) array.  ``stored_states()`` and ``endpoint()`` are views of
-    its rows, so they keep the whole array alive and cannot be written to.
+    (n_stored, D) array (in a pushed ensemble, a view of the ensemble's one
+    (S, n_stored, D) array).  ``stored_states()`` and ``endpoint()`` are
+    views of its rows, so they keep the whole array alive and cannot be
+    written to.
     ``norms`` columns are phase_norm at sigma = 0, 1/2, 1 (inhomogeneous).
     """
 
@@ -221,9 +225,10 @@ def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
             basis: Optional[PolarizationBasis] = None):
     """Iterator over the physical states after each of the T/dt steps from u0.
 
-    The arguments are checked when it is called; each item then costs one
-    step.  A non-finite state raises NumericalBlowupError carrying the time,
-    the state and figures of the last finite state.
+    u0 is one point or an (S, D) stack, stepped as a whole.  The arguments
+    are checked when it is called; each item then costs one step.  A
+    non-finite state raises NumericalBlowupError carrying the time, the state
+    and figures of the last finite state (the largest over a stack's rows).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -242,7 +247,7 @@ def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
                 raise NumericalBlowupError(
                     f"non-finite state at t={times[k]:.6g} (step {k}); "
                     f"last finite |p|={np.abs(last.p).max():.3e}, "
-                    f"norm_X0={phase_norm(last, 0.0):.3e}",
+                    f"norm_X0={np.max(phase_norm(last, 0.0)):.3e}",
                     time=float(times[k]),
                     state=physical,
                 )
@@ -250,6 +255,53 @@ def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
             yield physical
 
     return states()
+
+
+def _stored_steps(n: int, store_every: int) -> np.ndarray:
+    """The steps 0, store_every, ... of n whose whole state is kept, and n."""
+    if store_every < 1:
+        raise ValueError("store_every must be >= 1")
+    steps = np.arange(0, n + 1, store_every)
+    return steps if steps[-1] == n else np.append(steps, n)
+
+
+def _history(rows: tuple, u0: PhaseSpacePoint, n: int, stored_indices: np.ndarray) -> dict:
+    """Empty arrays for ``_record``: rows=() for one point, (S,) for S samples."""
+    return {
+        "energies": np.empty(rows + (n + 1,)),
+        "norms": np.empty(rows + (n + 1, len(NORM_SIGMAS))),
+        "p": np.empty(rows + (n + 1,) + u0.p.shape),
+        "q": np.empty(rows + (n + 1,) + u0.q.shape),
+        "stored": np.empty(rows + (stored_indices.size, u0.data.size)),
+    }
+
+
+def _record(u0: PhaseSpacePoint, states, stored_indices: np.ndarray, hist: dict,
+           spec: ParticleSpec, pot: PotentialSpec, grid: KGrid,
+           basis: Optional[PolarizationBasis] = None) -> None:
+    """Write the diagnostics of u0 and of every state ``states`` yields.
+
+    u0 is one point or a stack; ``hist`` holds ``history`` arrays with the
+    same leading axes, filled in place.
+    """
+    energies, norms, p, q, stored = (hist[key] for key in
+                                     ("energies", "norms", "p", "q", "stored"))
+    row = 0
+    for k, physical in enumerate(itertools.chain([u0], states)):
+        energies[..., k] = hamiltonian(physical, spec, pot, grid, basis)
+        for j, sigma in enumerate(NORM_SIGMAS):
+            norms[..., k, j] = phase_norm(physical, sigma)
+        p[..., k, :, :], q[..., k, :, :] = physical.p, physical.q
+        if k == stored_indices[row]:
+            stored[..., row, :] = physical.data
+            row += 1
+
+
+def _trajectory(grid: KGrid, dt: float, stored_indices: np.ndarray, hist: dict) -> Trajectory:
+    """The Trajectory of one sample's ``history`` arrays (or views of them)."""
+    n = hist["energies"].size - 1
+    return Trajectory(grid=grid, dt=float(dt), times=np.arange(n + 1) * dt,
+                      stored_indices=stored_indices, **hist)
 
 
 def evolve(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
@@ -261,34 +313,18 @@ def evolve(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
 
     Refuses to start when the form-factor integrability check flags the spec,
     unless allow_flagged is set; a precomputed report may be passed to avoid
-    re-checking (ensemble pushes reuse one report for every sample).
-    Recorded samples are physical variables for both schemes.
+    re-checking.  Recorded samples are physical variables for both schemes.
+    This is ``push_forward``'s loop for a single sample.
     """
     states = stepper(u0, T, dt, spec, pot, grid, scheme, basis)
-    if store_every < 1:
-        raise ValueError("store_every must be >= 1")
+    n = _step_count(T, dt)
+    stored_indices = _stored_steps(n, store_every)
     refuse_flagged(spec, grid, allow_flagged, hypothesis_report)
 
-    n = _step_count(T, dt)
-    stored_indices = np.arange(0, n + 1, store_every)
-    if stored_indices[-1] != n:  # the endpoint is always stored
-        stored_indices = np.append(stored_indices, n)
-    energies, norms = np.empty(n + 1), np.empty((n + 1, len(NORM_SIGMAS)))
-    p, q = np.empty((n + 1, *u0.p.shape)), np.empty((n + 1, *u0.q.shape))
-    stored = np.empty((stored_indices.size, u0.data.size))
-    row = 0
-    for k, physical in enumerate(itertools.chain([u0], states)):
-        energies[k] = hamiltonian(physical, spec, pot, grid, basis)
-        norms[k] = [phase_norm(physical, s) for s in NORM_SIGMAS]
-        p[k], q[k] = physical.p, physical.q
-        if k == stored_indices[row]:
-            stored[row] = physical.data
-            row += 1
-    stored.flags.writeable = False
-
-    return Trajectory(grid=u0.grid, dt=float(dt), times=np.arange(n + 1) * dt,
-                      energies=energies, norms=norms, p=p, q=q,
-                      stored_indices=stored_indices, stored=stored)
+    hist = _history((), u0, n, stored_indices)
+    _record(u0, states, stored_indices, hist, spec, pot, grid, basis)
+    hist["stored"].flags.writeable = False
+    return _trajectory(u0.grid, dt, stored_indices, hist)
 
 
 def divergence_report(u0: PhaseSpacePoint, epsilon: float, direction: PhaseSpacePoint,
@@ -312,14 +348,12 @@ def divergence_report(u0: PhaseSpacePoint, epsilon: float, direction: PhaseSpace
     dir_norm = phase_norm(direction, 0.0)
     if abs(dir_norm - 1.0) > 1e-8:
         raise ValueError(f"direction must have unit X^0 norm, got {dir_norm}")
-    a = u0
-    b = u0 + epsilon * direction
-    pairs = zip(stepper(a, T, dt, spec, pot, grid, scheme, basis),
-                stepper(b, T, dt, spec, pot, grid, scheme, basis))
+    pair = u0._like(np.stack([u0.data, (u0 + epsilon * direction).data]))
+    states = stepper(pair, T, dt, spec, pot, grid, scheme, basis)
     refuse_flagged(spec, grid, allow_flagged)
 
-    dist = np.array([phase_norm(b - a, 0.0)]
-                    + [phase_norm(pb - pa, 0.0) for pa, pb in pairs])
+    dist = np.array([phase_norm(ab._like(ab.data[1] - ab.data[0]), 0.0)
+                     for ab in itertools.chain([pair], states)])
     n = dist.size - 1
     times = np.arange(n + 1) * dt
     safe = np.maximum(dist, 1e-300)

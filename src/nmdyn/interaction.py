@@ -34,7 +34,9 @@ signatures and fetch the model on entry.  Every coupling term goes through
 one bracket c_i = conj(alpha) chi_i/sqrt(2|k|) e^{-2 pi i k.q_i} over all
 polarizations and nodes, with the plane-wave phase factored per grid axis;
 A and grad A are then two matrix products of Re c and Im c with the model's
-polarization tables, for all particles at once.
+polarization tables, for all particles at once.  ``hamiltonian``,
+``nonlinearity_G``, ``nonlinearity_F`` and ``vartheta`` also take an (S, D)
+stack of points and compute every row exactly as the point alone.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ from .state import (
     FieldState,
     ParticleSpec,
     PhaseSpacePoint,
-    field_norm,
+    _field_norm,
+    _scalar,
     free_flow,
 )
 
@@ -238,38 +241,46 @@ def smeared_coulomb(i: int, j: int, x: np.ndarray, spec: ParticleSpec,
     return float(np.real(w)), np.real(gradw)
 
 
-def _cos_pair(pot: PotentialSpec, x: np.ndarray) -> tuple[float, np.ndarray]:
+def _cos_pair(pot: PotentialSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w and grad w at separations x (..., d)."""
     kappa = pot.wavevector
     c = np.cos(kappa * x)
     s = np.sin(kappa * x)
-    w = pot.amplitude * np.prod(c)
+    w = pot.amplitude * np.prod(c, axis=-1)
     grad = np.empty_like(x)
-    for nu in range(x.size):
-        grad[nu] = -pot.amplitude * kappa[nu] * s[nu] * np.prod(c[:nu]) * np.prod(c[nu + 1:])
-    return float(w), grad
+    for nu in range(x.shape[-1]):
+        grad[..., nu] = (-pot.amplitude * kappa[nu] * s[..., nu]
+                         * np.prod(c[..., :nu], axis=-1) * np.prod(c[..., nu + 1:], axis=-1))
+    return w, grad
 
 
 def _potential_core(q, phases, model):
-    """V and grad V; smeared pairs reuse per-particle plane-wave phases
-    through e^{2 pi i k.(q_i - q_j)} = conj(phase_i) * phase_j."""
+    """V and grad V at positions q (..., n, d), per row of a stack.
+
+    Smeared pairs reuse per-particle plane-wave phases through
+    e^{2 pi i k.(q_i - q_j)} = conj(phase_i) * phase_j.  Their gradient is
+    the stacked product (..., 1, M) @ (M, d): one matrix-vector product per
+    row, which rounds as the single point's own does, where a 2-D (S, M)
+    product would not.
+    """
     pot = model.pot
-    n = q.shape[0]
+    n = q.shape[-2]
     grad = np.zeros_like(q)
-    total = 0.0
+    total = np.zeros(q.shape[:-2])
     if pot.kind == "zero" or n < 2:
-        return 0.0, grad
+        return total, grad
     for i in range(n):
         for j in range(i + 1, n):
             if pot.kind == "smeared-coulomb":
-                rel = np.conj(phases[i]) * phases[j]
+                rel = np.conj(phases[..., i, :]) * phases[..., j, :]
                 vw = model.pair[i, j] * rel
-                w = float(np.real(np.sum(vw)))
-                gw = -2.0 * np.pi * np.imag(vw @ model.grid.nodes)
+                w = np.real(np.sum(vw, axis=-1))
+                gw = -2.0 * np.pi * np.imag(np.matmul(vw[..., None, :], model.grid.nodes)[..., 0, :])
             else:
-                w, gw = _cos_pair(pot, q[i] - q[j])
+                w, gw = _cos_pair(pot, q[..., i, :] - q[..., j, :])
             total += w
-            grad[i] += gw
-            grad[j] -= gw
+            grad[..., i, :] += gw
+            grad[..., j, :] -= gw
     return total, grad
 
 
@@ -283,7 +294,8 @@ def potential(q: np.ndarray, spec: ParticleSpec, pot: PotentialSpec,
     model = compile_model(spec, pot, grid)
     q = np.asarray(q, dtype=float)
     phases = _phases(model, q) if pot.kind == "smeared-coulomb" else None
-    return _potential_core(q, phases, model)
+    total, grad = _potential_core(q, phases, model)
+    return float(total), grad
 
 
 def potential_gradient_bound(spec: ParticleSpec, pot: PotentialSpec,
@@ -480,22 +492,22 @@ def _compile(spec, pot, grid, basis) -> Model:
 
 
 def _phases(model: Model, q: np.ndarray) -> np.ndarray:
-    """e^{-2 pi i k.q_i} for all particles at once, shape (n, M).
+    """e^{-2 pi i k.q_i} for all particles at once, shape (..., n, M).
 
     The nodes are the tensor product of ``model.axes``, so each phase is the
     outer product of d per-axis factors e^{-2 pi i k^nu q_i^nu}: d*N complex
     exponentials per particle instead of N^d.
     """
-    n, d = q.shape
-    per_axis = np.exp((-2j * np.pi) * (q[:, :, None] * model.axes))  # (n, d, N)
-    phases = per_axis[:, 0]
+    d = q.shape[-1]
+    per_axis = np.exp((-2j * np.pi) * (q[..., None] * model.axes))  # (..., n, d, N)
+    phases = per_axis[..., 0, :]
     for nu in range(1, d):
-        phases = (phases[:, :, None] * per_axis[:, nu, None, :]).reshape(n, -1)
+        phases = (phases[..., :, None] * per_axis[..., nu, None, :]).reshape(q.shape[:-1] + (-1,))
     return phases
 
 
 def _bracket(alpha: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """c_i = conj(alpha_lam(j)) coeff_i(j) for every particle, shape (n, L*M).
+    """c_i = conj(alpha_lam(j)) coeff_i(j) for every particle, shape (..., n, L*M).
 
     With coeff = weights * chi_i/sqrt(2|k|) * e^{-2 pi i k.q_i}, the
     vector potential and its gradient are two products with the model's
@@ -503,25 +515,31 @@ def _bracket(alpha: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     d A_i^nu/d q_i^mu = 4 pi Im c_i . (eps^nu k^mu).  The polarization
     vectors are real, so the parts separate cleanly.
     """
-    return (np.conj(alpha)[None] * coeff[:, None, :]).reshape(coeff.shape[0], -1)
+    return (np.conj(alpha)[..., None, :, :] * coeff[..., :, None, :]).reshape(
+        coeff.shape[:-1] + (-1,))
 
 
 def _vector_potentials(model: Model, c: np.ndarray) -> np.ndarray:
-    """A_i for every row of the bracket, shape (n, d)."""
+    """A_i for every row of the bracket, shape (..., n, d)."""
     return 2.0 * (np.ascontiguousarray(c.real) @ model.eps)
 
 
 def _grad_vector_potentials(model: Model, c: np.ndarray) -> np.ndarray:
-    """d A_i^nu/d q_i^mu for every row of the bracket, shape (n, d, d)."""
+    """d A_i^nu/d q_i^mu for every row of the bracket, shape (..., n, d, d)."""
     d = model.grid.d
-    return (4.0 * np.pi * (np.ascontiguousarray(c.imag) @ model.epsk)).reshape(-1, d, d)
+    return (4.0 * np.pi * (np.ascontiguousarray(c.imag) @ model.epsk)).reshape(
+        c.shape[:-1] + (d, d))
+
+
+def _check_field_grid(alpha: FieldState, grid: KGrid) -> None:
+    if alpha.grid is not grid and alpha.grid.node_count != grid.node_count:
+        raise ValueError("field state lives on a different grid")
 
 
 def vector_potential(i: int, q_i: np.ndarray, alpha: FieldState, spec: ParticleSpec,
                      grid: KGrid, basis: Optional[PolarizationBasis] = None) -> np.ndarray:
     """Smeared vector potential A_i(q_i, alpha), a real vector in R^d."""
-    if alpha.grid is not grid and alpha.grid.node_count != grid.node_count:
-        raise ValueError("field state lives on a different grid")
+    _check_field_grid(alpha, grid)
     model = compile_model(spec, None, grid, basis)
     coeff = model.wpref[i] * _phases(model, np.atleast_2d(q_i))
     return _vector_potentials(model, _bracket(alpha.values, coeff))[0]
@@ -531,20 +549,25 @@ def grad_vector_potential(i: int, nu: int, q_i: np.ndarray, alpha: FieldState,
                           spec: ParticleSpec, grid: KGrid,
                           basis: Optional[PolarizationBasis] = None) -> np.ndarray:
     """Gradient in q_i of the nu-th component of A_i (the 2 pi i k weight)."""
+    _check_field_grid(alpha, grid)
     model = compile_model(spec, None, grid, basis)
     coeff = model.wpref[i] * _phases(model, np.atleast_2d(q_i))
     return _grad_vector_potentials(model, _bracket(alpha.values, coeff))[0, nu]
 
 
 def hamiltonian(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
-                grid: KGrid, basis: Optional[PolarizationBasis] = None) -> float:
-    """Total energy: kinetic (with minimal coupling) + V + free-field energy."""
+                grid: KGrid, basis: Optional[PolarizationBasis] = None):
+    """Total energy: kinetic (with minimal coupling) + V + free-field energy.
+
+    A float for one point; an (S,) array, row by row, for a stack.
+    """
     model = compile_model(spec, pot, grid, basis)
     phases = _phases(model, u.q)
     a = _vector_potentials(model, _bracket(u.alpha, model.wpref * phases))
-    kinetic = float(np.sum(np.sum((u.p - a) ** 2, axis=1) / (2.0 * spec.masses)))
+    kinetic = np.sum(np.sum((u.p - a) ** 2, axis=-1) / (2.0 * spec.masses), axis=-1)
     v, _ = _potential_core(u.q, phases, model)
-    return kinetic + v + field_norm(u.field, 0.5, "homogeneous") ** 2
+    field = np.float_power(_field_norm(u.grid, u.alpha, 0.5, "homogeneous"), 2)
+    return _scalar(kinetic + v + field)
 
 
 def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
@@ -553,9 +576,10 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
 
     G_p,i = (1/m_i) sum_nu (p_i - A_i)^nu grad_{q_i} A_i^nu - grad_{q_i} V
     G_alpha,lam(k) = i sum_i chi_i/sqrt(2|k|) ((p_i - A_i)/m_i . eps_lam) e^{-2 pi i k.q_i}
+
+    On a stack every row is computed as the single point would be.
     """
     model = compile_model(spec, pot, grid, basis)
-    n, d = u.p.shape
     masses = spec.masses[:, None]
     phases = _phases(model, u.q)
     _, grad_v = _potential_core(u.q, phases, model)
@@ -563,11 +587,12 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     a = _vector_potentials(model, c)
     da = _grad_vector_potentials(model, c)
     v = (u.p - a) / masses
-    out = PhaseSpacePoint._of(grid, np.empty_like(u.data))
-    np.subtract(np.einsum("inm,in->im", da, v), grad_v, out=out.p)
+    out = u._like(np.empty_like(u.data))
+    np.subtract(np.einsum("...inm,...in->...im", da, v), grad_v, out=out.p)
     np.divide(-a, masses, out=out.q)
-    proj = (v @ model.eps.T).reshape(n, d - 1, -1)  # eps_lam(k) . v_i
-    np.multiply(1j, np.einsum("im,ilm->lm", model.pref * phases, proj), out=out.alpha)
+    proj = (v @ model.eps.T).reshape(v.shape[:-1] + (grid.d - 1, -1))  # eps_lam(k) . v_i
+    np.multiply(1j, np.einsum("...im,...ilm->...lm", model.pref * phases, proj),
+                out=out.alpha)
     return out
 
 
@@ -584,7 +609,8 @@ def vartheta(t: float, u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpe
     """Interaction-picture vector field Phi^0_{-t} o G o Phi^0_t (u).
 
     The free flow is linear, so pulling the tangent back is free_flow(-t)
-    applied to the tangent container itself.
+    applied to the tangent container itself.  On a stack, t may be an (S,)
+    array of one time per row.
     """
     moved = free_flow(u, t, spec)
     g = nonlinearity_G(moved, spec, pot, grid, basis)

@@ -10,12 +10,16 @@ mixtures.
 
 Reproducibility contract: sampling uses a counter-based generator keyed by
 (seed, sample index), so sample m is a pure function of the seed no matter
-how many samples are drawn or in which order.  Samples are pushed one after
-another, and all ensemble reductions run in fixed sample order with
-compensated (Kahan) summation, so identical inputs give byte-identical
-outputs.  A pushed ensemble keeps every sample's trajectory; its points and
-the snapshots the checks below read are read-only views of each trajectory's
-one array of stored states, never copies.
+how many samples are drawn or in which order.  Samples are pushed in
+consecutive blocks, each stepped as one (B, D) stack whose rows compute
+exactly what a lone sample would; B is the largest row count whose stacked
+state fits ``_BLOCK_BYTES``, a property of the scenario and never of the run.
+All ensemble reductions run in fixed sample order with compensated (Kahan)
+summation, so identical inputs give byte-identical outputs at any B.  A
+pushed ensemble keeps every sample's trajectory; the stored states of all
+samples are one read-only (S, n_stored, D) array, and its points and each
+trajectory's ``stored`` are views of it.  The checks below read the stored
+rows in stacks of the same block size.
 
 The characteristic-equation check works in the interaction picture: with
 u~(s) = free_flow(-s) applied to the physical sample at time s, the exact
@@ -35,13 +39,24 @@ defects.
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .geometry import KGrid, PolarizationBasis
-from .integrator import NumericalBlowupError, evolve, refuse_flagged
+from .integrator import (
+    NumericalBlowupError,
+    _history,
+    _record,
+    _step_count,
+    _stored_steps,
+    _trajectory,
+    refuse_flagged,
+    stepper,
+)
 from .interaction import (
     HypothesisReport,
     PotentialSpec,
@@ -54,7 +69,7 @@ from .state import (
     ParticleSpec,
     ParticleState,
     PhaseSpacePoint,
-    field_norm,
+    _field_norm,
     free_flow,
     real_inner,
 )
@@ -77,6 +92,51 @@ MEASURE_KINDS = ("dirac", "gaussian", "mixture")
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# a stacked block of samples (or of stored states) holds at most this many
+# bytes of state; 4 rows at 1,000 nodes, 1 at 13,824
+_BLOCK_BYTES = 128 * 1024
+
+# glibc's mallopt parameters; see _keep_freed_heap
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    """Let this process reuse the heap it frees instead of returning it.
+
+    glibc gives freed heap back to the kernel once more than M_TRIM_THRESHOLD
+    sits free at its top (twice the largest freed mmap so far, 128 KiB at
+    first), and serves requests above M_MMAP_THRESHOLD with fresh mmaps.  A
+    step of a 4-row block allocates and frees about 1.5 MB of temporaries,
+    so with those defaults every G call faulted its pages back in: 175,000
+    minor faults and 0.1 s of system time in a 16-sample push at 1,000
+    nodes.  Fixed thresholds of 1 MiB (mmap) and 4 MiB (trim) end that.
+    Elsewhere than on glibc this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 1 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 4 << 20)
+
+
+def _stacks(rows, row_bytes: int):
+    """Consecutive blocks of ``rows`` as (index of the first, (B, D) stack).
+
+    B is the most rows of ``row_bytes`` that fit ``_BLOCK_BYTES``, at least
+    one.  A row is one packed state, so the scenario alone (grid and particle
+    count) fixes B; no run-time figure moves it.  Blocks of more than one row
+    set the process's heap thresholds first (``_keep_freed_heap``); a run
+    whose states are too large to stack leaves the allocator as it is.
+    """
+    rows, start, size = iter(rows), 0, max(1, _BLOCK_BYTES // row_bytes)
+    if size > 1:
+        _keep_freed_heap()
+    while chunk := list(itertools.islice(rows, size)):
+        yield start, np.stack(chunk)
+        start += len(chunk)
 
 
 class EnsemblePropagationError(RuntimeError):
@@ -160,8 +220,9 @@ class Ensemble:
     """Equal-weight samples representing a measure; immutable once built.
 
     ``trajectories`` is populated by push_forward; sample m of ``points`` is
-    then the endpoint of ``trajectories[m]``, a read-only view of its last
-    stored row.  A sampled, unpushed ensemble has none.
+    then the endpoint of ``trajectories[m]``, and every trajectory's
+    ``stored`` is a read-only view of one (S, n_stored, D) array.  A sampled,
+    unpushed ensemble has none.
     """
 
     points: tuple
@@ -246,30 +307,51 @@ def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
     """Transport every sample through the flow; returns the time-T ensemble.
 
     The form-factor resolution check runs once and is shared by all samples.
-    Samples propagate independently, one after another in sample order.  The
-    result keeps every sample's trajectory, and its points are views of the
-    trajectories' endpoints.  A sample whose state stops being finite (or
-    raises FloatingPointError under a raising ``np.errstate``) aborts the
-    push with its index; invalid arguments raise ValueError unwrapped.
+    Samples propagate in sample order, in the consecutive blocks of
+    ``_stacks``, each stepped as one stack by the stepping loop of
+    ``evolve``; a row's result is the same in any block.  The stored states
+    of all samples fill one read-only (S, n_stored, D) array, and the
+    result's trajectories and points are views of it.  A sample whose state
+    stops being finite (or raises FloatingPointError under a raising
+    ``np.errstate``) aborts the push with its index: a failing block is
+    stepped again one sample at a time, so the first failing sample in
+    sample order is named, with its own step and time.  Invalid arguments
+    raise ValueError unwrapped.
     """
     # a property of (spec, grid), not of any sample: refuse up front
-    hypothesis_report = refuse_flagged(spec, grid, allow_flagged, hypothesis_report)
+    refuse_flagged(spec, grid, allow_flagged, hypothesis_report)
+    points = ensemble.points
+    n = _step_count(T, dt)
+    stored_indices = _stored_steps(n, store_every)
+    hist = _history((ensemble.size,), points[0], n, stored_indices)
 
-    trajectories = []
-    for m, u0 in enumerate(ensemble.points):
+    def push(u, part):
+        _record(u, stepper(u, T, dt, spec, pot, grid, scheme, basis), stored_indices,
+                {key: array[part] for key, array in hist.items()}, spec, pot, grid, basis)
+
+    for lo, stack in _stacks((u.data for u in points), points[0].data.nbytes):
+        block = slice(lo, lo + len(stack))
         try:
-            trajectories.append(evolve(u0, T, dt, spec, pot, grid, scheme=scheme,
-                                       store_every=store_every, basis=basis,
-                                       allow_flagged=allow_flagged,
-                                       hypothesis_report=hypothesis_report))
-        except (NumericalBlowupError, FloatingPointError) as err:
-            raise EnsemblePropagationError(f"sample {m} failed: {err}", m) from err
+            push(points[lo]._like(stack), block)
+        except (NumericalBlowupError, FloatingPointError):
+            # a stack cannot say which row failed: step its samples alone, in
+            # order, so the first that fails alone is named (rows that pass
+            # alone stand, as they would in any block)
+            for m in range(block.start, block.stop):
+                try:
+                    push(points[m], m)
+                except (NumericalBlowupError, FloatingPointError) as err:
+                    raise EnsemblePropagationError(f"sample {m} failed: {err}", m) from err
 
+    hist["stored"].flags.writeable = False
+    trajectories = tuple(
+        _trajectory(u.grid, dt, stored_indices, {key: array[m] for key, array in hist.items()})
+        for m, u in enumerate(points))
     return Ensemble(
         points=tuple(traj.endpoint() for traj in trajectories),
         seed=ensemble.seed,
         measure=ensemble.measure,
-        trajectories=tuple(trajectories),
+        trajectories=trajectories,
     )
 
 
@@ -339,7 +421,9 @@ def characteristic_residual(ensemble: Ensemble,
     to the interaction picture with the inverse free flow, the right-hand
     side integral is the trapezoid rule over the stored times in
     [min(t0,t), max(t0,t)], and both endpoint characteristic functions are
-    compensated means in sample order.
+    compensated means in sample order.  The snapshots of all samples are
+    read in the blocks of ``_stacks``, with one time per row, and paired
+    with every direction at once.
 
     ``y`` may be a single direction or a sequence; the expensive part (the
     interaction-picture states and their drift-removed generator) does not
@@ -363,27 +447,31 @@ def characteristic_residual(ensemble: Ensemble,
     weights = _trapezoid_weights(times)
     sign = 1.0 if t >= t0 else -1.0
 
-    n_dir = len(directions)
-    z_t = np.empty((n_dir, ensemble.size), dtype=complex)
-    z_t0 = np.empty((n_dir, ensemble.size), dtype=complex)
-    integrals = np.empty((n_dir, ensemble.size), dtype=complex)
-    for m, traj in enumerate(ensemble.trajectories):
-        # the stored times are monotone, so the rows in [lo, hi] are one slice
-        states = traj.stored_states()[rows[0]:rows[-1] + 1]
-        acc = np.zeros(n_dir, dtype=complex)
-        for s, w, state in zip(times, weights, states):
-            interaction = free_flow(state, -float(s), spec)
-            theta = vartheta(float(s), interaction, spec, pot, grid, basis)
-            at_t = abs(s - t) <= 1e-9
-            at_t0 = abs(s - t0) <= 1e-9
-            for j, direction in enumerate(directions):
-                z = np.exp(2j * np.pi * real_inner(direction, interaction, sigma))
-                acc[j] += w * z * real_inner(theta, direction, sigma)
-                if at_t:
-                    z_t[j, m] = z
-                if at_t0:
-                    z_t0[j, m] = z
-        integrals[:, m] = sign * acc
+    # the stored times are monotone, so the rows in [lo, hi] are one slice
+    first, last = rows[0], rows[-1]
+    at_t = np.flatnonzero(np.abs(times - t) <= 1e-9)[-1]
+    at_t0 = np.flatnonzero(np.abs(times - t0) <= 1e-9)[-1]
+    trajs = ensemble.trajectories
+    ys = directions[0]._like(np.stack([y.data for y in directions])[:, None, :])
+    n_dir, n_times = len(directions), times.size
+    z = np.empty((n_dir, ensemble.size * n_times), dtype=complex)
+    terms = np.empty_like(z)
+    row_times, row_weights = np.tile(times, ensemble.size), np.tile(weights, ensemble.size)
+    snapshots = (row for traj in trajs for row in traj.stored[first:last + 1])
+    for start, stack in _stacks(snapshots, trajs[0].stored[0].nbytes):
+        cols = slice(start, start + len(stack))
+        s = row_times[cols]
+        interaction = free_flow(PhaseSpacePoint._of(trajs[0].grid, stack), -s, spec)
+        theta = vartheta(s, interaction, spec, pot, grid, basis)
+        z[:, cols] = np.exp(2j * np.pi * real_inner(ys, interaction, sigma))
+        terms[:, cols] = row_weights[cols] * z[:, cols] * real_inner(theta, ys, sigma)
+    z = z.reshape(n_dir, ensemble.size, n_times)
+    terms = terms.reshape(z.shape)
+    z_t, z_t0 = z[:, :, at_t], z[:, :, at_t0]
+    acc = np.zeros((n_dir, ensemble.size), dtype=complex)
+    for k in range(n_times):  # in time order, as the trapezoid sum runs
+        acc += terms[:, :, k]
+    integrals = sign * acc
 
     checks = []
     for j in range(n_dir):
@@ -497,18 +585,22 @@ def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec,
     times = ensemble.trajectories[0].stored_times
     n_times = times.size
 
-    p4 = np.empty(n_times)
-    half4 = np.empty(n_times)
-    l2_4 = np.empty(n_times)
-    kept = [tr.stored_states() for tr in ensemble.trajectories]  # views, no copies
-    for k in range(n_times):
-        fields = [states[k].field for states in kept]
-        p4[k] = float(np.real(_kahan_mean(
-            [float(np.sum(states[k].p ** 2)) ** 2 for states in kept])))
-        half4[k] = float(np.real(_kahan_mean(
-            [field_norm(f, 0.5, "homogeneous") ** 4 for f in fields])))
-        l2_4[k] = float(np.real(_kahan_mean(
-            [field_norm(f, 0.0, "homogeneous") ** 4 for f in fields])))
+    # sum |p|^2 and the two field norms of every stored state, sample-major;
+    # their powers go through float_power, which rounds as Python's ** does
+    trajs = ensemble.trajectories
+    p2, half, l2 = (np.empty(ensemble.size * n_times) for _ in range(3))
+    snapshots = (row for traj in trajs for row in traj.stored)
+    for start, stack in _stacks(snapshots, trajs[0].stored[0].nbytes):
+        u = PhaseSpacePoint._of(trajs[0].grid, stack)
+        rows = slice(start, start + len(stack))
+        p2[rows] = np.sum(u.p ** 2, axis=(-2, -1))
+        half[rows] = _field_norm(u.grid, u.alpha, 0.5, "homogeneous")
+        l2[rows] = _field_norm(u.grid, u.alpha, 0.0, "homogeneous")
+    p2, half, l2 = (a.reshape(ensemble.size, n_times) for a in (p2, half, l2))
+    p4, half4, l2_4 = (
+        np.array([float(np.real(_kahan_mean(np.float_power(a[:, k], power).tolist())))
+                  for k in range(n_times)])
+        for a, power in ((p2, 2), (half, 4), (l2, 4)))
 
     # conserved-energy certificates from the initial samples
     chi_over_k = _hypothesis_norms(spec, 0.5, grid)[:, 0]
@@ -516,12 +608,11 @@ def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec,
     c_dim = np.sqrt(2.0 * (grid.d - 1))
     bound_terms = []
     l2_curves = []
-    for traj, states in zip(ensemble.trajectories, kept):
+    for traj, l2_0 in zip(trajs, np.float_power(l2[:, 0], 2).tolist()):
         ebar = traj.energies[0] + v_bound
         p_bounds = np.sqrt(2.0 * spec.masses * ebar) + c_dim * chi_over_k * np.sqrt(ebar)
         bound_terms.append(float(np.sum(p_bounds**2)) ** 2 + ebar**2)
         rate = 2.0 * ebar * float(np.sum(chi_over_k / np.sqrt(spec.masses)))
-        l2_0 = field_norm(states[0].field, 0.0, "homogeneous") ** 2
         l2_curves.append((l2_0 + rate * np.abs(times)) ** 2)
     c_bounded = _DRIFT_SLACK * float(np.real(_kahan_mean(bound_terms)))
     certificate_l2 = _DRIFT_SLACK * np.mean(np.asarray(l2_curves), axis=0)

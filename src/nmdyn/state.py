@@ -20,10 +20,15 @@ The free flow is exact:  Phi_t^0 (p, q, alpha) = (p, q_i + t p_i/m_i,
 e^{-i t |k|} alpha_lam), a one-parameter group.
 
 A PhaseSpacePoint is one float64 vector [p | q | alpha as (re, im) pairs]
-with p, q and alpha as views.  ParticleState and FieldState validate at the
-API edge; the stepping arithmetic builds new vectors unchecked and never
-mutates one.  Finiteness is *not* validated here (the integrator checks it
-after every step, where a failure has diagnostic context).
+with p, q and alpha as views.  Its ``data`` may also be a stack (S, D) of S
+such vectors, one sample per row; then p and q are (S, n, d) and alpha is
+(S, d-1, M).  ``phase_norm``, ``real_inner`` and ``free_flow`` (and the
+interaction kernels) work row by row on a stack, with each row's arithmetic
+that of the single point, so a row's result does not depend on the stack it
+is in.  ParticleState and FieldState validate at the API edge; the stepping
+arithmetic builds new vectors unchecked and never mutates one.  Finiteness
+is *not* validated here (the integrator checks it after every step, where a
+failure has diagnostic context).
 """
 
 from __future__ import annotations
@@ -111,10 +116,12 @@ class PhaseSpacePoint:
     """u = (p, q, alpha) in one vector ``data``; doubles as its own tangent type.
 
     The constructor packs validated containers once; the arithmetic and the
-    kernels wrap new vectors through the unchecked ``_of(grid, data)``.
+    kernels wrap new vectors (or (S, D) stacks) through the unchecked
+    ``_of(grid, data)``, or ``_like(data)`` for one of the same layout.  The
+    particle block's length is fixed when the point is built.
     """
 
-    __slots__ = ("grid", "data")
+    __slots__ = ("grid", "data", "_nd")
 
     def __init__(self, particles: ParticleState, field: FieldState):
         if particles.p.shape[1] != field.grid.d:
@@ -122,29 +129,34 @@ class PhaseSpacePoint:
         self.grid = field.grid
         alpha = np.ascontiguousarray(field.values).view(float)
         self.data = np.concatenate([particles.p.ravel(), particles.q.ravel(), alpha.ravel()])
+        self._nd = particles.p.size
 
     @classmethod
     def _of(cls, grid: KGrid, data: np.ndarray) -> "PhaseSpacePoint":
         u = cls.__new__(cls)
         u.grid, u.data = grid, data
+        u._nd = (data.shape[-1] - 2 * (grid.d - 1) * grid.node_count) // 2
+        return u
+
+    def _like(self, data: np.ndarray) -> "PhaseSpacePoint":
+        """A point (or stack) on the same grid with the same particle count."""
+        u = PhaseSpacePoint.__new__(PhaseSpacePoint)
+        u.grid, u.data, u._nd = self.grid, data, self._nd
         return u
 
     @property
-    def _nd(self) -> int:
-        return (self.data.size - 2 * (self.grid.d - 1) * self.grid.node_count) // 2
-
-    @property
     def p(self) -> np.ndarray:
-        return self.data[: self._nd].reshape(-1, self.grid.d)
+        return self.data[..., : self._nd].reshape(self.data.shape[:-1] + (-1, self.grid.d))
 
     @property
     def q(self) -> np.ndarray:
         nd = self._nd
-        return self.data[nd : 2 * nd].reshape(-1, self.grid.d)
+        return self.data[..., nd : 2 * nd].reshape(self.data.shape[:-1] + (-1, self.grid.d))
 
     @property
     def alpha(self) -> np.ndarray:
-        return self.data[2 * self._nd :].view(complex).reshape(self.grid.d - 1, -1)
+        return (self.data[..., 2 * self._nd :].view(complex)
+                .reshape(self.data.shape[:-1] + (self.grid.d - 1, -1)))
 
     @property
     def particles(self) -> ParticleState:
@@ -156,13 +168,13 @@ class PhaseSpacePoint:
 
     # -- linear-space operations used by the Runge-Kutta stages -------------
     def __add__(self, other: "PhaseSpacePoint") -> "PhaseSpacePoint":
-        return self._of(self.grid, self.data + other.data)
+        return self._like(self.data + other.data)
 
     def __sub__(self, other: "PhaseSpacePoint") -> "PhaseSpacePoint":
-        return self._of(self.grid, self.data - other.data)
+        return self._like(self.data - other.data)
 
     def __rmul__(self, c: float) -> "PhaseSpacePoint":
-        return self._of(self.grid, c * self.data)
+        return self._like(c * self.data)
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data)))
@@ -183,42 +195,65 @@ def _weights(grid: KGrid, sigma: float, flavor: str) -> np.ndarray:
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
+def _scalar(x):
+    """A 0-d result as a Python float; the per-row array of a stack as is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _field_norm(grid: KGrid, alpha: np.ndarray, sigma: float, flavor: str):
+    """field_norm of alpha (d-1, M), or of every row of a stack (..., d-1, M).
+
+    Powers of a norm go through ``np.float_power``, which calls the same libm
+    pow as Python's ``**`` on a float; ``array ** 2`` multiplies instead and
+    differs in the last bit about once in a thousand.
+    """
+    w = _weights(grid, sigma, flavor)
+    dens = np.sum(np.abs(alpha) ** 2, axis=-2) * w
+    return np.sqrt(integrate_k(grid, dens))
+
+
 def field_norm(alpha: FieldState, sigma: float, flavor: str = INHOMOGENEOUS) -> float:
     """Weighted L^2 norm of the field, sqrt(sum_lam int weight |alpha_lam|^2 dk)."""
-    w = _weights(alpha.grid, sigma, flavor)
-    dens = np.sum(np.abs(alpha.values) ** 2, axis=0) * w
-    return float(np.sqrt(integrate_k(alpha.grid, dens)))
+    return float(_field_norm(alpha.grid, alpha.values, sigma, flavor))
 
 
-def phase_norm(u: PhaseSpacePoint, sigma: float, flavor: str = INHOMOGENEOUS) -> float:
-    """||u||_{X^sigma} = sqrt( sum_i (|p_i|^2 + |q_i|^2) + ||alpha||^2 )."""
-    particle = float(np.sum(u.p**2) + np.sum(u.q**2))
-    return float(np.sqrt(particle + field_norm(u.field, sigma, flavor) ** 2))
+def phase_norm(u: PhaseSpacePoint, sigma: float, flavor: str = INHOMOGENEOUS):
+    """||u||_{X^sigma} = sqrt( sum_i (|p_i|^2 + |q_i|^2) + ||alpha||^2 ).
+
+    A float for one point; an (S,) array, row by row, for a stack.
+    """
+    particle = np.sum(u.p**2, axis=(-2, -1)) + np.sum(u.q**2, axis=(-2, -1))
+    field = np.float_power(_field_norm(u.grid, u.alpha, sigma, flavor), 2)
+    return _scalar(np.sqrt(particle + field))
 
 
-def real_inner(a: PhaseSpacePoint, b: PhaseSpacePoint, sigma: float) -> float:
+def real_inner(a: PhaseSpacePoint, b: PhaseSpacePoint, sigma: float):
     """Re<a, b>_{X^sigma}: z = q + i p on particles, (1+|k|^2)^sigma on the field.
 
     Symmetric and bilinear over the reals; real_inner(u, u, sigma) equals
-    phase_norm(u, sigma, inhomogeneous)**2.
+    phase_norm(u, sigma, inhomogeneous)**2.  Stacks broadcast against each
+    other by their leading axes, so (J, 1, D) against (S, D) gives all J*S
+    pairings as a (J, S) array.
     """
     if a.grid.node_count != b.grid.node_count or a.grid.d != b.grid.d:
         raise ValueError("phase-space points live on incompatible grids")
     za = a.q + 1j * a.p
     zb = b.q + 1j * b.p
-    particle = float(np.sum(np.conj(za) * zb).real)
+    particle = np.sum(np.conj(za) * zb, axis=(-2, -1)).real
     w = _weights(a.grid, sigma, INHOMOGENEOUS)
-    dens = np.sum(np.conj(a.alpha) * b.alpha, axis=0) * w
-    return particle + float(np.real(integrate_k(a.grid, dens)))
+    dens = np.sum(np.conj(a.alpha) * b.alpha, axis=-2) * w
+    return _scalar(particle + np.real(integrate_k(a.grid, dens)))
 
 
-def free_flow(u: PhaseSpacePoint, t: float, spec: ParticleSpec) -> PhaseSpacePoint:
+def free_flow(u: PhaseSpacePoint, t, spec: ParticleSpec) -> PhaseSpacePoint:
     """Exact free flow Phi_t^0: ballistic particles, unimodular field phases.
 
     (p, q, alpha) -> (p, q_i + t p_i/m_i, e^{-i t |k|} alpha_lam).  Exact
-    group law and norm preservation up to rounding.
+    group law and norm preservation up to rounding.  On a stack, t is one
+    time for every row or an (S,) array of one time per row.
     """
-    out = PhaseSpacePoint._of(u.grid, np.empty_like(u.data))
+    t = np.reshape(t, np.shape(t) + (1, 1))
+    out = u._like(np.empty_like(u.data))
     out.p[...] = u.p
     out.q[...] = u.q + t * u.p / spec.masses[:, None]
     np.multiply(u.alpha, np.exp(-1j * t * u.grid.absk), out=out.alpha)

@@ -18,6 +18,7 @@ import pytest
 import nmdyn.cli
 import nmdyn.integrator
 import nmdyn.interaction
+import nmdyn.measures
 
 from nmdyn.cli import (
     CONFIG_SCHEMA,
@@ -27,6 +28,7 @@ from nmdyn.cli import (
     main,
     reference_scenario,
     run_suite,
+    write_payload,
 )
 from nmdyn.interaction import hamiltonian
 from nmdyn.state import phase_norm, point_from_json, point_to_json
@@ -257,6 +259,18 @@ class TestCommands:
         for chk in reports["characteristic"]:
             assert chk["t"] == 0.2 and chk["t0"] == 0.0
 
+    def test_ensemble_outputs_block_invariant(self, config_file, tmp_path, monkeypatch):
+        # six samples of 32 KB states: blocks of 1, of 4 (4 + 2) and of 6 rows
+        default = nmdyn.measures._BLOCK_BYTES
+        assert 1 < default // (8 * 4012) < 6
+        outputs = []
+        for name, budget in (("one", 0), ("default", default), ("all", 10**9)):
+            monkeypatch.setattr(nmdyn.measures, "_BLOCK_BYTES", budget)
+            assert main(["ensemble", config_file, "--out", str(tmp_path / name)]) == 0
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("ensemble.csv", "reports.json")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_threads_env_fallback(self, config_file, tmp_path, monkeypatch):
         base, via_env = tmp_path / "base", tmp_path / "env"
         assert main(["ensemble", config_file, "--out", str(base),
@@ -392,6 +406,48 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "telepathy", config_file])
         assert exc.value.code == 2
+
+
+class TestJsonText:
+    """write_payload's encoder against json.dump(indent=2, sort_keys=True)."""
+
+    PAYLOADS = [
+        {"b": 1, "a": [3, -7, 0, 2**70], "c": -0.0},
+        {"tiny": [5e-324, 1e-320, -2.2250738585072014e-308, 1e-5],
+         "huge": [1.7976931348623157e308, -1e300, 1e16, 123456789.0]},
+        {"nested": [[1.5, [2.5, []]], [], [[]], {}], "empty": {}, "none": [],
+         "mixed": [1, 2.0, -0.0, 0.1]},
+        {"flags": [True, False, None], "text": ["x\u00e9\"q", ""], "one": 1.0,
+         "non-finite": [float("nan"), 1.0, float("inf"), -float("inf")],
+         "tuple": (1, 2.5), "numpy": [np.float64(0.1), np.float64(-3.0)]},
+        [], {}, 0.1, [[[]]],
+    ]
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_same_text_as_json(self, payload):
+        text = "".join(nmdyn.cli._json_chunks(payload))
+        assert text == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_long_lists_cross_chunk_boundaries(self):
+        rng = np.random.default_rng(3)
+        floats = (rng.standard_normal(2500) * 10.0 ** rng.integers(-300, 300, 2500)).tolist()
+        payload = {"floats": floats, "ints": list(range(-1500, 1500)),
+                   "with_nan": floats[:1500] + [float("nan")] + floats[1500:]}
+        text = "".join(nmdyn.cli._json_chunks(payload))
+        assert text == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_write_payload_bytes(self, cfg, tmp_path):
+        body = {"endpoint": {"alpha_re": [0.1, -0.0, 2e-300], "p": [[1.0, 2.0]]},
+                "steps": 3, "norms": {"X0": 1.25}}
+        path = tmp_path / "payload.json"
+        write_payload(str(path), cfg, body)
+        expected = json.dumps({"format_version": FORMAT_VERSION, "config": cfg.raw,
+                               **body}, indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == expected
+
+    def test_unknown_types_are_refused(self):
+        with pytest.raises(TypeError):
+            "".join(nmdyn.cli._json_chunks({"x": np.int64(3)}))
 
 
 class TestSuitesOnSmallScenario:

@@ -397,6 +397,17 @@ class TestDivergence:
         bound = (1.0 + rep.times / np.min(spec.masses)) * 1e-6
         assert np.all(rep.divergence <= bound * (1.0 + 1e-9))
 
+    @pytest.mark.parametrize("scheme", ["strang", "interaction-rk4"])
+    def test_pair_stack_matches_two_lone_runs(self, coupled, direction, scheme):
+        grid, spec, pot, u0, _ = coupled
+        b0 = u0 + 1e-6 * direction
+        pairs = zip(stepper(u0, 0.1, 2e-2, spec, pot, grid, scheme),
+                    stepper(b0, 0.1, 2e-2, spec, pot, grid, scheme))
+        lone = [phase_norm(b0 - u0, 0.0)] + [phase_norm(b - a, 0.0) for a, b in pairs]
+        rep = divergence_report(u0, 1e-6, direction, 0.1, 2e-2, spec, pot, grid,
+                                scheme=scheme)
+        assert rep.divergence.tobytes() == np.array(lone).tobytes()
+
     def test_bad_arguments_rejected(self, coupled, direction):
         grid, spec, pot, u0, _ = coupled
         with pytest.raises(ValueError, match="epsilon"):

@@ -343,6 +343,16 @@ class TestVectorPotential:
         with pytest.raises(ValueError):
             vector_potential(0, np.zeros(3), alpha, two_particle_spec(), small_grid)
 
+    @pytest.mark.parametrize("call", [
+        lambda alpha, grid: vector_potential(0, np.zeros(3), alpha, two_particle_spec(), grid),
+        lambda alpha, grid: grad_vector_potential(0, 1, np.zeros(3), alpha,
+                                                  two_particle_spec(), grid),
+    ], ids=["vector_potential", "grad_vector_potential"])
+    def test_field_on_another_grid_is_named(self, rng, call):
+        alpha = random_field(rng, build_kgrid(3, 2.0, 8))
+        with pytest.raises(ValueError, match="field state lives on a different grid"):
+            call(alpha, build_kgrid(3, 2.0, 10))
+
 
 @pytest.fixture(scope="module")
 def bound_setup():
@@ -838,3 +848,73 @@ class TestCharacteristicDensity:
             0.0,
         )
         assert m0 == pytest.approx(expected, abs=1e-12 * (1 + abs(m0)))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStacks:
+    """A stack (S, D) of points gives, row by row, what each point gives alone."""
+
+    POTENTIALS = {"coulomb": PotentialSpec.coulomb(0.8),
+                  "cosine": PotentialSpec.cosine(0.7, [1.0, 2.0, 0.5]),
+                  "zero": PotentialSpec.zero()}
+
+    @pytest.fixture(params=[(2, "coulomb"), (3, "coulomb"), (3, "cosine"), (2, "zero")],
+                        ids=["n2-coulomb", "n3-coulomb", "n3-cosine", "n2-zero"])
+    def case(self, request, small_grid):
+        n, kind = request.param
+        rng = np.random.default_rng(11)
+        ff = FormFactor.gaussian(1.0)
+        spec = ParticleSpec(np.linspace(1.0, 2.0, n), [ff] * n)
+        points = [random_point(rng, small_grid, n=n, decay=False) for _ in range(5)]
+        stack = PhaseSpacePoint._of(small_grid, np.stack([u.data for u in points]))
+        return small_grid, spec, self.POTENTIALS[kind], points, stack
+
+    def test_views_carry_the_sample_axis(self, case):
+        grid, spec, _, points, stack = case
+        n = spec.n
+        assert stack.p.shape == stack.q.shape == (5, n, 3)
+        assert stack.alpha.shape == (5, 2, grid.node_count)
+        for part in (stack.p, stack.q, stack.alpha):
+            assert np.shares_memory(part, stack.data)
+        assert all(np.array_equal(stack.alpha[m], u.alpha) for m, u in enumerate(points))
+
+    def test_nonlinearity_G_and_hamiltonian(self, case):
+        grid, spec, pot, points, stack = case
+        g = nonlinearity_G(stack, spec, pot, grid)
+        h = hamiltonian(stack, spec, pot, grid)
+        assert h.shape == (5,)
+        for m, u in enumerate(points):
+            assert _same_bits(g.data[m], nonlinearity_G(u, spec, pot, grid).data)
+            assert _same_bits(h[m], hamiltonian(u, spec, pot, grid))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    def test_norms(self, case, sigma):
+        _, _, _, points, stack = case
+        norms = phase_norm(stack, sigma)
+        assert norms.shape == (5,)
+        for m, u in enumerate(points):
+            assert _same_bits(norms[m], phase_norm(u, sigma))
+
+    def test_free_flow_and_vartheta(self, case):
+        grid, spec, pot, points, stack = case
+        times = np.array([0.3, -0.7, 1.1, 0.0, 2.5])
+        for t in (times, 0.4):  # one time per row, or one for all
+            flowed = free_flow(stack, t, spec)
+            theta = vartheta(t, stack, spec, pot, grid)
+            for m, u in enumerate(points):
+                t_m = t[m] if np.ndim(t) else t
+                assert _same_bits(flowed.data[m], free_flow(u, t_m, spec).data)
+                assert _same_bits(theta.data[m], vartheta(t_m, u, spec, pot, grid).data)
+
+    def test_real_inner_pairs_every_direction_with_every_row(self, case):
+        grid, _, _, points, stack = case
+        ys = PhaseSpacePoint._of(grid, stack.data[:2, None, :])
+        pairs = real_inner(ys, stack, 0.5)
+        assert pairs.shape == (2, 5)
+        for j in range(2):
+            for m, u in enumerate(points):
+                assert _same_bits(pairs[j, m], real_inner(points[j], u, 0.5))

@@ -18,9 +18,9 @@ import pytest
 
 from conftest import random_point
 
-from nmdyn import interaction
+from nmdyn import interaction, measures
 from nmdyn.geometry import build_kgrid, polarization_basis
-from nmdyn.integrator import FlaggedHypothesesError, evolve
+from nmdyn.integrator import FlaggedHypothesesError, NumericalBlowupError, evolve
 from nmdyn.interaction import FormFactor, PotentialSpec, hamiltonian
 from nmdyn.measures import (
     Ensemble,
@@ -374,6 +374,51 @@ class TestPushForward:
             assert np.shares_memory(u.data, traj.stored)
             with pytest.raises(ValueError, match="read-only"):
                 u.data[0] = 0.0
+
+    def test_points_and_stored_states_view_one_array(self, pushed_pair):
+        fine = pushed_pair["fine"]
+        whole = fine.trajectories[0].stored.base
+        assert whole.shape == (32, 11, fine.points[0].data.size)
+        assert not whole.flags.writeable
+        for m, (u, traj) in enumerate(zip(fine.points, fine.trajectories)):
+            assert traj.stored.base is whole and u.data.base is whole
+            assert np.shares_memory(traj.stored, whole[m])
+            with pytest.raises(ValueError, match="read-only"):
+                traj.stored[0, 0] = 0.0
+
+    def test_each_sample_evolves_as_it_would_alone(self, grid10, scenario, gauss_measure):
+        ens0 = sample_measure(gauss_measure, 6, seed=3)  # blocks of 4 and 2
+        common = dict(spec=scenario["spec"], pot=scenario["pot"], grid=grid10,
+                      store_every=3, basis=scenario["basis"])
+        pushed = push_forward(ens0, 0.1, 1e-2, **common)
+        for u0, traj in zip(ens0.points, pushed.trajectories):
+            alone = evolve(u0, 0.1, 1e-2, **common)
+            for field in ("energies", "norms", "p", "q", "stored", "stored_indices", "times"):
+                assert getattr(traj, field).tobytes() == getattr(alone, field).tobytes()
+
+    def test_first_failing_sample_is_named_when_a_later_row_fails_first(self, tiny_grid):
+        calm = random_point(np.random.default_rng(42), tiny_grid)
+
+        def wild(amplitude):
+            field = amplitude * np.ones((2, tiny_grid.node_count), dtype=complex)
+            return PhaseSpacePoint(calm.particles, FieldState(tiny_grid, field))
+
+        ff = FormFactor.gaussian(1.0)
+        spec = ParticleSpec(masses=np.array([1.0, 1.5]), form_factors=[ff, ff])
+        pot = PotentialSpec.coulomb(0.5)
+        late, early = wild(1e4), wild(1e80)  # non-finite after step 3 and after step 1
+        ens0 = Ensemble(points=(calm, late, early))
+        assert measures._BLOCK_BYTES >= 3 * calm.data.nbytes  # one block of three rows
+        for mode in ("ignore", "raise"):
+            with np.errstate(all=mode):
+                with pytest.raises(NumericalBlowupError, match=r"\(step 1\)"):
+                    evolve(early, 4.0, 1.0, spec, pot, tiny_grid, allow_flagged=True)
+                with pytest.raises(NumericalBlowupError, match=r"\(step 3\)") as alone:
+                    evolve(late, 4.0, 1.0, spec, pot, tiny_grid, allow_flagged=True)
+                with pytest.raises(EnsemblePropagationError) as exc:
+                    push_forward(ens0, 4.0, 1.0, spec, pot, tiny_grid, allow_flagged=True)
+            assert exc.value.sample_index == 1
+            assert str(exc.value) == f"sample 1 failed: {alone.value}"
 
 
 class TestCharacteristicResidual:
