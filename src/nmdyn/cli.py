@@ -1,8 +1,11 @@
 """Command-line interface: scenario configs, runs, and verification suites.
 
-A scenario is one JSON document (validated against CONFIG_SCHEMA) naming the
-grid, the particles, the pair potential, an initial condition — either a
-single phase-space point or a sampleable measure — and the run parameters.
+A scenario is one JSON document naming the grid, the particles, the pair
+potential, an initial condition — either a single phase-space point or a
+sampleable measure — and the run parameters.  CONFIG_SCHEMA (JSON Schema,
+draft 2020-12) declares its shape, and load_config checks a document against
+it with a small walker of its own that interprets exactly the keywords the
+schema uses, so numpy is the only runtime dependency.
 Four subcommands consume it:
 
 * ``simulate``  — one trajectory; writes trajectory.csv + summary.json.
@@ -31,7 +34,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from .geometry import (
@@ -273,9 +275,114 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-# CONFIG_SCHEMA is a constant whose meta-schema check lives in the tests, so
-# the validator is built once instead of re-checking the schema per call.
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # draft 2020-12: an integral float such as 3.0 is an integer
+    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
+                          or (isinstance(v, float) and v.is_integer())),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+
+
+def _json_equal(a, b) -> bool:
+    """Equality as JSON sees it: 1 == 1.0, but true is not 1."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_json_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _schema_error(schema: dict, value, path: tuple) -> Optional[tuple]:
+    """The (path, message) of one violation of ``schema`` by ``value``, or None.
+
+    Interprets the keywords CONFIG_SCHEMA uses, following draft 2020-12:
+    type, const, enum, minimum, exclusiveMinimum, items, minItems, maxItems,
+    properties, required, additionalProperties (false only) and oneOf;
+    $schema is an annotation.  An object's properties are checked before its
+    required and additional keys, so a branch of a oneOf that names another
+    kind fails first on its const or enum discriminator.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _JSON_TYPES[kind](value):
+        return path, f"{value!r} is not of type {kind!r}"
+    if "const" in schema and not _json_equal(value, schema["const"]):
+        return path, f"{schema['const']!r} was expected"
+    if "enum" in schema and not any(_json_equal(value, v) for v in schema["enum"]):
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if _JSON_TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return path, (f"{value!r} is less than or equal to the minimum of "
+                          f"{schema['exclusiveMinimum']!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} " + ("should be non-empty" if schema["minItems"] == 1
+                                          else "is too short")
+        if len(value) > schema.get("maxItems", len(value)):
+            return path, f"{value!r} is too long"
+        if "items" in schema:
+            for index, item in enumerate(value):
+                error = _schema_error(schema["items"], item, path + (index,))
+                if error is not None:
+                    return error
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key, sub in properties.items():
+            if key in value:
+                error = _schema_error(sub, value[key], path + (key,))
+                if error is not None:
+                    return error
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"{key!r} is a required property"
+        extra = sorted(key for key in value if key not in properties)
+        if extra and schema.get("additionalProperties", True) is False:
+            verb = "was" if len(extra) == 1 else "were"
+            return path, (f"Additional properties are not allowed "
+                          f"({', '.join(map(repr, extra))} {verb} unexpected)")
+    if "oneOf" in schema:
+        return _one_of_error(schema["oneOf"], value, path)
+    return None
+
+
+def _discriminator(branch: dict, value) -> Optional[tuple]:
+    """(key, allowed values) of a const or enum property of ``branch`` that
+    ``value`` fails: the value names another branch of the oneOf."""
+    if not isinstance(value, dict):
+        return None
+    for key, sub in branch.get("properties", {}).items():
+        allowed = [sub["const"]] if "const" in sub else sub.get("enum")
+        if (allowed is not None and key in value
+                and not any(_json_equal(value[key], a) for a in allowed)):
+            return key, allowed
+    return None
+
+
+def _one_of_error(branches: list, value, path: tuple) -> Optional[tuple]:
+    """oneOf: exactly one branch passes.  When none does, the deepest error of
+    the branches whose discriminator ``value`` meets names the field; when
+    every branch refuses the discriminator, that field and its allowed values."""
+    errors = [_schema_error(branch, value, path) for branch in branches]
+    passed = errors.count(None)
+    if passed == 1:
+        return None
+    if passed > 1:
+        return path, f"valid under {passed} of the given schemas, expected exactly one"
+    tags = [_discriminator(branch, value) for branch in branches]
+    open_errors = [error for error, tag in zip(errors, tags) if tag is None]
+    if open_errors:
+        return max(open_errors, key=lambda error: len(error[0]))
+    key = tags[0][0]
+    allowed = [a for tag_key, values in tags if tag_key == key for a in values]
+    return path + (key,), f"{value[key]!r} is not one of {allowed!r}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,10 +500,10 @@ def load_config(source, base_dir: str = ".",
                 raw = json.load(handle)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"not valid JSON: {err}") from err
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    error = _schema_error(CONFIG_SCHEMA, raw, ())
     if error is not None:
-        path = ".".join(str(part) for part in error.absolute_path) or "(root)"
-        raise ConfigError(f"{path}: {error.message}") from error
+        path, message = error
+        raise ConfigError(f"{'.'.join(map(str, path)) or '(root)'}: {message}")
 
     # resolve defaults so the embedded config is complete
     raw["run"].setdefault("scheme", "strang")
@@ -409,7 +516,8 @@ def load_config(source, base_dir: str = ".",
 
     g = raw["grid"]
     try:
-        grid = build_kgrid(g["d"], g["K"], g["N"])
+        # the schema admits integral floats such as 3.0 for d and N
+        grid = build_kgrid(int(g["d"]), g["K"], int(g["N"]))
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
     basis = default_basis(grid)

@@ -90,7 +90,7 @@ class TestConfig:
         assert h0 == pytest.approx(0.38915860021068427, abs=1e-12)
 
     def test_schema_is_valid_against_its_meta_schema(self):
-        # load_config builds its validator once and does not re-check the schema
+        # load_config walks CONFIG_SCHEMA as given and never checks it itself
         jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
     def test_defaults_are_resolved_into_raw(self):
@@ -150,6 +150,51 @@ class TestConfig:
         mangle(raw)
         with pytest.raises(ConfigError, match=fragment):
             load_config(raw)
+
+    @pytest.mark.parametrize("mangle,message", [
+        (lambda c: c["particles"][0].update(form_factor={"family": "ball", "radius": -1}),
+         "particles.0.form_factor.radius: -1 is less than or equal to the minimum of 0"),
+        (lambda c: c["particles"][0].update(form_factor={"family": "gaussian", "width": 0}),
+         "particles.0.form_factor.width: 0 is less than or equal to the minimum of 0"),
+        (lambda c: c["particles"][0].update(form_factor={"family": "cube"}),
+         "particles.0.form_factor.family: 'cube' is not one of "
+         "['gaussian', 'ball', 'point', 'table']"),
+        (lambda c: c["particles"][0].update(form_factor={"radius": -1}),
+         "particles.0.form_factor.radius: -1 is less than or equal to the minimum of 0"),
+        (lambda c: c.update(potential={"family": "smeared-coulomb", "g": 0}),
+         "potential.g: 0 is less than or equal to the minimum of 0"),
+        (lambda c: c.update(potential={"family": "product-of-cos", "amplitude": 1.0}),
+         "potential: 'wavevector' is a required property"),
+        (lambda c: c["initial"].update(measure={"kind": "mixture", "components": [
+            {"weight": 0, "measure": c["initial"]["measure"]}]}),
+         "initial.measure.components.0.weight: 0 is less than or equal to the minimum of 0"),
+        (lambda c: c["initial"]["measure"].update(particle_scale=-1),
+         "initial.measure.particle_scale: -1 is less than the minimum of 0"),
+        (lambda c: c.update(initial={"point": {"p": [], "q": [], "alpha_re": [],
+                                               "alpha_im": []},
+                                     **c["initial"]["measure"]["center"]}),
+         "initial: valid under 2 of the given schemas, expected exactly one"),
+    ], ids=["ball-radius", "gaussian-width", "unknown-family", "no-family", "coulomb-g",
+            "cos-wavevector", "mixture-weight", "particle-scale", "point-and-coherent"])
+    def test_one_of_errors_name_the_field(self, mangle, message):
+        raw = small_scenario()
+        mangle(raw)
+        with pytest.raises(ConfigError) as err:
+            load_config(raw)
+        assert str(err.value) == message
+
+    def test_integral_floats_build_the_integer_grid(self, tmp_path):
+        # draft 2020-12 counts 3.0 as an integer, so the schema admits it
+        raw = small_scenario()
+        raw["grid"].update(d=3.0, N=10.0)
+        grid, base = load_config(raw).grid, load_config(small_scenario()).grid
+        assert (grid.d, grid.N) == (base.d, base.N) == (3, 10)
+        assert type(grid.d) is int and type(grid.N) is int
+        assert np.array_equal(grid.nodes, base.nodes)
+        assert np.array_equal(grid.weights, base.weights)
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(raw))
+        assert main(["hypotheses", str(path), "--out", str(tmp_path / "h")]) == 0
 
     def test_rejects_shape_mismatches(self):
         raw = small_scenario()
@@ -314,6 +359,21 @@ class TestCommands:
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
 
+    def test_import_adds_only_numpy(self):
+        # site .pth files may import packages at start-up, so the baseline is
+        # taken from a bare interpreter in a process of its own
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nmdyn.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys{}; print(' '.join({{m.split('.')[0] for m in sys.modules}}))"
+
+        def top_level(imports):
+            done = subprocess.run([sys.executable, "-c", probe.format(imports)], env=env,
+                                  capture_output=True, text=True, check=True)
+            return set(done.stdout.split())
+
+        added = top_level(", nmdyn.cli") - top_level("")
+        assert added - set(sys.stdlib_module_names) - {"nmdyn"} == {"numpy"}
+
     def test_module_entry_runs_without_warning(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(nmdyn.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
@@ -406,6 +466,119 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "telepathy", config_file])
         assert exc.value.code == 2
+
+
+def _nodes(doc, path=()):
+    """Every path in a JSON document, parents before children."""
+    yield path
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutants(doc, root=()):
+    """Copies of ``doc`` with one node at or under ``root`` changed: a key
+    deleted or added, or a value replaced by a wrong type, a negative, zero,
+    a fraction, a bool or an empty container."""
+    def at(copy, path):
+        for key in path:
+            copy = copy[key]
+        return copy
+
+    text = json.dumps(doc)
+    for path in _nodes(at(doc, root), root):
+        if isinstance(at(doc, path), dict):
+            copy = json.loads(text)
+            at(copy, path)["unexpected"] = 1
+            yield copy
+        if not path:
+            continue
+        parent, key = path[:-1], path[-1]
+        if isinstance(at(doc, parent), dict):
+            copy = json.loads(text)
+            del at(copy, parent)[key]
+            yield copy
+        for value in ("x", None, [], {}, True, False, -1, 0, 0.5, -0.5, 3.0, 1):
+            copy = json.loads(text)
+            at(copy, parent)[key] = value
+            yield copy
+
+
+def _error_paths(errors):
+    for error in errors:
+        yield tuple(error.absolute_path)
+        yield from _error_paths(error.context)
+
+
+def _one_of_branches():
+    """small_scenario with each oneOf branch in turn, and that branch's root."""
+    point = {"p": [[0.0] * 3] * 2, "q": [[0.0] * 3] * 2, "alpha_re": [0.0],
+             "alpha_im": [0.0]}
+    center = small_scenario()["initial"]["measure"]["center"]
+    for form_factor in ({"family": "gaussian", "width": 1.0}, {"family": "ball", "radius": 0.5},
+                        {"family": "point"}, {"family": "table", "path": "chi.csv"}):
+        raw = small_scenario()
+        raw["particles"][0]["form_factor"] = form_factor
+        yield raw, ("particles", 0, "form_factor")
+    for potential in ({"family": "zero"}, {"family": "smeared-coulomb", "g": 0.5},
+                      {"family": "product-of-cos", "amplitude": 0.1,
+                       "wavevector": [1.0, 0.0, 0.0]}):
+        raw = small_scenario()
+        raw["potential"] = potential
+        yield raw, ("potential",)
+    for initial in ({"point": point}, center,
+                    {"measure": {"kind": "dirac", "center": {"point": point}}},
+                    {"measure": {"kind": "mixture", "components": [
+                        {"weight": 0.5, "measure": {"kind": "dirac", "center": center}},
+                        {"weight": 0.5, "measure": {"kind": "gaussian", "center": center,
+                                                    "particle_scale": 0.1}}]}}):
+        raw = small_scenario()
+        raw["initial"] = initial
+        yield raw, ("initial",)
+
+
+def _shipped_configs():
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs")
+    for name in ("quickstart", "reference"):
+        with open(os.path.join(configs, f"{name}.json")) as handle:
+            yield json.load(handle), ()
+
+
+class TestSchemaWalker:
+    """load_config's own schema walker against jsonschema, the reference."""
+
+    @pytest.mark.parametrize("doc,root", [*_shipped_configs(), *_one_of_branches()],
+                             ids=["quickstart", "reference", "gaussian", "ball", "point",
+                                  "table", "zero", "coulomb", "cosine", "initial-point",
+                                  "initial-coherent", "dirac-of-point", "mixture"])
+    def test_agrees_with_jsonschema(self, doc, root):
+        validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+        for mutant in _mutants(doc, root):
+            ours = nmdyn.cli._schema_error(CONFIG_SCHEMA, mutant, ())
+            errors = list(validator.iter_errors(mutant))
+            assert (ours is None) == (not errors), (mutant, ours)
+            if ours is not None:
+                assert ours[0] in set(_error_paths(errors)), (mutant, ours)
+
+    def test_schema_uses_only_interpreted_keywords(self):
+        interpreted = {"$schema", "type", "const", "enum", "minimum", "exclusiveMinimum",
+                       "items", "minItems", "maxItems", "required", "properties",
+                       "additionalProperties", "oneOf"}
+        seen = set()
+
+        def visit(schema):
+            seen.update(schema)
+            assert schema.get("additionalProperties", False) is False
+            for sub in schema.get("properties", {}).values():
+                visit(sub)
+            for sub in schema.get("oneOf", []):
+                visit(sub)
+            if "items" in schema:
+                visit(schema["items"])
+
+        visit(CONFIG_SCHEMA)
+        assert seen <= interpreted, seen - interpreted
 
 
 class TestJsonText:
