@@ -57,18 +57,22 @@ from .integrator import (
 from .interaction import (
     FormFactor,
     PotentialSpec,
+    _bracket,
+    _grad_vector_potentials,
+    _phases,
+    _vector_potentials,
     characteristic_density_m,
     check_hypotheses,
+    compile_model,
     default_basis,
-    grad_vector_potential,
     nonlinearity_F,
     potential_gradient_bound,
     vartheta,
-    vector_potential,
 )
 from .measures import (
     EnsemblePropagationError,
     MeasureSpec,
+    _blocks,
     characteristic_residual,
     ensemble_to_csv,
     moment_report,
@@ -80,7 +84,7 @@ from .state import (
     ParticleSpec,
     ParticleState,
     PhaseSpacePoint,
-    field_norm,
+    _field_norm,
     phase_norm,
     point_from_json,
     point_to_json,
@@ -670,12 +674,38 @@ def verify_gauge(cfg: ScenarioConfig, **_) -> VerifyOutcome:
     ))
 
 
+def _draw_blocks(draw, draws: int, grid: KGrid, n: int):
+    """The results of ``draws`` calls of ``draw``, in call order, as lists of
+    consecutive calls.
+
+    A list holds as many draws as the ensemble push stacks samples of this
+    scenario (``measures._blocks`` with one packed state per row), and the
+    random stream is that of a plain loop over the draws.  A count below one
+    is refused.
+    """
+    if draws < 1:
+        raise ConfigError(f"draws must be at least 1, got {draws}")
+    # one packed state: p and q, then alpha as (re, im) pairs, in float64
+    row_bytes = 8 * (2 * n * grid.d + 2 * (grid.d - 1) * grid.node_count)
+    return (block for _, block in _blocks((draw() for _ in range(draws)), row_bytes))
+
+
+def _stacked(points) -> PhaseSpacePoint:
+    """Points of one layout as one (B, D) stack."""
+    return points[0]._like(np.stack([w.data for w in points]))
+
+
 def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOutcome:
     """Pointwise coupling-function bounds over random phase-space draws.
 
     All inequalities use the grid-exact Cauchy-Schwarz constants (hypothesis
     norms); a violation would mean the implementation disagrees with its own
-    constants, so the pass criterion is an exact zero count.
+    constants, so the pass criterion is an exact zero count.  Each draw is
+    two states u, v and a particle i, drawn in a fixed order; consecutive
+    draws are evaluated together (see ``_draw_blocks``) as a (B, D) stack of
+    u and one of v.  One bracket per stack gives A and grad A of every
+    particle, from which each draw takes its particle i; F and the field
+    norms run on the stacks row by row.  draws must be at least 1.
     """
     grid, spec, pot = cfg.grid, cfg.spec, cfg.pot
     n = spec.masses.size
@@ -687,62 +717,66 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
     ])
     grad_bound = potential_gradient_bound(spec, pot, grid)
     c_dim = np.sqrt(2.0 * (grid.d - 1))
+    field_factor = np.sqrt((grid.d - 1) / 2.0)
     slack, floor = 1 + 1e-12, 1e-15
+    model = compile_model(spec, None, grid)
     rng = np.random.default_rng(cfg.seed)
 
-    v_field = v_grad = v_lip = v_vf = 0
-    for _ in range(draws):
+    def draw():
         u = _random_state(rng, grid, n, rng.uniform(0.05, 3.0))
         v = _random_state(rng, grid, n, rng.uniform(0.05, 3.0))
-        i = int(rng.integers(0, n))
-        u_field = u.field  # one FieldState per draw, not one per use
-        l2 = field_norm(u_field, 0.0)
-        h12 = field_norm(u_field, 0.5, "homogeneous")
+        return u, v, int(rng.integers(0, n))
 
-        a = vector_potential(i, u.q[i], u_field, spec, grid)
-        if np.linalg.norm(a) > min(c_dim * norms[i, 1] * l2,
-                                   c_dim * norms[i, 0] * h12) * slack + floor:
-            v_field += 1
-        for nu in range(grid.d):
-            da = grad_vector_potential(i, nu, u.q[i], u_field, spec, grid)
-            if np.linalg.norm(da) > min(
-                    2 * np.pi * c_dim * norms[i, 2] * l2,
-                    2 * np.pi * c_dim * chi_l2[i] * h12) * slack + floor:
-                v_grad += 1
+    def bracket(w):
+        return _bracket(w.alpha, model.wpref * _phases(model, w.q))
 
-        diff = FieldState(grid, u.alpha - v.alpha)
-        dq = np.linalg.norm(u.q[i] - v.q[i])
-        field_v = v.field
-        a_diff = np.linalg.norm(
-            a - vector_potential(i, v.q[i], field_v, spec, grid))
-        lip = (c_dim * norms[i, 1] * field_norm(diff, 0.0)
-               + 2 * np.pi * c_dim * norms[i, 2] * dq * field_norm(field_v, 0.0))
-        if a_diff > lip * slack + floor:
-            v_lip += 1
+    def norm(x):
+        return np.linalg.norm(x, axis=-1)
+
+    v_field = v_grad = v_lip = v_vf = 0
+    for block in _draw_blocks(draw, draws, grid, n):
+        points_u, points_v, picks = zip(*block)
+        u, v = _stacked(points_u), _stacked(points_v)
+        rows, i = np.arange(len(block)), np.array(picks)
+        c_u = bracket(u)
+        a_all = _vector_potentials(model, c_u)
+        a = a_all[rows, i]
+        da = _grad_vector_potentials(model, c_u)[rows, i]  # row nu: grad A^nu
+        l2 = _field_norm(grid, u.alpha, 0.0, "inhomogeneous")
+        h12 = _field_norm(grid, u.alpha, 0.5, "homogeneous")
+
+        bound = np.minimum(c_dim * norms[i, 1] * l2, c_dim * norms[i, 0] * h12)
+        v_field += np.count_nonzero(norm(a) > bound * slack + floor)
+        bound = np.minimum(2 * np.pi * c_dim * norms[i, 2] * l2,
+                           2 * np.pi * c_dim * chi_l2[i] * h12)
+        v_grad += np.count_nonzero(norm(da) > (bound * slack + floor)[:, None])
+
+        dq = norm(u.q[rows, i] - v.q[rows, i])
+        a_diff = norm(a - _vector_potentials(model, bracket(v))[rows, i])
+        l2_diff = _field_norm(grid, u.alpha - v.alpha, 0.0, "inhomogeneous")
+        l2_v = _field_norm(grid, v.alpha, 0.0, "inhomogeneous")
+        lip = (c_dim * norms[i, 1] * l2_diff
+               + 2 * np.pi * c_dim * norms[i, 2] * dq * l2_v)
+        v_lip += np.count_nonzero(a_diff > lip * slack + floor)
 
         f = nonlinearity_F(u, spec, pot, grid, cfg.basis)
-        field_factor = np.sqrt((grid.d - 1) / 2.0)
         rhs_h1 = rhs_l2 = 0.0
         for j in range(n):
-            aj = a if j == i else vector_potential(j, u.q[j], u_field, spec, grid)
-            pma = np.linalg.norm(u.p[j] - aj)
-            pabs = np.linalg.norm(u.p[j])
+            pma = norm(u.p[:, j] - a_all[:, j])
+            pabs = norm(u.p[:, j])
             c_a = c_dim * norms[j, 1]
             c_g = 2 * np.pi * c_dim * norms[j, 2]
             m_j = spec.masses[j]
-            if np.linalg.norm(f.q[j]) > (pabs + c_a * l2) / m_j * slack + floor:
-                v_vf += 1
+            v_vf += np.count_nonzero(norm(f.q[:, j]) > (pabs + c_a * l2) / m_j * slack + floor)
             rhs = (np.sqrt(grid.d) / m_j * (pabs + c_a * l2) * c_g * l2
                    + grad_bound[j])
-            if np.linalg.norm(f.p[j]) > rhs * slack + floor:
-                v_vf += 1
+            v_vf += np.count_nonzero(norm(f.p[:, j]) > rhs * slack + floor)
             rhs_h1 += field_factor * norms[j, 2] * pma / m_j
             rhs_l2 += field_factor * norms[j, 1] * pma / m_j
-        field_f = f.field
-        if field_norm(field_f, 1.0, "homogeneous") > rhs_h1 * slack + floor:
-            v_vf += 1
-        if field_norm(field_f, 0.0) > rhs_l2 * slack + floor:
-            v_vf += 1
+        v_vf += np.count_nonzero(_field_norm(grid, f.alpha, 1.0, "homogeneous")
+                                 > rhs_h1 * slack + floor)
+        v_vf += np.count_nonzero(_field_norm(grid, f.alpha, 0.0, "inhomogeneous")
+                                 > rhs_l2 * slack + floor)
 
     return VerifyOutcome("lemma-bounds", (
         _check("field-bound violations", v_field, 0, "=="),
@@ -871,24 +905,39 @@ def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
 
 def verify_mvfi_identity(cfg: ScenarioConfig, draws: int = 100, **_) -> VerifyOutcome:
     """Pairing identity between the characteristic density and the
-    drift-removed vector field, the two sides computed independently."""
+    drift-removed vector field, the two sides computed independently.
+
+    Each draw is two states u, xi and a time s, drawn in a fixed order;
+    consecutive draws are evaluated together (see ``_draw_blocks``):
+    vartheta runs on the stack of u with one time per row, and real_inner
+    pairs its rows with those of the stacked xi~.  m(s, xi) stays one call
+    per draw, as the identity's independent route.  draws must be at least 1.
+    """
     grid, spec, pot = cfg.grid, cfg.spec, cfg.pot
     n = spec.masses.size
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for _ in range(draws):
+
+    def draw():
         u = _random_state(rng, grid, n, rng.uniform(0.1, 2.0))
         xi = _random_state(rng, grid, n, rng.uniform(0.1, 2.0))
-        s = rng.uniform(-2.0, 2.0)
-        m = characteristic_density_m(s, xi, u, spec, pot, grid, cfg.basis)
-        theta = vartheta(s, u, spec, pot, grid, cfg.basis)
-        pairing = PhaseSpacePoint(
-            ParticleState(-xi.q / np.pi, xi.p / np.pi),
-            FieldState(grid, xi.alpha / (np.sqrt(2.0) * np.pi)),
-        )
+        return u, xi, rng.uniform(-2.0, 2.0)
+
+    worst = 0.0
+    for block in _draw_blocks(draw, draws, grid, n):
+        points_u, points_xi, times = zip(*block)
+        u, xi = _stacked(points_u), _stacked(points_xi)
+        theta = vartheta(np.array(times), u, spec, pot, grid, cfg.basis)
+        pairing = xi._like(np.empty_like(xi.data))
+        pairing.p[...] = -xi.q / np.pi
+        pairing.q[...] = xi.p / np.pi
+        pairing.alpha[...] = xi.alpha / (np.sqrt(2.0) * np.pi)
         rhs = -2.0 * np.pi * real_inner(theta, pairing, 0.0)
-        scale = (1.0 + phase_norm(u, 0.0) ** 2) * (1.0 + phase_norm(xi, 0.0))
-        worst = max(worst, abs(m - rhs) / scale)
+        # float_power rounds as Python's ** on one float does (see _field_norm)
+        scale = ((1.0 + np.float_power(phase_norm(u, 0.0), 2))
+                 * (1.0 + phase_norm(xi, 0.0)))
+        for b, (s, u_b, xi_b) in enumerate(zip(times, points_u, points_xi)):
+            m = characteristic_density_m(s, xi_b, u_b, spec, pot, grid, cfg.basis)
+            worst = max(worst, abs(m - rhs[b]) / scale[b])
     return VerifyOutcome("mvfi-identity", (
         _check(f"max scaled residual ({draws} draws)", worst, 1e-10),
     ))

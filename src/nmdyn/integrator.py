@@ -193,10 +193,12 @@ def rk4_interaction_step(t: float, u: PhaseSpacePoint, dt: float, spec: Particle
 
 
 def _step_count(T: float, dt: float) -> int:
-    """The number of dt steps in T; ValueError unless it is a whole number."""
+    """The number of dt steps in T; ValueError unless it is a finite whole number."""
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     ratio = T / dt
+    if not np.all(np.isfinite((T, dt, ratio))):
+        raise ValueError(f"T={T} and dt={dt} must be finite, as must T/dt")
     n = int(round(ratio))
     if n < 0 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
         raise ValueError(f"dt={dt} must divide T={T} into a whole number of forward steps")

@@ -122,21 +122,28 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 4 << 20)
 
 
-def _stacks(rows, row_bytes: int):
-    """Consecutive blocks of ``rows`` as (index of the first, (B, D) stack).
+def _blocks(rows, row_bytes: int):
+    """Consecutive blocks of ``rows`` as (index of the first, list of B rows).
 
     B is the most rows of ``row_bytes`` that fit ``_BLOCK_BYTES``, at least
-    one.  A row is one packed state, so the scenario alone (grid and particle
-    count) fixes B; no run-time figure moves it.  Blocks of more than one row
-    set the process's heap thresholds first (``_keep_freed_heap``); a run
-    whose states are too large to stack leaves the allocator as it is.
+    one.  A row is one packed state (or one draw of a few states, each
+    stacked apart), so the scenario alone (grid and particle count) fixes B;
+    no run-time figure moves it.  Blocks of more than one row set the
+    process's heap thresholds first (``_keep_freed_heap``); a run whose
+    states are too large to stack leaves the allocator as it is.
     """
     rows, start, size = iter(rows), 0, max(1, _BLOCK_BYTES // row_bytes)
     if size > 1:
         _keep_freed_heap()
     while chunk := list(itertools.islice(rows, size)):
-        yield start, np.stack(chunk)
+        yield start, chunk
         start += len(chunk)
+
+
+def _stacks(rows, row_bytes: int):
+    """The blocks of ``_blocks`` as (index of the first, (B, D) stack)."""
+    for start, chunk in _blocks(rows, row_bytes):
+        yield start, np.stack(chunk)
 
 
 class EnsemblePropagationError(RuntimeError):

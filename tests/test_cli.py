@@ -6,6 +6,7 @@ overrides, exit codes, file layout, thread-count byte-identity) do not
 depend on resolution.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -24,14 +25,33 @@ from nmdyn.cli import (
     CONFIG_SCHEMA,
     ConfigError,
     FORMAT_VERSION,
+    _random_state,
     load_config,
     main,
     reference_scenario,
     run_suite,
     write_payload,
 )
-from nmdyn.interaction import hamiltonian
-from nmdyn.state import phase_norm, point_from_json, point_to_json
+from nmdyn.geometry import integrate_k
+from nmdyn.interaction import (
+    characteristic_density_m,
+    grad_vector_potential,
+    hamiltonian,
+    nonlinearity_F,
+    potential_gradient_bound,
+    vartheta,
+    vector_potential,
+)
+from nmdyn.state import (
+    FieldState,
+    ParticleState,
+    PhaseSpacePoint,
+    field_norm,
+    phase_norm,
+    point_from_json,
+    point_to_json,
+    real_inner,
+)
 
 
 def small_scenario() -> dict:
@@ -337,6 +357,21 @@ class TestCommands:
         assert err.count("\n") == 1
         assert err.startswith("config error: run")
 
+    @pytest.mark.parametrize("run", [{"T": float("inf")},
+                                     {"T": 1e300, "dt": 1e-300},
+                                     {"dt": float("inf")}],
+                             ids=["T-infinite", "T-over-dt-infinite", "dt-infinite"])
+    def test_non_finite_run_times_are_a_config_error(self, run, tmp_path, capsys):
+        raw = small_scenario()
+        raw["run"].update(run)
+        path = tmp_path / "endless.json"
+        path.write_text(json.dumps(raw))  # writes Infinity, which json.load reads
+        assert main(["simulate", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: run") and "finite" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_mixture_odd_characteristic_steps_are_a_config_error(self, tmp_path, capsys):
         raw = small_scenario()
         center = raw["initial"]["measure"]["center"]
@@ -409,6 +444,18 @@ class TestCommands:
         assert main(["verify", "mvfi-identity", config_file, "--draws", "10",
                      "--out", str(tmp_path / "v")]) == 0
         assert "10 draws" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["lemma-bounds", "mvfi-identity"])
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_verify_refuses_fewer_than_one_draw(self, suite, draws, config_file,
+                                                tmp_path, capsys):
+        out = tmp_path / "v"
+        assert main(["verify", suite, config_file, "--draws", draws,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: draws must be at least 1, got {draws}\n"
+        assert "PASS" not in captured.out
+        assert not (out / f"verify_{suite}.json").exists()
 
     def test_hypotheses_report(self, config_file, tmp_path):
         out = tmp_path / "h"
@@ -623,6 +670,69 @@ class TestJsonText:
             "".join(nmdyn.cli._json_chunks({"x": np.int64(3)}))
 
 
+def _tightened_hypotheses(monkeypatch, factor):
+    """Make the suites read the hypothesis norms scaled by ``factor``."""
+    original = nmdyn.cli.check_hypotheses
+
+    def tight(*args, **kwargs):
+        report = original(*args, **kwargs)
+        return dataclasses.replace(report, norms=factor * report.norms)
+
+    monkeypatch.setattr(nmdyn.cli, "check_hypotheses", tight)
+    return tight
+
+
+def _lemma_counts_per_draw(cfg, draws, norms):
+    """The four lemma-bounds violation counts, one draw and one single-particle
+    kernel call at a time, on the suite's random stream."""
+    grid, spec, pot = cfg.grid, cfg.spec, cfg.pot
+    n = spec.n
+    chi_l2 = [np.sqrt(float(integrate_k(grid, ff.values_on(grid) ** 2)))
+              for ff in spec.form_factors]
+    grad_bound = potential_gradient_bound(spec, pot, grid)
+    c_dim = np.sqrt(2.0 * (grid.d - 1))
+    field_factor = np.sqrt((grid.d - 1) / 2.0)
+    slack, floor = 1 + 1e-12, 1e-15
+    rng = np.random.default_rng(cfg.seed)
+    v_field = v_grad = v_lip = v_vf = 0
+    for _ in range(draws):
+        u = _random_state(rng, grid, n, rng.uniform(0.05, 3.0))
+        v = _random_state(rng, grid, n, rng.uniform(0.05, 3.0))
+        i = int(rng.integers(0, n))
+        l2 = field_norm(u.field, 0.0)
+        h12 = field_norm(u.field, 0.5, "homogeneous")
+        a = vector_potential(i, u.q[i], u.field, spec, grid)
+        v_field += np.linalg.norm(a) > min(
+            c_dim * norms[i, 1] * l2, c_dim * norms[i, 0] * h12) * slack + floor
+        for nu in range(grid.d):
+            da = grad_vector_potential(i, nu, u.q[i], u.field, spec, grid)
+            v_grad += np.linalg.norm(da) > min(
+                2 * np.pi * c_dim * norms[i, 2] * l2,
+                2 * np.pi * c_dim * chi_l2[i] * h12) * slack + floor
+        a_diff = np.linalg.norm(a - vector_potential(i, v.q[i], v.field, spec, grid))
+        lip = (c_dim * norms[i, 1] * field_norm(FieldState(grid, u.alpha - v.alpha), 0.0)
+               + 2 * np.pi * c_dim * norms[i, 2] * np.linalg.norm(u.q[i] - v.q[i])
+               * field_norm(v.field, 0.0))
+        v_lip += a_diff > lip * slack + floor
+        f = nonlinearity_F(u, spec, pot, grid, cfg.basis)
+        rhs_h1 = rhs_l2 = 0.0
+        for j in range(n):
+            a_j = vector_potential(j, u.q[j], u.field, spec, grid)
+            pma = np.linalg.norm(u.p[j] - a_j)
+            pabs = np.linalg.norm(u.p[j])
+            c_a = c_dim * norms[j, 1]
+            c_g = 2 * np.pi * c_dim * norms[j, 2]
+            m_j = spec.masses[j]
+            v_vf += np.linalg.norm(f.q[j]) > (pabs + c_a * l2) / m_j * slack + floor
+            rhs = np.sqrt(grid.d) / m_j * (pabs + c_a * l2) * c_g * l2 + grad_bound[j]
+            v_vf += np.linalg.norm(f.p[j]) > rhs * slack + floor
+            rhs_h1 += field_factor * norms[j, 2] * pma / m_j
+            rhs_l2 += field_factor * norms[j, 1] * pma / m_j
+        v_vf += field_norm(f.field, 1.0, "homogeneous") > rhs_h1 * slack + floor
+        v_vf += field_norm(f.field, 0.0) > rhs_l2 * slack + floor
+    return [float(count) for count in (v_field, v_grad, v_lip, v_vf)]
+
+
 class TestSuitesOnSmallScenario:
     """Exercise every named suite once at smoke scale.
 
@@ -640,6 +750,53 @@ class TestSuitesOnSmallScenario:
     def test_lemma_bounds_small_draw_budget(self, cfg):
         outcome = run_suite("lemma-bounds", cfg, draws=60)
         assert outcome.passed, outcome.table()
+
+    def test_lemma_bounds_counts_match_a_per_draw_loop(self, cfg, monkeypatch):
+        # the Cauchy-Schwarz constants are loose: at 1/100 of the hypothesis
+        # norms every check fails on some of the 7 draws and passes on others
+        tight = _tightened_hypotheses(monkeypatch, 0.01)
+        rows = nmdyn.measures._BLOCK_BYTES // (8 * 4012)
+        assert 7 % rows != 0  # the last block is partial
+        outcome = run_suite("lemma-bounds", cfg, draws=7)
+        counts = [c["value"] for c in outcome.checks]
+        expected = _lemma_counts_per_draw(cfg, 7, tight(cfg.spec, 0.5, cfg.grid).norms)
+        assert counts == expected
+        assert all(0 < count < most
+                   for count, most in zip(counts, (7, 7 * cfg.grid.d, 7, 7 * 6)))
+
+    def test_mvfi_residual_matches_a_per_draw_loop(self, cfg):
+        grid, spec, pot = cfg.grid, cfg.spec, cfg.pot
+        rng = np.random.default_rng(cfg.seed)
+        worst = 0.0
+        for _ in range(9):
+            u = _random_state(rng, grid, spec.n, rng.uniform(0.1, 2.0))
+            xi = _random_state(rng, grid, spec.n, rng.uniform(0.1, 2.0))
+            s = rng.uniform(-2.0, 2.0)
+            m = characteristic_density_m(s, xi, u, spec, pot, grid, cfg.basis)
+            pairing = PhaseSpacePoint(
+                ParticleState(-xi.q / np.pi, xi.p / np.pi),
+                FieldState(grid, xi.alpha / (np.sqrt(2.0) * np.pi)))
+            rhs = -2.0 * np.pi * real_inner(vartheta(s, u, spec, pot, grid, cfg.basis),
+                                            pairing, 0.0)
+            scale = (1.0 + phase_norm(u, 0.0) ** 2) * (1.0 + phase_norm(xi, 0.0))
+            worst = max(worst, abs(m - rhs) / scale)
+        outcome = run_suite("mvfi-identity", cfg, draws=9)
+        assert outcome.checks[0]["value"] == worst > 0.0
+
+    def test_sampled_suites_block_invariant(self, config_file, tmp_path, monkeypatch):
+        # 7 draws of 32 KB states: blocks of 1, of 4 (4 + 3) and of all 7
+        _tightened_hypotheses(monkeypatch, 0.01)
+        default = nmdyn.measures._BLOCK_BYTES
+        outputs = []
+        for name, budget in (("one", 0), ("default", default), ("all", 10**9)):
+            monkeypatch.setattr(nmdyn.measures, "_BLOCK_BYTES", budget)
+            files = []
+            for suite, code in (("lemma-bounds", 1), ("mvfi-identity", 0)):
+                assert main(["verify", suite, config_file, "--draws", "7",
+                             "--out", str(tmp_path / name)]) == code
+                files.append((tmp_path / name / f"verify_{suite}.json").read_bytes())
+            outputs.append(files)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_duhamel_order_measures_both_schemes(self, cfg):
         outcome = run_suite("duhamel-order", cfg)
