@@ -104,14 +104,23 @@ def build_kgrid(d: int, K: float, N: int) -> KGrid:
     if not K > 0:
         raise ValueError(f"cutoff K must be positive, got K={K}")
 
-    h = 2.0 * K / N
-    half = h / 2.0 + h * np.arange(N // 2)
-    axis = np.concatenate([-half[::-1], half])
+    h, axis, absk = _grid_axis(d, K, N)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     nodes = np.stack(mesh, axis=-1).reshape(-1, d)
     weights = np.full(nodes.shape[0], h**d)
-    absk = np.sqrt(np.sum(nodes**2, axis=1))
     return KGrid(d=d, K=float(K), N=int(N), nodes=nodes, weights=weights, absk=absk)
+
+
+def _grid_axis(d: int, K: float, N: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The spacing, the per-axis nodes and |k| at every node of build_kgrid(d, K, N),
+    |k|^2 summing the squares in axis order, as np.sum(nodes**2, axis=1) does."""
+    h = 2.0 * K / N
+    half = h / 2.0 + h * np.arange(N // 2)
+    axis = np.concatenate([-half[::-1], half])
+    sq = k2 = axis**2
+    for _ in range(1, d):
+        k2 = k2[..., None] + sq
+    return h, axis, np.sqrt(k2).ravel()
 
 
 def transverse_frame(khat: np.ndarray) -> np.ndarray:

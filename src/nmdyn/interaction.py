@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import KGrid, PolarizationBasis, build_kgrid, integrate_k, polarization_basis
+from .geometry import KGrid, PolarizationBasis, _grid_axis, integrate_k, polarization_basis
 from .state import (
     FieldState,
     ParticleSpec,
@@ -381,17 +381,18 @@ class HypothesisReport:
 
 
 def _hypothesis_norms(spec: ParticleSpec, sigma: float, grid: KGrid) -> np.ndarray:
-    """The four weighted L^2 norms of each chi_i on one grid, shape (n, 4).
+    """The four weighted L^2 norms of each chi_i on one grid, shape (n, 4)."""
+    return _weighted_norms(spec, sigma, grid.absk, grid.weights)
 
-    chi comes from ``profile``, not the ``values_on`` memo, so the
-    refinement grids of :func:`check_hypotheses` are freed when it returns.
-    """
-    k = grid.absk
-    weights = (k**-2, k**-1, k, k ** (3.0 - 2.0 * sigma))
+
+def _weighted_norms(spec: ParticleSpec, sigma: float, k: np.ndarray, weights) -> np.ndarray:
+    """``_hypothesis_norms`` from the node norms k and quadrature weights, one
+    |k|^p at a time; chi comes from ``profile``, not the ``values_on`` memo."""
+    powers = (-2, -1, 1, 3.0 - 2.0 * sigma)
     norms = []
     for ff in spec.form_factors:
         chi2 = ff.profile(k) ** 2
-        norms.append(np.sqrt([float(integrate_k(grid, chi2 * w)) for w in weights]))
+        norms.append(np.sqrt([float(np.sum(chi2 * k**p * weights)) for p in powers]))
     return np.array(norms)
 
 
@@ -401,14 +402,14 @@ def check_hypotheses(spec: ParticleSpec, sigma: float, grid: KGrid) -> Hypothesi
     sigma in [1/2, 1] selects the interpolation norm |k|^{3/2-sigma} chi.
     Divergence is a report state, not an error: a flag means the norm is not
     resolution-stable, e.g. the point charge chi = 1 whose tail norms grow
-    without bound as the cutoff widens.
+    without bound as the cutoff widens.  The refinements are taken one at a
+    time, as the |k| of build_kgrid(d, K, 2N) and build_kgrid(d, 2K, 2N).
     """
     if not 0.5 <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [1/2, 1], got {sigma}")
-    fine = build_kgrid(grid.d, grid.K, 2 * grid.N)
-    wide = build_kgrid(grid.d, 2 * grid.K, 2 * grid.N)
-    norms, norms_fine, norms_wide = (_hypothesis_norms(spec, sigma, g)
-                                     for g in (grid, fine, wide))
+    norms = _hypothesis_norms(spec, sigma, grid)
+    norms_fine, norms_wide = (_weighted_norms(spec, sigma, k, h**grid.d) for h, _, k in
+                              (_grid_axis(grid.d, K, 2 * grid.N) for K in (grid.K, 2 * grid.K)))
     with np.errstate(invalid="ignore", divide="ignore"):
         flags = (norms_fine > 1.1 * norms) | (norms_wide > 1.1 * norms)
     return HypothesisReport(
@@ -441,8 +442,8 @@ class Model:
       is ``grid.nodes`` (checked when the model is built);
     * ``eps`` (L*M, d): row lam*M + j is eps_lam at node j;
     * ``epsk`` (L*M, d*d): column nu*d + mu holds eps_lam^nu(j) k_j^mu;
-    * ``pref``, ``wpref`` (n, M): chi_i/sqrt(2|k|) without and with the
-      quadrature weights;
+    * ``ipref`` (n, M): i chi_i/sqrt(2|k|), the field output's factor;
+    * ``wpref`` (n, M): weights * chi_i/sqrt(2|k|), the bracket's factor;
     * ``pair[i, j]`` for i < j: the weighted smeared Coulomb kernel
       weights * g chi_i chi_j/|k|^2 (empty for other potentials).
 
@@ -455,7 +456,7 @@ class Model:
     axes: np.ndarray
     eps: np.ndarray
     epsk: np.ndarray
-    pref: np.ndarray
+    ipref: np.ndarray
     wpref: np.ndarray
     pair: dict
 
@@ -474,7 +475,7 @@ def compile_model(spec: ParticleSpec, pot: Optional[PotentialSpec], grid: KGrid,
 @functools.lru_cache(maxsize=16)
 def _compile(spec, pot, grid, basis) -> Model:
     d = grid.d
-    axes = np.array([np.unique(grid.nodes[:, nu]) for nu in range(d)])
+    axes = np.array([grid.nodes[:: grid.N ** (d - 1 - nu), nu][: grid.N] for nu in range(d)])
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     if not np.array_equal(mesh, grid.nodes):
         raise ValueError("grid nodes are not the ij tensor product of their axes")
@@ -487,7 +488,7 @@ def _compile(spec, pot, grid, basis) -> Model:
     if pot is not None and pot.kind == "smeared-coulomb":
         pair = {(i, j): grid.weights * _pair_kernel(i, j, spec, pot, grid)
                 for i in range(spec.n) for j in range(i + 1, spec.n)}
-    return Model(pot=pot, grid=grid, axes=axes, eps=eps, epsk=epsk, pref=pref,
+    return Model(pot=pot, grid=grid, axes=axes, eps=eps, epsk=epsk, ipref=1j * pref,
                  wpref=grid.weights * pref, pair=pair)
 
 
@@ -577,6 +578,7 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     G_p,i = (1/m_i) sum_nu (p_i - A_i)^nu grad_{q_i} A_i^nu - grad_{q_i} V
     G_alpha,lam(k) = i sum_i chi_i/sqrt(2|k|) ((p_i - A_i)/m_i . eps_lam) e^{-2 pi i k.q_i}
 
+    G_alpha adds up the particles' terms in order, in place, without einsum.
     On a stack every row is computed as the single point would be.
     """
     model = compile_model(spec, pot, grid, basis)
@@ -586,13 +588,16 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     c = _bracket(u.alpha, model.wpref * phases)
     a = _vector_potentials(model, c)
     da = _grad_vector_potentials(model, c)
+    del c
     v = (u.p - a) / masses
     out = u._like(np.empty_like(u.data))
     np.subtract(np.einsum("...inm,...in->...im", da, v), grad_v, out=out.p)
     np.divide(-a, masses, out=out.q)
     proj = (v @ model.eps.T).reshape(v.shape[:-1] + (grid.d - 1, -1))  # eps_lam(k) . v_i
-    np.multiply(1j, np.einsum("...im,...ilm->...lm", model.pref * phases, proj),
-                out=out.alpha)
+    terms = np.multiply(model.ipref, phases, out=phases)
+    alpha = np.multiply(terms[..., 0, None, :], proj[..., 0, :, :], out=out.alpha)
+    for i in range(1, spec.n):
+        alpha += terms[..., i, None, :] * proj[..., i, :, :]
     return out
 
 

@@ -250,13 +250,19 @@ def free_flow(u: PhaseSpacePoint, t, spec: ParticleSpec) -> PhaseSpacePoint:
 
     (p, q, alpha) -> (p, q_i + t p_i/m_i, e^{-i t |k|} alpha_lam).  Exact
     group law and norm preservation up to rounding.  On a stack, t is one
-    time for every row or an (S,) array of one time per row.
+    time for every row or an (S,) array of one time per row.  The field turn
+    e^{-i t |k|} is computed on each call; ``_turned`` takes it precomputed.
     """
     t = np.reshape(t, np.shape(t) + (1, 1))
+    return _turned(u, t, np.exp(-1j * t * u.grid.absk), spec)
+
+
+def _turned(u: PhaseSpacePoint, t, turn: np.ndarray, spec: ParticleSpec) -> PhaseSpacePoint:
+    """``free_flow`` by t, shaped as there, with its field turn given."""
     out = u._like(np.empty_like(u.data))
     out.p[...] = u.p
     out.q[...] = u.q + t * u.p / spec.masses[:, None]
-    np.multiply(u.alpha, np.exp(-1j * t * u.grid.absk), out=out.alpha)
+    np.multiply(u.alpha, turn, out=out.alpha)
     return out
 
 

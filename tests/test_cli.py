@@ -733,6 +733,27 @@ def _lemma_counts_per_draw(cfg, draws, norms):
     return [float(count) for count in (v_field, v_grad, v_lip, v_vf)]
 
 
+def _mvfi_worst_per_draw(cfg, draws):
+    """The mvfi-identity suite's worst scaled residual, one draw and one
+    single-point kernel call at a time, on the suite's random stream."""
+    grid, spec, pot = cfg.grid, cfg.spec, cfg.pot
+    rng = np.random.default_rng(cfg.seed)
+    worst = 0.0
+    for _ in range(draws):
+        u = _random_state(rng, grid, spec.n, rng.uniform(0.1, 2.0))
+        xi = _random_state(rng, grid, spec.n, rng.uniform(0.1, 2.0))
+        s = rng.uniform(-2.0, 2.0)
+        m = characteristic_density_m(s, xi, u, spec, pot, grid, cfg.basis)
+        pairing = PhaseSpacePoint(
+            ParticleState(-xi.q / np.pi, xi.p / np.pi),
+            FieldState(grid, xi.alpha / (np.sqrt(2.0) * np.pi)))
+        rhs = -2.0 * np.pi * real_inner(vartheta(s, u, spec, pot, grid, cfg.basis),
+                                        pairing, 0.0)
+        scale = (1.0 + phase_norm(u, 0.0) ** 2) * (1.0 + phase_norm(xi, 0.0))
+        worst = max(worst, abs(m - rhs) / scale)
+    return worst
+
+
 class TestSuitesOnSmallScenario:
     """Exercise every named suite once at smoke scale.
 
@@ -765,23 +786,40 @@ class TestSuitesOnSmallScenario:
                    for count, most in zip(counts, (7, 7 * cfg.grid.d, 7, 7 * 6)))
 
     def test_mvfi_residual_matches_a_per_draw_loop(self, cfg):
-        grid, spec, pot = cfg.grid, cfg.spec, cfg.pot
-        rng = np.random.default_rng(cfg.seed)
-        worst = 0.0
-        for _ in range(9):
-            u = _random_state(rng, grid, spec.n, rng.uniform(0.1, 2.0))
-            xi = _random_state(rng, grid, spec.n, rng.uniform(0.1, 2.0))
-            s = rng.uniform(-2.0, 2.0)
-            m = characteristic_density_m(s, xi, u, spec, pot, grid, cfg.basis)
-            pairing = PhaseSpacePoint(
-                ParticleState(-xi.q / np.pi, xi.p / np.pi),
-                FieldState(grid, xi.alpha / (np.sqrt(2.0) * np.pi)))
-            rhs = -2.0 * np.pi * real_inner(vartheta(s, u, spec, pot, grid, cfg.basis),
-                                            pairing, 0.0)
-            scale = (1.0 + phase_norm(u, 0.0) ** 2) * (1.0 + phase_norm(xi, 0.0))
-            worst = max(worst, abs(m - rhs) / scale)
         outcome = run_suite("mvfi-identity", cfg, draws=9)
-        assert outcome.checks[0]["value"] == worst > 0.0
+        assert outcome.checks[0]["value"] == _mvfi_worst_per_draw(cfg, 9) > 0.0
+
+    def test_mvfi_scale_squares_as_python_pow(self, cfg):
+        # the one draw of seed 1557 is one whose 1 + |u|^2 rounds differently
+        # when the norm is squared by the array ** 2 instead of float_power
+        cfg = dataclasses.replace(cfg, seed=1557)
+        rng = np.random.default_rng(cfg.seed)
+        norm = np.array([phase_norm(_random_state(rng, cfg.grid, cfg.spec.n,
+                                                  rng.uniform(0.1, 2.0)), 0.0)])
+        assert 1.0 + norm[0] ** 2 != (1.0 + norm**2)[0]
+        outcome = run_suite("mvfi-identity", cfg, draws=1)
+        assert outcome.checks[0]["value"] == _mvfi_worst_per_draw(cfg, 1) > 0.0
+
+    def test_lipschitz_bound_scales_with_the_field_difference(self, cfg, monkeypatch):
+        # Each v is its u with the field scaled by 1 + 1e-6, so |A(u) - A(v)|
+        # is 1e-6 |A(u)|.  With the norms at 1e-3 every draw must break the
+        # bound c ||chi/sqrt|k||| ||alpha_u - alpha_v||; a bound built from
+        # alpha_u + alpha_v is 2e6 times larger and holds on every draw.
+        _tightened_hypotheses(monkeypatch, 1e-3)
+        last = []
+
+        def near_pairs(rng, grid, n, scale):
+            if last:
+                u = last.pop()
+                v = u._like(u.data.copy())
+                v.alpha[...] *= 1.0 + 1e-6
+                return v
+            last.append(_random_state(rng, grid, n, scale))
+            return last[0]
+
+        monkeypatch.setattr(nmdyn.cli, "_random_state", near_pairs)
+        outcome = run_suite("lemma-bounds", cfg, draws=5)
+        assert outcome.checks[2]["value"] == 5
 
     def test_sampled_suites_block_invariant(self, config_file, tmp_path, monkeypatch):
         # 7 draws of 32 KB states: blocks of 1, of 4 (4 + 3) and of all 7

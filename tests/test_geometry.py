@@ -65,6 +65,12 @@ class TestBuildKGrid:
         with pytest.raises(ValueError):
             build_kgrid(**bad)
 
+    @pytest.mark.parametrize("d, K, N", [(3, 2.5, 24), (3, 5.0, 48), (4, 1.3, 10), (5, 0.7, 6)])
+    def test_absk_sums_the_squares_in_node_table_order(self, d, K, N):
+        grid = build_kgrid(d, K, N)
+        direct = np.sqrt(np.sum(grid.nodes**2, axis=1))
+        assert grid.absk.tobytes() == direct.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(
         d=st.sampled_from([3, 4]),

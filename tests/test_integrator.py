@@ -144,6 +144,37 @@ class TestSteps:
             rk4_interaction_step(0.0, u0, 0.0, spec, pot, grid)
 
 
+class TestBitIdentity:
+    """The step's shortcuts round exactly as the plain formulas do."""
+
+    def test_rk4_running_sum_is_the_four_slope_formula(self, tiny_grid):
+        rng = np.random.default_rng(5)
+        stack = PhaseSpacePoint._of(
+            tiny_grid, np.stack([random_point(rng, tiny_grid).data for _ in range(4)]))
+
+        def f(t, v):
+            return v._like(np.sin(v.data) * (1.0 + t) - 0.3 * v.data**2)
+
+        t, dt = 0.7, 0.013
+        k1 = f(t, stack)
+        k2 = f(t + dt / 2.0, stack + (dt / 2.0) * k1)
+        k3 = f(t + dt / 2.0, stack + (dt / 2.0) * k2)
+        k4 = f(t + dt, stack + dt * k3)
+        expected = stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert nmdyn.integrator._rk4(f, t, stack, dt).data.tobytes() == expected.data.tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_stepper_states_are_chained_strang_steps(self, coupled, rows):
+        grid, spec, pot, u0, _ = coupled
+        if rows:
+            rng = np.random.default_rng(9)
+            u0 = u0._like(u0.data + 1e-3 * rng.standard_normal((rows, u0.data.size)))
+        state = u0
+        for stepped in stepper(u0, 0.06, 0.02, spec, pot, grid):
+            state = strang_step(state, 0.02, spec, pot, grid)
+            assert stepped.data.tobytes() == state.data.tobytes()
+
+
 class TestEvolve:
     @pytest.mark.parametrize("scheme", ["strang", "interaction-rk4"])
     def test_stepper_last_state_is_evolve_endpoint(self, coupled, scheme):

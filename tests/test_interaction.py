@@ -5,6 +5,10 @@ finite-dimensional Cauchy-Schwarz constant for the quadrature sum itself, so
 violations would indicate implementation bugs, not discretization error.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +34,13 @@ from nmdyn.interaction import (
     vartheta,
     vector_potential,
 )
-from nmdyn.interaction import _phases, _smeared_pair_complex
+from nmdyn.interaction import (
+    _bracket,
+    _hypothesis_norms,
+    _phases,
+    _smeared_pair_complex,
+    _vector_potentials,
+)
 from nmdyn.state import (
     FieldState,
     ParticleSpec,
@@ -240,6 +250,18 @@ class TestHypotheses:
         spec = ParticleSpec(np.array([1.0]), (FormFactor.gaussian(1.0),))
         report = check_hypotheses(spec, 0.5, grid)
         assert np.allclose(report.norms_wide, report.norms, rtol=1e-8)
+
+    @pytest.mark.parametrize("family", ["gaussian", "ball", "point"])
+    @pytest.mark.parametrize("d, K, N", [(3, 2.5, 8), (4, 1.5, 4)])
+    def test_refinements_are_the_refined_grids_norms(self, family, d, K, N):
+        ff = {"gaussian": FormFactor.gaussian(1.0), "ball": FormFactor.ball(1.3),
+              "point": FormFactor.point()}[family]
+        spec = ParticleSpec(np.array([1.0, 2.0]), (ff, FormFactor.gaussian(0.7)))
+        report = check_hypotheses(spec, 0.75, build_kgrid(d, K, N))
+        assert _same_bits(report.norms_fine,
+                          _hypothesis_norms(spec, 0.75, build_kgrid(d, K, 2 * N)))
+        assert _same_bits(report.norms_wide,
+                          _hypothesis_norms(spec, 0.75, build_kgrid(d, 2 * K, 2 * N)))
 
     def test_refinement_grids_are_not_memoized(self):
         FormFactor.values_on.cache_clear()
@@ -515,6 +537,22 @@ class TestModel:
         assert np.array_equal(g_a.p, g_b.p)
         assert np.array_equal(g_a.q, g_b.q)
         assert np.array_equal(g_a.alpha, g_b.alpha)
+
+
+    def test_compiling_does_not_import_numpy_ma(self):
+        # numpy.ma costs about 12 ms of import on every command that compiles
+        code = ("import sys\n"
+                "from nmdyn.geometry import build_kgrid\n"
+                "from nmdyn.interaction import FormFactor, PotentialSpec, compile_model\n"
+                "from nmdyn.state import ParticleSpec\n"
+                "spec = ParticleSpec([1.0, 2.0], [FormFactor.gaussian(1.0)] * 2)\n"
+                "compile_model(spec, PotentialSpec.coulomb(0.5), build_kgrid(3, 2.0, 4))\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestTensorProductPhases:
@@ -909,6 +947,18 @@ class TestStacks:
                 t_m = t[m] if np.ndim(t) else t
                 assert _same_bits(flowed.data[m], free_flow(u, t_m, spec).data)
                 assert _same_bits(theta.data[m], vartheta(t_m, u, spec, pot, grid).data)
+
+    def test_field_output_is_the_einsum_contraction(self, case):
+        grid, spec, pot, _, stack = case
+        model = compile_model(spec, pot, grid)
+        phases = _phases(model, stack.q)
+        a = _vector_potentials(model, _bracket(stack.alpha, model.wpref * phases))
+        proj = (((stack.p - a) / spec.masses[:, None]) @ model.eps.T).reshape(
+            stack.q.shape[:-1] + (grid.d - 1, -1))
+        pref = (np.array([ff.values_on(grid) for ff in spec.form_factors])
+                / np.sqrt(2.0 * grid.absk))
+        expected = 1j * np.einsum("...im,...ilm->...lm", pref * phases, proj)
+        assert _same_bits(nonlinearity_G(stack, spec, pot, grid).alpha, expected)
 
     def test_real_inner_pairs_every_direction_with_every_row(self, case):
         grid, _, _, points, stack = case

@@ -537,7 +537,7 @@ class TestMoments:
         def refuse(*_):
             raise AssertionError("moment_report built a refinement grid")
 
-        monkeypatch.setattr(interaction, "build_kgrid", refuse)
+        monkeypatch.setattr(interaction, "_grid_axis", refuse)
         assert moment_report(*args).to_json() == expected
 
     def test_decoupled_moments_are_constants(self, tiny_grid, decoupled):
