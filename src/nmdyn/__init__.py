@@ -36,7 +36,6 @@ from .interaction import (
     characteristic_density_m,
     check_hypotheses,
     default_basis,
-    grad_vector_potential,
     hamiltonian,
     nonlinearity_F,
     nonlinearity_G,
@@ -45,7 +44,6 @@ from .interaction import (
     potential_value_bound,
     smeared_coulomb,
     vartheta,
-    vector_potential,
 )
 from .integrator import (
     DivergenceReport,

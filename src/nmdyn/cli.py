@@ -712,14 +712,14 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
     report = check_hypotheses(spec, 0.5, grid)
     norms = report.norms
     chi_l2 = np.array([
-        np.sqrt(float(integrate_k(grid, ff.values_on(grid) ** 2)))
+        np.sqrt(float(integrate_k(grid, ff.profile(grid.absk) ** 2)))
         for ff in spec.form_factors
     ])
     grad_bound = potential_gradient_bound(spec, pot, grid)
     c_dim = np.sqrt(2.0 * (grid.d - 1))
     field_factor = np.sqrt((grid.d - 1) / 2.0)
     slack, floor = 1 + 1e-12, 1e-15
-    model = compile_model(spec, None, grid)
+    model = compile_model(spec, pot, grid, cfg.basis)
     rng = np.random.default_rng(cfg.seed)
 
     def draw():
@@ -850,8 +850,8 @@ def verify_gronwall(cfg: ScenarioConfig, allow_flagged: bool = False,
 
 
 def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
-                          directions: int = 5, **_) -> VerifyOutcome:
-    """The characteristic equation along the pushed ensemble.
+                          **_) -> VerifyOutcome:
+    """The characteristic equation along the pushed ensemble, in 5 random directions.
 
     Point-mass part: the residual of the integrated identity must decay at
     second order under dt refinement (ratios ~4 under halving).  Sampled
@@ -862,8 +862,7 @@ def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
     measure = cfg.require_measure()
     args = (cfg.spec, cfg.pot, cfg.grid)
     rng = np.random.default_rng(cfg.seed)
-    ys = [_random_direction(rng, cfg.grid, cfg.spec.masses.size)
-          for _ in range(directions)]
+    ys = [_random_direction(rng, cfg.grid, cfg.spec.masses.size) for _ in range(5)]
     checks = []
     coarsest = 4 if cfg.point is not None else 2  # the point-mass part also runs 4*dt
     if _step_count(cfg.T, cfg.dt) % coarsest != 0:
@@ -1049,7 +1048,11 @@ def _write_csv(path: str, cfg: ScenarioConfig, writer) -> None:
 
 
 def _out_dir(cfg: ScenarioConfig) -> str:
-    os.makedirs(cfg.output, exist_ok=True)
+    try:
+        os.makedirs(cfg.output, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out: cannot use {cfg.output!r} as the output "
+                          f"directory: {err.strerror}") from err
     return cfg.output
 
 

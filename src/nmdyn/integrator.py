@@ -214,15 +214,13 @@ def _step_count(T: float, dt: float) -> int:
     return n
 
 
-def refuse_flagged(spec: ParticleSpec, grid: KGrid, allow_flagged: bool,
-                   report: Optional[HypothesisReport] = None) -> HypothesisReport:
+def refuse_flagged(spec: ParticleSpec, grid: KGrid, allow_flagged: bool) -> HypothesisReport:
     """The hypothesis report of (spec, grid), refused when flagged.
 
-    Computes the report unless one is given, and raises
-    FlaggedHypothesesError on a flagged report unless allow_flagged is set.
+    Raises FlaggedHypothesesError on a flagged report unless allow_flagged
+    is set.
     """
-    if report is None:
-        report = check_hypotheses(spec, 0.5, grid)
+    report = check_hypotheses(spec, 0.5, grid)
     if report.flagged and not allow_flagged:
         raise FlaggedHypothesesError(
             "form-factor norms are not resolution-stable on this grid "
@@ -319,19 +317,18 @@ def _trajectory(grid: KGrid, dt: float, stored_indices: np.ndarray, hist: dict) 
 def evolve(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
            pot: PotentialSpec, grid: KGrid, scheme: str = "strang",
            store_every: int = 1, basis: Optional[PolarizationBasis] = None,
-           allow_flagged: bool = False,
-           hypothesis_report: Optional[HypothesisReport] = None) -> Trajectory:
+           allow_flagged: bool = False) -> Trajectory:
     """Evolve u0 over [0, T] in steps of dt, recording diagnostics each step.
 
     Refuses to start when the form-factor integrability check flags the spec,
-    unless allow_flagged is set; a precomputed report may be passed to avoid
-    re-checking.  Recorded samples are physical variables for both schemes.
+    unless allow_flagged is set.  Recorded samples are physical variables for
+    both schemes.
     This is ``push_forward``'s loop for a single sample.
     """
     states = stepper(u0, T, dt, spec, pot, grid, scheme, basis)
     n = _step_count(T, dt)
     stored_indices = _stored_steps(n, store_every)
-    refuse_flagged(spec, grid, allow_flagged, hypothesis_report)
+    refuse_flagged(spec, grid, allow_flagged)
 
     hist = _history((), u0, n, stored_indices)
     _record(u0, states, stored_indices, hist, spec, pot, grid, basis)

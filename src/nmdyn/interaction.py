@@ -24,7 +24,11 @@ Conventions (fixed across the package, 2*pi in every Fourier exponent):
 Every integral is a quadrature sum on the given grid, so all bounds asserted
 in the tests are *grid-consistent*: they are exact finite-dimensional
 inequalities (Cauchy-Schwarz plus |e^{i a} - e^{i b}| <= |a - b|), not
-continuum statements.
+continuum statements.  In particular every node sum is anti-periodic in
+position with period L = N/(2K) per axis (the nodes sit at odd multiples of
+h/2, so e^{-2 pi i k.(q + L e_mu)} = -e^{-2 pi i k.q}): the grid's w_ij is
+the continuum pair potential plus an alternating lattice of image charges,
+not the free-space potential, and the same holds for A_i (ROADMAP item 1).
 
 The state-independent data of the flow live in one immutable ``Model``
 (see its docstring for the tables), built once per (spec, pot, grid, basis)
@@ -49,7 +53,6 @@ import numpy as np
 
 from .geometry import KGrid, PolarizationBasis, _grid_axis, integrate_k, polarization_basis
 from .state import (
-    FieldState,
     ParticleSpec,
     PhaseSpacePoint,
     _field_norm,
@@ -62,8 +65,6 @@ __all__ = [
     "PotentialSpec",
     "HypothesisReport",
     "check_hypotheses",
-    "vector_potential",
-    "grad_vector_potential",
     "smeared_coulomb",
     "potential",
     "potential_gradient_bound",
@@ -159,11 +160,6 @@ class FormFactor:
         return np.interp(r, self.r_samples, self.chi_samples,
                          left=self.chi_samples[0], right=0.0)
 
-    @functools.lru_cache(maxsize=64)
-    def values_on(self, grid: KGrid) -> np.ndarray:
-        """chi at the grid nodes, memoized per (form factor, grid) identity."""
-        return self.profile(grid.absk)
-
 
 # --------------------------------------------------------------------------
 # potentials
@@ -177,7 +173,9 @@ class PotentialSpec:
     """Pair potential specification.
 
     kind = "smeared-coulomb": w_ij(x) = g int chi_i chi_j/|k|^2 e^{2 pi i k.x} dk
-    with the particles' own form factors (g absorbs the dimensional constant);
+    with the particles' own form factors (g absorbs the dimensional constant),
+    taken as a node sum, hence anti-periodic with period L = N/(2K) per axis
+    (see the module docstring);
     kind = "zero": V identically 0;
     kind = "product-of-cos": w(x) = amplitude * prod_nu cos(kappa_nu x_nu),
     an analytic family with explicit C_b^2 bounds.
@@ -213,8 +211,8 @@ class PotentialSpec:
 def _pair_kernel(i: int, j: int, spec: ParticleSpec, pot: PotentialSpec,
                  grid: KGrid) -> np.ndarray:
     """g * chi_i chi_j / |k|^2 on the nodes (real, nonnegative for chi >= 0)."""
-    chi_i = spec.form_factors[i].values_on(grid)
-    chi_j = spec.form_factors[j].values_on(grid)
+    chi_i = spec.form_factors[i].profile(grid.absk)
+    chi_j = spec.form_factors[j].profile(grid.absk)
     return pot.g * chi_i * chi_j / grid.absk**2
 
 
@@ -232,7 +230,9 @@ def smeared_coulomb(i: int, j: int, x: np.ndarray, spec: ParticleSpec,
     """Smeared pair potential w_ij and its gradient at separation x.
 
     Real up to rounding by the +/-k symmetry of the grid; w is even in x and
-    |w_ij(x)| <= w_ij(0) = g ||chi_i chi_j/|k|^2||_{L^1} pointwise.
+    |w_ij(x)| <= w_ij(0) = g ||chi_i chi_j/|k|^2||_{L^1} pointwise.  As a node
+    sum it is anti-periodic: w(x + L e_mu) = -w(x) and grad w flips with it,
+    for L = N/(2K), so it is not the free-space potential (ROADMAP item 1).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (grid.d,):
@@ -387,7 +387,7 @@ def _hypothesis_norms(spec: ParticleSpec, sigma: float, grid: KGrid) -> np.ndarr
 
 def _weighted_norms(spec: ParticleSpec, sigma: float, k: np.ndarray, weights) -> np.ndarray:
     """``_hypothesis_norms`` from the node norms k and quadrature weights, one
-    |k|^p at a time; chi comes from ``profile``, not the ``values_on`` memo."""
+    |k|^p at a time."""
     powers = (-2, -1, 1, 3.0 - 2.0 * sigma)
     norms = []
     for ff in spec.form_factors:
@@ -451,7 +451,7 @@ class Model:
     their long products with the bracket (2-4x faster at 13,824 nodes).
     """
 
-    pot: Optional[PotentialSpec]
+    pot: PotentialSpec
     grid: KGrid
     axes: np.ndarray
     eps: np.ndarray
@@ -461,14 +461,10 @@ class Model:
     pair: dict
 
 
-def compile_model(spec: ParticleSpec, pot: Optional[PotentialSpec], grid: KGrid,
+def compile_model(spec: ParticleSpec, pot: PotentialSpec, grid: KGrid,
                   basis: Optional[PolarizationBasis] = None) -> Model:
-    """The model of (spec, pot, grid, basis), memoized by their identity.
-
-    basis=None means default_basis(grid), so both spellings return the same
-    model; pot=None builds a model without pair kernels (for the vector
-    potential, which does not depend on V).
-    """
+    """The model of (spec, pot, grid, basis), memoized by their identity;
+    basis=None means default_basis(grid), so both spellings share one model."""
     return _compile(spec, pot, grid, default_basis(grid) if basis is None else basis)
 
 
@@ -482,10 +478,10 @@ def _compile(spec, pot, grid, basis) -> Model:
     eps = np.asfortranarray(basis.vectors.transpose(1, 0, 2).reshape(-1, d))
     k = np.tile(grid.nodes, (d - 1, 1))
     epsk = np.asfortranarray((eps[:, :, None] * k[:, None, :]).reshape(-1, d * d))
-    pref = (np.array([ff.values_on(grid) for ff in spec.form_factors])
+    pref = (np.array([ff.profile(grid.absk) for ff in spec.form_factors])
             / np.sqrt(2.0 * grid.absk))
     pair = {}
-    if pot is not None and pot.kind == "smeared-coulomb":
+    if pot.kind == "smeared-coulomb":
         pair = {(i, j): grid.weights * _pair_kernel(i, j, spec, pot, grid)
                 for i in range(spec.n) for j in range(i + 1, spec.n)}
     return Model(pot=pot, grid=grid, axes=axes, eps=eps, epsk=epsk, ipref=1j * pref,
@@ -530,30 +526,6 @@ def _grad_vector_potentials(model: Model, c: np.ndarray) -> np.ndarray:
     d = model.grid.d
     return (4.0 * np.pi * (np.ascontiguousarray(c.imag) @ model.epsk)).reshape(
         c.shape[:-1] + (d, d))
-
-
-def _check_field_grid(alpha: FieldState, grid: KGrid) -> None:
-    if alpha.grid is not grid and alpha.grid.node_count != grid.node_count:
-        raise ValueError("field state lives on a different grid")
-
-
-def vector_potential(i: int, q_i: np.ndarray, alpha: FieldState, spec: ParticleSpec,
-                     grid: KGrid, basis: Optional[PolarizationBasis] = None) -> np.ndarray:
-    """Smeared vector potential A_i(q_i, alpha), a real vector in R^d."""
-    _check_field_grid(alpha, grid)
-    model = compile_model(spec, None, grid, basis)
-    coeff = model.wpref[i] * _phases(model, np.atleast_2d(q_i))
-    return _vector_potentials(model, _bracket(alpha.values, coeff))[0]
-
-
-def grad_vector_potential(i: int, nu: int, q_i: np.ndarray, alpha: FieldState,
-                          spec: ParticleSpec, grid: KGrid,
-                          basis: Optional[PolarizationBasis] = None) -> np.ndarray:
-    """Gradient in q_i of the nu-th component of A_i (the 2 pi i k weight)."""
-    _check_field_grid(alpha, grid)
-    model = compile_model(spec, None, grid, basis)
-    coeff = model.wpref[i] * _phases(model, np.atleast_2d(q_i))
-    return _grad_vector_potentials(model, _bracket(alpha.values, coeff))[0, nu]
 
 
 def hamiltonian(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,

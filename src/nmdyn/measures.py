@@ -58,7 +58,6 @@ from .integrator import (
     stepper,
 )
 from .interaction import (
-    HypothesisReport,
     PotentialSpec,
     _hypothesis_norms,
     potential_value_bound,
@@ -309,8 +308,7 @@ def sample_measure(measure: MeasureSpec, m_samples: int, seed: int) -> Ensemble:
 def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
                  pot: PotentialSpec, grid: KGrid, scheme: str = "strang",
                  store_every: int = 1, allow_flagged: bool = False,
-                 basis: Optional[PolarizationBasis] = None,
-                 hypothesis_report: Optional[HypothesisReport] = None) -> Ensemble:
+                 basis: Optional[PolarizationBasis] = None) -> Ensemble:
     """Transport every sample through the flow; returns the time-T ensemble.
 
     The form-factor resolution check runs once and is shared by all samples.
@@ -326,7 +324,7 @@ def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
     raise ValueError unwrapped.
     """
     # a property of (spec, grid), not of any sample: refuse up front
-    refuse_flagged(spec, grid, allow_flagged, hypothesis_report)
+    refuse_flagged(spec, grid, allow_flagged)
     points = ensemble.points
     n = _step_count(T, dt)
     stored_indices = _stored_steps(n, store_every)

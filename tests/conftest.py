@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from nmdyn.geometry import PolarizationBasis, build_kgrid
+from nmdyn.interaction import (
+    PotentialSpec,
+    _bracket,
+    _grad_vector_potentials,
+    _phases,
+    _vector_potentials,
+    compile_model,
+)
 from nmdyn.state import FieldState, ParticleState, PhaseSpacePoint
+
+# one instance: models are memoized by identity, so calls share their model
+NO_POTENTIAL = PotentialSpec.zero()
 
 
 def random_field(rng, grid, scale=1.0, decay=True):
@@ -36,6 +47,14 @@ def rotate_frame(rng, grid, basis, alpha):
     vectors = np.einsum("jlv,jlm->jmv", basis.vectors, q_mat)
     rotated = np.einsum("jlm,lj->mj", q_mat, alpha)
     return PolarizationBasis(grid, vectors), rotated, q_mat
+
+
+def coupling(q, alpha, spec, grid, basis=None):
+    """A_i and grad A_i (row nu: grad A_i^nu) of every particle at positions q
+    (n, d) in the field alpha, through the kernels' own bracket."""
+    model = compile_model(spec, NO_POTENTIAL, grid, basis)
+    c = _bracket(alpha, model.wpref * _phases(model, np.asarray(q, dtype=float)))
+    return _vector_potentials(model, c), _grad_vector_potentials(model, c)
 
 
 @pytest.fixture(scope="session")

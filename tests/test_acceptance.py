@@ -10,7 +10,7 @@ deliberately the slowest module of the suite (a few minutes single-core).
 import numpy as np
 import pytest
 
-from conftest import random_point, rotate_frame
+from conftest import coupling, random_point, rotate_frame
 
 from nmdyn.cli import load_config, main, reference_scenario, run_suite
 from nmdyn.geometry import build_kgrid, integrate_k
@@ -19,7 +19,6 @@ from nmdyn.interaction import (
     characteristic_density_m,
     hamiltonian,
     nonlinearity_F,
-    vector_potential,
 )
 from nmdyn.state import FieldState, PhaseSpacePoint, phase_norm
 
@@ -133,7 +132,7 @@ def test_08_characteristic_equation_residuals():
     cfg = scenario(grid={"d": 3, "K": 1.5, "N": 8},
                    run={"T": 0.4, "dt": 0.01, "snapshot_every": 1},
                    ensemble={"M": 256, "seed": 2026})
-    outcome = run_suite("characteristic", cfg, threads=2, directions=5)
+    outcome = run_suite("characteristic", cfg)
     assert outcome.passed, "\n" + outcome.table()
 
 
@@ -146,7 +145,7 @@ def test_10_fourth_moments_stay_inside_certificates():
     cfg = scenario(grid={"d": 3, "K": 2.0, "N": 10},
                    run={"T": 5.0, "dt": 0.02, "snapshot_every": 5},
                    ensemble={"M": 64, "seed": 2026})
-    outcome = run_suite("moments", cfg, threads=2)
+    outcome = run_suite("moments", cfg)
     assert outcome.passed, "\n" + outcome.table()
 
 
@@ -163,9 +162,9 @@ def test_11_polarization_frame_choice_is_invisible():
 
     u_rot = PhaseSpacePoint(u.particles, FieldState(grid, u_alpha_rot))
     xi_rot = PhaseSpacePoint(xi.particles, FieldState(grid, co(xi.alpha)))
-    for i in range(spec.masses.size):
-        a1 = vector_potential(i, u.q[i], u.field, spec, grid, basis)
-        a2 = vector_potential(i, u.q[i], u_rot.field, spec, grid, basis_rot)
+    a1_all, _ = coupling(u.q, u.alpha, spec, grid, basis)
+    a2_all, _ = coupling(u.q, u_rot.alpha, spec, grid, basis_rot)
+    for i, (a1, a2) in enumerate(zip(a1_all, a2_all)):
         rel = np.max(np.abs(a1 - a2)) / np.max(np.abs(a1))
         assert rel <= 1e-12, f"vector potential {i}: rel change {rel:.2e}"
 

@@ -16,6 +16,8 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import coupling
+
 import nmdyn.cli
 import nmdyn.integrator
 import nmdyn.interaction
@@ -35,12 +37,10 @@ from nmdyn.cli import (
 from nmdyn.geometry import integrate_k
 from nmdyn.interaction import (
     characteristic_density_m,
-    grad_vector_potential,
     hamiltonian,
     nonlinearity_F,
     potential_gradient_bound,
     vartheta,
-    vector_potential,
 )
 from nmdyn.state import (
     FieldState,
@@ -264,7 +264,7 @@ class TestConfig:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(raw))
         cfg = load_config(str(path))
-        assert cfg.spec.form_factors[0].values_on(cfg.grid).max() > 0
+        assert cfg.spec.form_factors[0].profile(cfg.grid.absk).max() > 0
 
 
 class TestCommands:
@@ -385,6 +385,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("config error: run")
+
+    @pytest.mark.parametrize("command", [["simulate"], ["verify", "gauge"]],
+                             ids=["simulate", "verify-gauge"])
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_is_a_config_error(self, command, under,
+                                                              config_file, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "run" if under else blocker
+        assert main(command + [config_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: --out")
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "taken"]
 
     def test_import_leaves_scipy_out(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(nmdyn.__file__)))
@@ -683,11 +698,11 @@ def _tightened_hypotheses(monkeypatch, factor):
 
 
 def _lemma_counts_per_draw(cfg, draws, norms):
-    """The four lemma-bounds violation counts, one draw and one single-particle
+    """The four lemma-bounds violation counts, one draw and one single-point
     kernel call at a time, on the suite's random stream."""
     grid, spec, pot = cfg.grid, cfg.spec, cfg.pot
     n = spec.n
-    chi_l2 = [np.sqrt(float(integrate_k(grid, ff.values_on(grid) ** 2)))
+    chi_l2 = [np.sqrt(float(integrate_k(grid, ff.profile(grid.absk) ** 2)))
               for ff in spec.form_factors]
     grad_bound = potential_gradient_bound(spec, pot, grid)
     c_dim = np.sqrt(2.0 * (grid.d - 1))
@@ -701,15 +716,15 @@ def _lemma_counts_per_draw(cfg, draws, norms):
         i = int(rng.integers(0, n))
         l2 = field_norm(u.field, 0.0)
         h12 = field_norm(u.field, 0.5, "homogeneous")
-        a = vector_potential(i, u.q[i], u.field, spec, grid)
+        a_all, da_all = coupling(u.q, u.alpha, spec, grid, cfg.basis)
+        a = a_all[i]
         v_field += np.linalg.norm(a) > min(
             c_dim * norms[i, 1] * l2, c_dim * norms[i, 0] * h12) * slack + floor
-        for nu in range(grid.d):
-            da = grad_vector_potential(i, nu, u.q[i], u.field, spec, grid)
+        for da in da_all[i]:
             v_grad += np.linalg.norm(da) > min(
                 2 * np.pi * c_dim * norms[i, 2] * l2,
                 2 * np.pi * c_dim * chi_l2[i] * h12) * slack + floor
-        a_diff = np.linalg.norm(a - vector_potential(i, v.q[i], v.field, spec, grid))
+        a_diff = np.linalg.norm(a - coupling(v.q, v.alpha, spec, grid, cfg.basis)[0][i])
         lip = (c_dim * norms[i, 1] * field_norm(FieldState(grid, u.alpha - v.alpha), 0.0)
                + 2 * np.pi * c_dim * norms[i, 2] * np.linalg.norm(u.q[i] - v.q[i])
                * field_norm(v.field, 0.0))
@@ -717,8 +732,7 @@ def _lemma_counts_per_draw(cfg, draws, norms):
         f = nonlinearity_F(u, spec, pot, grid, cfg.basis)
         rhs_h1 = rhs_l2 = 0.0
         for j in range(n):
-            a_j = vector_potential(j, u.q[j], u.field, spec, grid)
-            pma = np.linalg.norm(u.p[j] - a_j)
+            pma = np.linalg.norm(u.p[j] - a_all[j])
             pabs = np.linalg.norm(u.p[j])
             c_a = c_dim * norms[j, 1]
             c_g = 2 * np.pi * c_dim * norms[j, 2]
@@ -771,6 +785,13 @@ class TestSuitesOnSmallScenario:
     def test_lemma_bounds_small_draw_budget(self, cfg):
         outcome = run_suite("lemma-bounds", cfg, draws=60)
         assert outcome.passed, outcome.table()
+
+    def test_lemma_bounds_compiles_one_model(self):
+        cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                                       "configs", "quickstart.json"))
+        nmdyn.interaction._compile.cache_clear()
+        run_suite("lemma-bounds", cfg, draws=3)
+        assert nmdyn.interaction._compile.cache_info().currsize == 1
 
     def test_lemma_bounds_counts_match_a_per_draw_loop(self, cfg, monkeypatch):
         # the Cauchy-Schwarz constants are loose: at 1/100 of the hypothesis

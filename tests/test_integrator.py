@@ -245,43 +245,39 @@ class TestEvolve:
             assert np.array_equal(traj.p[k], exact.p)
 
     def test_diagnostics_match_recomputation(self, coupled):
-        grid, spec, pot, u0, report = coupled
-        traj = evolve(u0, 0.1, 2e-2, spec, pot, grid, hypothesis_report=report)
+        grid, spec, pot, u0, _ = coupled
+        traj = evolve(u0, 0.1, 2e-2, spec, pot, grid)
         for k, state in zip(traj.stored_indices, traj.stored_states()):
             assert hamiltonian(state, spec, pot, grid) == traj.energies[k]
             assert phase_norm(state, 0.5) == traj.norms[k, 1]
 
     def test_energy_drift_is_second_order(self, coupled):
-        grid, spec, pot, u0, report = coupled
+        grid, spec, pot, u0, _ = coupled
         drifts = []
         for dt in (2e-2, 1e-2):
-            traj = evolve(u0, 1.0, dt, spec, pot, grid, hypothesis_report=report)
+            traj = evolve(u0, 1.0, dt, spec, pot, grid)
             drifts.append(np.max(np.abs(traj.energies - traj.energies[0])))
         assert drifts[0] < 5e-4
         ratio = drifts[0] / drifts[1]
         assert 3.7 < ratio < 4.3  # measured 4.00
 
     def test_schemes_converge_to_each_other(self, coupled):
-        grid, spec, pot, u0, report = coupled
+        grid, spec, pot, u0, _ = coupled
         gaps = []
         for dt in (2e-2, 1e-2):
-            a = evolve(u0, 0.5, dt, spec, pot, grid, scheme="strang",
-                       hypothesis_report=report).endpoint()
-            b = evolve(u0, 0.5, dt, spec, pot, grid, scheme="interaction-rk4",
-                       hypothesis_report=report).endpoint()
+            a = evolve(u0, 0.5, dt, spec, pot, grid, scheme="strang").endpoint()
+            b = evolve(u0, 0.5, dt, spec, pot, grid, scheme="interaction-rk4").endpoint()
             gaps.append(phase_norm(b - a, 0.0))
         assert gaps[0] < 5e-4
         ratio = gaps[0] / gaps[1]
         assert 3.7 < ratio < 4.3  # measured 4.00
 
     def test_global_error_is_second_order(self, coupled):
-        grid, spec, pot, u0, report = coupled
-        ref = evolve(u0, 0.4, 5e-3, spec, pot, grid,
-                     hypothesis_report=report).endpoint()
+        grid, spec, pot, u0, _ = coupled
+        ref = evolve(u0, 0.4, 5e-3, spec, pot, grid).endpoint()
         errs = [
             phase_norm(
-                evolve(u0, 0.4, dt, spec, pot, grid,
-                       hypothesis_report=report).endpoint() - ref, 0.0)
+                evolve(u0, 0.4, dt, spec, pot, grid).endpoint() - ref, 0.0)
             for dt in (4e-2, 2e-2)
         ]
         ratio = errs[0] / errs[1]
@@ -289,10 +285,9 @@ class TestEvolve:
         assert 3.4 < ratio < 5.0  # measured 4.204
 
     def test_round_trip_reversibility(self, coupled):
-        grid, spec, pot, u0, report = coupled
-        fwd = evolve(u0, 0.5, 2e-3, spec, pot, grid, hypothesis_report=report)
-        back = evolve(fwd.endpoint(), -0.5, -2e-3, spec, pot, grid,
-                      hypothesis_report=report)
+        grid, spec, pot, u0, _ = coupled
+        fwd = evolve(u0, 0.5, 2e-3, spec, pot, grid)
+        back = evolve(fwd.endpoint(), -0.5, -2e-3, spec, pot, grid)
         err = phase_norm(back.endpoint() - u0, 0.0)
         assert err <= 1e-10  # measured 1.3e-14 over 500 steps
 
@@ -333,9 +328,8 @@ def direction(coupled):
 
 @pytest.fixture(scope="module")
 def short_trajectory(coupled):
-    grid, spec, pot, u0, report = coupled
-    return evolve(u0, 0.1, 2e-2, spec, pot, grid, store_every=2,
-                  hypothesis_report=report)
+    grid, spec, pot, u0, _ = coupled
+    return evolve(u0, 0.1, 2e-2, spec, pot, grid, store_every=2)
 
 
 class TestHistory:
@@ -361,9 +355,8 @@ class TestHistory:
         (0.0, 0.02, 1), (-0.1, -0.02, 3),
     ])
     def test_stored_rows_are_the_stepper_states(self, coupled, T, dt, store_every):
-        grid, spec, pot, u0, report = coupled
-        traj = evolve(u0, T, dt, spec, pot, grid, store_every=store_every,
-                      hypothesis_report=report)
+        grid, spec, pot, u0, _ = coupled
+        traj = evolve(u0, T, dt, spec, pot, grid, store_every=store_every)
         states = [u0, *stepper(u0, T, dt, spec, pot, grid)]
         expected = list(range(0, len(states), store_every))
         if expected[-1] != len(states) - 1:
@@ -374,7 +367,7 @@ class TestHistory:
             assert row.tobytes() == states[k].data.tobytes()
 
     def test_history_keeps_no_past_state_alive(self, coupled, monkeypatch):
-        grid, spec, pot, u0, report = coupled
+        grid, spec, pot, u0, _ = coupled
         original = nmdyn.integrator.stepper
         alive = []
 
@@ -387,8 +380,7 @@ class TestHistory:
                 yield state
 
         monkeypatch.setattr(nmdyn.integrator, "stepper", watched)
-        traj = evolve(u0, 0.1, 1e-2, spec, pot, grid, store_every=100,
-                      hypothesis_report=report)
+        traj = evolve(u0, 0.1, 1e-2, spec, pot, grid, store_every=100)
         assert traj.n_steps == 10
         assert alive == [0] * 10
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_field, random_point, rotate_frame
+from conftest import coupling, random_field, random_point, rotate_frame
 
 from nmdyn.geometry import build_kgrid, integrate_k, polarization_basis
 from nmdyn.interaction import (
@@ -24,7 +24,6 @@ from nmdyn.interaction import (
     check_hypotheses,
     compile_model,
     default_basis,
-    grad_vector_potential,
     hamiltonian,
     nonlinearity_F,
     nonlinearity_G,
@@ -32,10 +31,10 @@ from nmdyn.interaction import (
     potential_gradient_bound,
     smeared_coulomb,
     vartheta,
-    vector_potential,
 )
 from nmdyn.interaction import (
     _bracket,
+    _compile,
     _hypothesis_norms,
     _phases,
     _smeared_pair_complex,
@@ -107,10 +106,6 @@ class TestFormFactor:
     def test_unknown_family_rejected_when_built(self):
         with pytest.raises(ValueError, match="family must be one of"):
             FormFactor(family="lorentzian")
-
-    def test_values_on_memoized(self, small_grid):
-        ff = FormFactor.gaussian(1.0)
-        assert ff.values_on(small_grid) is ff.values_on(small_grid)
 
     @given(width=st.floats(0.3, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -215,6 +210,22 @@ class TestPotential:
                 norms = np.linalg.norm(grad, axis=1)
                 assert np.all(norms <= bound * (1 + 1e-12) + 1e-15)
 
+    @pytest.mark.parametrize("K, N, w_at_x", [(2.5, 16, 2.4642), (2.0, 10, 1.9701)])
+    def test_smeared_coulomb_is_anti_periodic_in_the_box(self, K, N, w_at_x):
+        """A node sum flips sign under x -> x + L e_mu with L = N/(2K), so the
+        grid's w is the continuum one (4.1855 here) plus alternating images."""
+        grid = build_kgrid(3, K, N)
+        spec = ParticleSpec(np.ones(2), (FormFactor.gaussian(1.0),) * 2)
+        pot = PotentialSpec.coulomb(1.0)
+        x = np.array([0.7, 0.2, 0.1])
+        w, grad = smeared_coulomb(0, 1, x, spec, pot, grid)
+        assert w == pytest.approx(w_at_x, abs=1e-4)
+        for mu in range(3):
+            w_image, grad_image = smeared_coulomb(0, 1, x + N / (2 * K) * np.eye(3)[mu],
+                                                  spec, pot, grid)
+            assert abs(w_image + w) <= 1e-12
+            assert np.abs(grad_image + grad).max() <= 1e-12
+
     def test_wrong_separation_shape_raises(self, small_grid):
         with pytest.raises(ValueError):
             smeared_coulomb(0, 1, np.zeros(4), two_particle_spec(),
@@ -264,9 +275,11 @@ class TestHypotheses:
                           _hypothesis_norms(spec, 0.75, build_kgrid(d, 2 * K, 2 * N)))
 
     def test_refinement_grids_are_not_memoized(self):
-        FormFactor.values_on.cache_clear()
+        def lookups():
+            return [(c.cache_info().hits, c.cache_info().misses) for c in (default_basis, _compile)]
+        before = lookups()
         check_hypotheses(two_particle_spec(), 0.5, build_kgrid(3, 2.0, 6))
-        assert FormFactor.values_on.cache_info().currsize == 0
+        assert lookups() == before
 
     def test_sigma_validation(self, small_grid):
         with pytest.raises(ValueError):
@@ -282,20 +295,19 @@ class TestHypotheses:
 
 class TestVectorPotential:
     def test_zero_field_gives_zero(self, small_grid):
-        alpha = FieldState(small_grid, np.zeros((2, small_grid.node_count), dtype=complex))
-        a = vector_potential(0, np.array([0.3, 0.1, -0.2]), alpha,
-                             two_particle_spec(), small_grid)
-        assert np.array_equal(a, np.zeros(3))
+        alpha = np.zeros((2, small_grid.node_count), dtype=complex)
+        a, _ = coupling([[0.3, 0.1, -0.2], [0.0, 0.5, 0.0]], alpha,
+                        two_particle_spec(), small_grid)
+        assert np.array_equal(a, np.zeros((2, 3)))
 
     def test_linear_in_field(self, small_grid, rng):
         spec = two_particle_spec()
-        q = rng.normal(size=3)
-        f1 = random_field(rng, small_grid, decay=False)
-        f2 = random_field(rng, small_grid, decay=False)
-        combined = FieldState(small_grid, 2.0 * f1.values - 0.5 * f2.values)
-        lhs = vector_potential(0, q, combined, spec, small_grid)
-        rhs = (2.0 * vector_potential(0, q, f1, spec, small_grid)
-               - 0.5 * vector_potential(0, q, f2, spec, small_grid))
+        q = rng.normal(size=(2, 3))
+        f1 = random_field(rng, small_grid, decay=False).values
+        f2 = random_field(rng, small_grid, decay=False).values
+        lhs, _ = coupling(q, 2.0 * f1 - 0.5 * f2, spec, small_grid)
+        rhs = (2.0 * coupling(q, f1, spec, small_grid)[0]
+               - 0.5 * coupling(q, f2, spec, small_grid)[0])
         assert np.allclose(lhs, rhs, atol=1e-13 * (1 + np.abs(rhs).max()))
 
     def test_matches_complex_quadrature_and_is_real(self, small_grid, rng):
@@ -303,23 +315,23 @@ class TestVectorPotential:
         spec = two_particle_spec()
         basis = default_basis(small_grid)
         for _ in range(10):
-            q = rng.normal(size=3)
+            q = rng.normal(size=(2, 3))
             alpha = random_field(rng, small_grid, decay=False)
-            chi = spec.form_factors[0].values_on(small_grid)
+            chi = spec.form_factors[0].profile(small_grid.absk)
             pref = chi / np.sqrt(2.0 * small_grid.absk)
-            plus = np.exp(2j * np.pi * (small_grid.nodes @ q))
+            plus = np.exp(2j * np.pi * (small_grid.nodes @ q[0]))
             integrand = np.einsum("jlv,lj->jv", basis.vectors,
                                   alpha.values * plus[None, :]
                                   + np.conj(alpha.values) * np.conj(plus)[None, :])
             oracle = integrate_k(small_grid, (pref[:, None] * integrand).T)
             scale = np.abs(oracle).max() + 1.0
             assert np.abs(np.imag(oracle)).max() <= 1e-12 * scale
-            a = vector_potential(0, q, alpha, spec, small_grid, basis)
-            assert np.allclose(a, np.real(oracle), atol=1e-12 * scale)
+            a, _ = coupling(q, alpha.values, spec, small_grid, basis)
+            assert np.allclose(a[0], np.real(oracle), atol=1e-12 * scale)
 
     def test_refinement_convergence(self):
         """Value stabilizes under N-doubling for a fixed transverse profile."""
-        q = np.array([0.3, -0.2, 0.1])
+        q = np.array([[0.3, -0.2, 0.1]])
         spec = ParticleSpec(np.array([1.0]), (FormFactor.gaussian(1.0),))
         vals = []
         for N in (8, 16, 32, 64):
@@ -327,7 +339,7 @@ class TestVectorPotential:
             E = polarization_basis(g).vectors
             c = np.exp(-g.absk**2)[:, None] * np.array([1.0, 0.5, -0.2])
             alpha = FieldState(g, np.einsum("jlv,jv->lj", E, c).astype(complex))
-            vals.append(vector_potential(0, q, alpha, spec, g))
+            vals.append(coupling(q, alpha.values, spec, g)[0][0])
         errs = [np.linalg.norm(v - vals[-1]) for v in vals[:-1]]
         assert errs[2] < errs[1] < errs[0]
         assert errs[0] <= 50.0 * errs[1]  # one convergence family
@@ -336,44 +348,27 @@ class TestVectorPotential:
         spec = two_particle_spec()
         basis = default_basis(small_grid)
         alpha = random_field(rng, small_grid, decay=False)
-        q = rng.normal(size=3)
+        q = rng.normal(size=(2, 3))
         rotated_basis, rotated_alpha, _ = rotate_frame(rng, small_grid, basis, alpha.values)
-        a1 = vector_potential(0, q, alpha, spec, small_grid, basis)
-        a2 = vector_potential(0, q, FieldState(small_grid, rotated_alpha), spec,
-                              small_grid, rotated_basis)
+        a1, _ = coupling(q, alpha.values, spec, small_grid, basis)
+        a2, _ = coupling(q, rotated_alpha, spec, small_grid, rotated_basis)
         assert np.allclose(a1, a2, atol=1e-12 * (1 + np.abs(a1).max()))
 
     def test_gradient_matches_finite_differences(self, small_grid, rng):
         spec = two_particle_spec()
-        alpha = random_field(rng, small_grid, decay=False)
-        q = rng.normal(size=3)
-        exact = np.array([grad_vector_potential(0, nu, q, alpha, spec, small_grid)
-                          for nu in range(3)])
+        alpha = random_field(rng, small_grid, decay=False).values
+        q = rng.normal(size=(2, 3))
+        exact = coupling(q, alpha, spec, small_grid)[1]  # [i, nu, mu]
         errs = []
         for h in (1e-2, 1e-3):
-            fd = np.zeros((3, 3))
+            fd = np.zeros((2, 3, 3))
             for mu in range(3):
                 e = np.zeros(3)
                 e[mu] = h
-                fd[:, mu] = (vector_potential(0, q + e, alpha, spec, small_grid)
-                             - vector_potential(0, q - e, alpha, spec, small_grid)) / (2 * h)
+                fd[:, :, mu] = (coupling(q + e, alpha, spec, small_grid)[0]
+                                - coupling(q - e, alpha, spec, small_grid)[0]) / (2 * h)
             errs.append(np.abs(fd - exact).max())
         assert 80.0 < errs[0] / errs[1] < 120.0
-
-    def test_grid_mismatch_raises(self, small_grid, tiny_grid, rng):
-        alpha = random_field(rng, tiny_grid)
-        with pytest.raises(ValueError):
-            vector_potential(0, np.zeros(3), alpha, two_particle_spec(), small_grid)
-
-    @pytest.mark.parametrize("call", [
-        lambda alpha, grid: vector_potential(0, np.zeros(3), alpha, two_particle_spec(), grid),
-        lambda alpha, grid: grad_vector_potential(0, 1, np.zeros(3), alpha,
-                                                  two_particle_spec(), grid),
-    ], ids=["vector_potential", "grad_vector_potential"])
-    def test_field_on_another_grid_is_named(self, rng, call):
-        alpha = random_field(rng, build_kgrid(3, 2.0, 8))
-        with pytest.raises(ValueError, match="field state lives on a different grid"):
-            call(alpha, build_kgrid(3, 2.0, 10))
 
 
 @pytest.fixture(scope="module")
@@ -382,7 +377,7 @@ def bound_setup():
     spec = two_particle_spec()
     report = check_hypotheses(spec, 0.5, grid)
     chi_l2 = np.array([
-        np.sqrt(float(integrate_k(grid, ff.values_on(grid) ** 2)))
+        np.sqrt(float(integrate_k(grid, ff.profile(grid.absk) ** 2)))
         for ff in spec.form_factors
     ])
     return grid, spec, report.norms, chi_l2
@@ -402,7 +397,7 @@ class TestPointwiseBounds:
         for _ in range(200):
             u = random_point(rng, grid, scale=rng.uniform(0.05, 3.0), decay=False)
             i = int(rng.integers(0, 2))
-            a = vector_potential(i, u.q[i], u.field, spec, grid)
+            a = coupling(u.q, u.alpha, spec, grid)[0][i]
             l2 = field_norm(u.field, 0.0)
             h12 = field_norm(u.field, 0.5, "homogeneous")
             lhs = np.linalg.norm(a)
@@ -416,9 +411,9 @@ class TestPointwiseBounds:
             i = int(rng.integers(0, 2))
             l2 = field_norm(u.field, 0.0)
             h12 = field_norm(u.field, 0.5, "homogeneous")
+            da = coupling(u.q, u.alpha, spec, grid)[1][i]
             for nu in range(3):
-                lhs = np.linalg.norm(
-                    grad_vector_potential(i, nu, u.q[i], u.field, spec, grid))
+                lhs = np.linalg.norm(da[nu])
                 assert lhs <= 2 * np.pi * self.C_DIM * norms[i, 2] * l2 * (1 + 1e-12) + 1e-15
                 assert lhs <= 2 * np.pi * self.C_DIM * chi_l2[i] * h12 * (1 + 1e-12) + 1e-15
 
@@ -432,15 +427,12 @@ class TestPointwiseBounds:
             v = random_point(rng, grid, scale=rng.uniform(0.05, 3.0), decay=False)
             diff = FieldState(grid, u.alpha - v.alpha)
             dq = np.linalg.norm(u.q[0] - v.q[0])
-            a_diff = np.linalg.norm(
-                vector_potential(0, u.q[0], u.field, spec, grid)
-                - vector_potential(0, v.q[0], v.field, spec, grid))
+            (a_u, da_u), (a_v, da_v) = (coupling(w.q, w.alpha, spec, grid) for w in (u, v))
+            a_diff = np.linalg.norm(a_u[0] - a_v[0])
             bound = c1 * field_norm(diff, 0.0) + c2 * dq * field_norm(v.field, 0.0)
             assert a_diff <= bound * (1 + 1e-12) + 1e-15
             for nu in range(3):
-                g_diff = np.linalg.norm(
-                    grad_vector_potential(0, nu, u.q[0], u.field, spec, grid)
-                    - grad_vector_potential(0, nu, v.q[0], v.field, spec, grid))
+                g_diff = np.linalg.norm(da_u[0, nu] - da_v[0, nu])
                 g_bound = (c2 * field_norm(diff, 0.0)
                            + d2 * dq * field_norm(v.field, 0.5, "homogeneous"))
                 assert g_diff <= g_bound * (1 + 1e-12) + 1e-15
@@ -454,9 +446,9 @@ class TestPointwiseBounds:
             f = nonlinearity_F(u, spec, pot, grid)
             l2 = field_norm(u.field, 0.0)
             pma = np.empty(2)
+            a_all, _ = coupling(u.q, u.alpha, spec, grid)
             for i in range(2):
-                a = vector_potential(i, u.q[i], u.field, spec, grid)
-                pma[i] = np.linalg.norm(u.p[i] - a)
+                pma[i] = np.linalg.norm(u.p[i] - a_all[i])
                 c_a = self.C_DIM * norms[i, 1]
                 c_g = 2 * np.pi * self.C_DIM * norms[i, 2]
                 pabs = np.linalg.norm(u.p[i])
@@ -559,7 +551,7 @@ class TestTensorProductPhases:
     @pytest.mark.parametrize("d, K, N", [(3, 2.0, 6), (4, 2.0, 6)])
     def test_axes_reproduce_nodes(self, d, K, N):
         grid = build_kgrid(d, K, N)
-        model = compile_model(two_particle_spec(), None, grid)
+        model = compile_model(two_particle_spec(), PotentialSpec.zero(), grid)
         assert model.axes.shape == (d, N)
         mesh = np.stack(np.meshgrid(*model.axes, indexing="ij"), axis=-1)
         assert np.array_equal(mesh.reshape(-1, d), grid.nodes)
@@ -569,7 +561,7 @@ class TestTensorProductPhases:
         """Both sides round the argument 2 pi k.q, at about 1e-15 |k.q|, so
         positions stay in the unit box."""
         grid = build_kgrid(d, K, N)
-        model = compile_model(two_particle_spec(), None, grid)
+        model = compile_model(two_particle_spec(), PotentialSpec.zero(), grid)
         for _ in range(20):
             q = rng.uniform(-1.0, 1.0, size=(2, d))
             direct = np.exp(-2j * np.pi * q @ grid.nodes.T)
@@ -688,12 +680,12 @@ class TestKernelMatchesNodeSums:
 
     def test_vector_potential_and_gradient(self, case):
         grid, basis, spec, _, u, _ = case
+        a_all, da_all = coupling(u.q, u.alpha, spec, grid)
         for i in range(2):
             a, da = _loop_vector_potential(spec, grid, basis, i, u.q[i], u.alpha)
-            _assert_close(vector_potential(i, u.q[i], u.field, spec, grid), a)
+            _assert_close(a_all[i], a)
             for nu in range(grid.d):
-                _assert_close(grad_vector_potential(i, nu, u.q[i], u.field, spec, grid),
-                              da[nu])
+                _assert_close(da_all[i, nu], da[nu])
 
     def test_hamiltonian(self, case):
         grid, basis, spec, pot, u, _ = case
@@ -737,9 +729,9 @@ class TestNonlinearities:
         spec = two_particle_spec()
         u = random_point(rng, small_grid, decay=False)
         f = nonlinearity_F(u, spec, PotentialSpec.zero(), small_grid)
+        a, _ = coupling(u.q, u.alpha, spec, small_grid)
         for i in range(2):
-            a = vector_potential(i, u.q[i], u.field, spec, small_grid)
-            assert np.allclose(f.q[i], (u.p[i] - a) / spec.masses[i], atol=1e-13)
+            assert np.allclose(f.q[i], (u.p[i] - a[i]) / spec.masses[i], atol=1e-13)
 
     def test_free_particle_field_source(self, small_grid):
         """alpha = 0, V = 0: only the field equation is driven, by hand formula."""
@@ -756,7 +748,7 @@ class TestNonlinearities:
         E = default_basis(small_grid).vectors
         expected = np.zeros((2, small_grid.node_count), dtype=complex)
         for i in range(2):
-            chi = spec.form_factors[i].values_on(small_grid)
+            chi = spec.form_factors[i].profile(small_grid.absk)
             pref = chi / np.sqrt(2.0 * small_grid.absk)
             phase = np.exp(-2j * np.pi * (small_grid.nodes @ q[i]))
             proj = np.einsum("v,jlv->lj", p[i] / spec.masses[i], E)
@@ -955,7 +947,7 @@ class TestStacks:
         a = _vector_potentials(model, _bracket(stack.alpha, model.wpref * phases))
         proj = (((stack.p - a) / spec.masses[:, None]) @ model.eps.T).reshape(
             stack.q.shape[:-1] + (grid.d - 1, -1))
-        pref = (np.array([ff.values_on(grid) for ff in spec.form_factors])
+        pref = (np.array([ff.profile(grid.absk) for ff in spec.form_factors])
                 / np.sqrt(2.0 * grid.absk))
         expected = 1j * np.einsum("...im,...ilm->...lm", pref * phases, proj)
         assert _same_bits(nonlinearity_G(stack, spec, pot, grid).alpha, expected)
