@@ -84,6 +84,8 @@ from .state import (
     ParticleSpec,
     ParticleState,
     PhaseSpacePoint,
+    _density_norm,
+    _field_density,
     _field_norm,
     phase_norm,
     point_from_json,
@@ -504,6 +506,9 @@ def load_config(source, base_dir: str = ".",
                 raw = json.load(handle)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"not valid JSON: {err}") from err
+    ensemble = raw.setdefault("ensemble", {"M": 64, "seed": 0}) if isinstance(raw, dict) else None
+    if seed_override is not None and isinstance(ensemble, dict):  # the schema checks it
+        ensemble["seed"] = int(seed_override)
     error = _schema_error(CONFIG_SCHEMA, raw, ())
     if error is not None:
         path, message = error
@@ -512,10 +517,7 @@ def load_config(source, base_dir: str = ".",
     # resolve defaults so the embedded config is complete
     raw["run"].setdefault("scheme", "strang")
     raw["run"].setdefault("snapshot_every", 1)
-    raw.setdefault("ensemble", {"M": 64, "seed": 0})
-    if seed_override is not None:
-        raw["ensemble"]["seed"] = int(seed_override)
-    output = out_override if out_override is not None else raw.get("output", ".")
+    output = _check_out(out_override if out_override is not None else raw.get("output", "."))
     raw.pop("output", None)  # placement is runtime state, not scenario
 
     g = raw["grid"]
@@ -742,8 +744,9 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
         a_all = _vector_potentials(model, c_u)
         a = a_all[rows, i]
         da = _grad_vector_potentials(model, c_u)[rows, i]  # row nu: grad A^nu
-        l2 = _field_norm(grid, u.alpha, 0.0, "inhomogeneous")
-        h12 = _field_norm(grid, u.alpha, 0.5, "homogeneous")
+        dens = _field_density(u.alpha)
+        l2 = _density_norm(grid, dens, 0.0, "inhomogeneous")
+        h12 = _density_norm(grid, dens, 0.5, "homogeneous")
 
         bound = np.minimum(c_dim * norms[i, 1] * l2, c_dim * norms[i, 0] * h12)
         v_field += np.count_nonzero(norm(a) > bound * slack + floor)
@@ -773,9 +776,10 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
             v_vf += np.count_nonzero(norm(f.p[:, j]) > rhs * slack + floor)
             rhs_h1 += field_factor * norms[j, 2] * pma / m_j
             rhs_l2 += field_factor * norms[j, 1] * pma / m_j
-        v_vf += np.count_nonzero(_field_norm(grid, f.alpha, 1.0, "homogeneous")
+        dens = _field_density(f.alpha)
+        v_vf += np.count_nonzero(_density_norm(grid, dens, 1.0, "homogeneous")
                                  > rhs_h1 * slack + floor)
-        v_vf += np.count_nonzero(_field_norm(grid, f.alpha, 0.0, "inhomogeneous")
+        v_vf += np.count_nonzero(_density_norm(grid, dens, 0.0, "inhomogeneous")
                                  > rhs_l2 * slack + floor)
 
     return VerifyOutcome("lemma-bounds", (
@@ -931,7 +935,7 @@ def verify_mvfi_identity(cfg: ScenarioConfig, draws: int = 100, **_) -> VerifyOu
         pairing.q[...] = xi.p / np.pi
         pairing.alpha[...] = xi.alpha / (np.sqrt(2.0) * np.pi)
         rhs = -2.0 * np.pi * real_inner(theta, pairing, 0.0)
-        # float_power rounds as Python's ** on one float does (see _field_norm)
+        # float_power rounds as Python's ** on one float does (see _density_norm)
         scale = ((1.0 + np.float_power(phase_norm(u, 0.0), 2))
                  * (1.0 + phase_norm(xi, 0.0)))
         for b, (s, u_b, xi_b) in enumerate(zip(times, points_u, points_xi)):
@@ -1045,6 +1049,18 @@ def _write_csv(path: str, cfg: ScenarioConfig, writer) -> None:
         handle.write(f"# format-version: {FORMAT_VERSION}\n")
         handle.write(f"# config: {json.dumps(cfg.raw, sort_keys=True)}\n")
         writer(handle)
+
+
+def _check_out(output: str) -> str:
+    """output, unless it or its nearest existing ancestor is not a directory;
+    checked before a run, made by ``_out_dir`` after it."""
+    probe = os.path.abspath(output)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"--out: cannot use {output!r} as the output "
+                          f"directory: {probe!r} is not a directory")
+    return output
 
 
 def _out_dir(cfg: ScenarioConfig) -> str:

@@ -47,14 +47,17 @@ from .geometry import KGrid, PolarizationBasis
 from .interaction import (
     HypothesisReport,
     PotentialSpec,
+    _energy,
     check_hypotheses,
-    hamiltonian,
+    compile_model,
     nonlinearity_G,
     vartheta,
 )
 from .state import (
     ParticleSpec,
     PhaseSpacePoint,
+    _field_density,
+    _phase_norms,
     _turned,
     free_flow,
     phase_norm,
@@ -292,15 +295,19 @@ def _record(u0: PhaseSpacePoint, states, stored_indices: np.ndarray, hist: dict,
     """Write the diagnostics of u0 and of every state ``states`` yields.
 
     u0 is one point or a stack; ``hist`` holds ``history`` arrays with the
-    same leading axes, filled in place.
+    same leading axes, filled in place.  Energy and norms share one field
+    density per state, through the helpers (and bits) of ``hamiltonian`` and
+    ``phase_norm``.
     """
     energies, norms, p, q, stored = (hist[key] for key in
                                      ("energies", "norms", "p", "q", "stored"))
+    model = compile_model(spec, pot, grid, basis)
     row = 0
     for k, physical in enumerate(itertools.chain([u0], states)):
-        energies[..., k] = hamiltonian(physical, spec, pot, grid, basis)
-        for j, sigma in enumerate(NORM_SIGMAS):
-            norms[..., k, j] = phase_norm(physical, sigma)
+        dens = _field_density(physical.alpha)
+        energies[..., k] = _energy(model, spec, physical, dens)
+        for j, norm in enumerate(_phase_norms(physical, dens, NORM_SIGMAS)):
+            norms[..., k, j] = norm
         p[..., k, :, :], q[..., k, :, :] = physical.p, physical.q
         if k == stored_indices[row]:
             stored[..., row, :] = physical.data

@@ -46,6 +46,7 @@ stack of points and compute every row exactly as the point alone.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,7 +56,8 @@ from .geometry import KGrid, PolarizationBasis, _grid_axis, integrate_k, polariz
 from .state import (
     ParticleSpec,
     PhaseSpacePoint,
-    _field_norm,
+    _density_norm,
+    _field_density,
     _scalar,
     free_flow,
 )
@@ -254,34 +256,35 @@ def _cos_pair(pot: PotentialSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return w, grad
 
 
-def _potential_core(q, phases, model):
-    """V and grad V at positions q (..., n, d), per row of a stack.
+def _pairs(q, phases, model):
+    """(i, j, z) per pair i < j: z = kernel * conj(phase_i) * phase_j, or q_i - q_j for cos."""
+    for i, j in itertools.combinations(range(q.shape[-2] if model.pot.kind != "zero" else 0), 2):
+        if model.pot.kind == "smeared-coulomb":
+            yield i, j, model.pair[i, j] * (np.conj(phases[..., i, :]) * phases[..., j, :])
+        else:
+            yield i, j, q[..., i, :] - q[..., j, :]
 
-    Smeared pairs reuse per-particle plane-wave phases through
-    e^{2 pi i k.(q_i - q_j)} = conj(phase_i) * phase_j.  Their gradient is
-    the stacked product (..., 1, M) @ (M, d): one matrix-vector product per
-    row, which rounds as the single point's own does, where a 2-D (S, M)
-    product would not.
-    """
-    pot = model.pot
-    n = q.shape[-2]
-    grad = np.zeros_like(q)
+
+def _potential_value(q, phases, model):
+    """V at positions q (..., n, d), per row of a stack; what H reads."""
     total = np.zeros(q.shape[:-2])
-    if pot.kind == "zero" or n < 2:
-        return total, grad
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pot.kind == "smeared-coulomb":
-                rel = np.conj(phases[..., i, :]) * phases[..., j, :]
-                vw = model.pair[i, j] * rel
-                w = np.real(np.sum(vw, axis=-1))
-                gw = -2.0 * np.pi * np.imag(np.matmul(vw[..., None, :], model.grid.nodes)[..., 0, :])
-            else:
-                w, gw = _cos_pair(pot, q[..., i, :] - q[..., j, :])
-            total += w
-            grad[..., i, :] += gw
-            grad[..., j, :] -= gw
-    return total, grad
+    for _, _, z in _pairs(q, phases, model):
+        total += (np.real(np.sum(z, axis=-1)) if model.pot.kind == "smeared-coulomb"
+                  else _cos_pair(model.pot, z)[0])
+    return total
+
+
+def _potential_gradient(q, phases, model):
+    """grad V at positions q (..., n, d), per row of a stack; what G and m read.
+    A smeared pair's (..., 1, M) @ (M, d) product rounds per row as a single
+    point's does, and casts the node table to complex on every call."""
+    grad = np.zeros_like(q)
+    for i, j, z in _pairs(q, phases, model):
+        gw = (-2.0 * np.pi * np.imag(np.matmul(z[..., None, :], model.grid.nodes)[..., 0, :])
+              if model.pot.kind == "smeared-coulomb" else _cos_pair(model.pot, z)[1])
+        grad[..., i, :] += gw
+        grad[..., j, :] -= gw
+    return grad
 
 
 def potential(q: np.ndarray, spec: ParticleSpec, pot: PotentialSpec,
@@ -294,8 +297,7 @@ def potential(q: np.ndarray, spec: ParticleSpec, pot: PotentialSpec,
     model = compile_model(spec, pot, grid)
     q = np.asarray(q, dtype=float)
     phases = _phases(model, q) if pot.kind == "smeared-coulomb" else None
-    total, grad = _potential_core(q, phases, model)
-    return float(total), grad
+    return float(_potential_value(q, phases, model)), _potential_gradient(q, phases, model)
 
 
 def potential_gradient_bound(spec: ParticleSpec, pot: PotentialSpec,
@@ -309,14 +311,13 @@ def potential_gradient_bound(spec: ParticleSpec, pot: PotentialSpec,
     if pot.kind == "zero" or n < 2:
         return np.zeros(n)
     pair = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pot.kind == "smeared-coulomb":
-                kernel = _pair_kernel(i, j, spec, pot, grid)
-                b = 2.0 * np.pi * float(integrate_k(grid, kernel * grid.absk))
-            else:
-                b = abs(pot.amplitude) * float(np.linalg.norm(pot.wavevector))
-            pair[i, j] = pair[j, i] = b
+    for i, j in itertools.combinations(range(n), 2):
+        if pot.kind == "smeared-coulomb":
+            kernel = _pair_kernel(i, j, spec, pot, grid)
+            b = 2.0 * np.pi * float(integrate_k(grid, kernel * grid.absk))
+        else:
+            b = abs(pot.amplitude) * float(np.linalg.norm(pot.wavevector))
+        pair[i, j] = pair[j, i] = b
     return pair.sum(axis=1)
 
 
@@ -333,13 +334,11 @@ def potential_value_bound(spec: ParticleSpec, pot: PotentialSpec,
     if pot.kind == "zero" or n < 2:
         return 0.0
     total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pot.kind == "smeared-coulomb":
-                kernel = _pair_kernel(i, j, spec, pot, grid)
-                total += float(integrate_k(grid, np.abs(kernel)))
-            else:
-                total += abs(pot.amplitude)
+    for i, j in itertools.combinations(range(n), 2):
+        if pot.kind == "smeared-coulomb":
+            total += float(integrate_k(grid, np.abs(_pair_kernel(i, j, spec, pot, grid))))
+        else:
+            total += abs(pot.amplitude)
     return total
 
 
@@ -528,19 +527,24 @@ def _grad_vector_potentials(model: Model, c: np.ndarray) -> np.ndarray:
         c.shape[:-1] + (d, d))
 
 
+def _energy(model: Model, spec: ParticleSpec, u: PhaseSpacePoint, dens: np.ndarray):
+    """``hamiltonian`` of u from its ``_field_density`` dens, per row of a stack."""
+    phases = _phases(model, u.q)
+    a = _vector_potentials(model, _bracket(u.alpha, model.wpref * phases))
+    kinetic = np.sum(np.sum((u.p - a) ** 2, axis=-1) / (2.0 * spec.masses), axis=-1)
+    field = np.float_power(_density_norm(u.grid, dens, 0.5, "homogeneous"), 2)
+    return kinetic + _potential_value(u.q, phases, model) + field
+
+
 def hamiltonian(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
                 grid: KGrid, basis: Optional[PolarizationBasis] = None):
     """Total energy: kinetic (with minimal coupling) + V + free-field energy.
 
-    A float for one point; an (S,) array, row by row, for a stack.
+    A float for one point; an (S,) array, row by row, for a stack.  It reads
+    V, not grad V, through ``_energy``.
     """
     model = compile_model(spec, pot, grid, basis)
-    phases = _phases(model, u.q)
-    a = _vector_potentials(model, _bracket(u.alpha, model.wpref * phases))
-    kinetic = np.sum(np.sum((u.p - a) ** 2, axis=-1) / (2.0 * spec.masses), axis=-1)
-    v, _ = _potential_core(u.q, phases, model)
-    field = np.float_power(_field_norm(u.grid, u.alpha, 0.5, "homogeneous"), 2)
-    return _scalar(kinetic + v + field)
+    return _scalar(_energy(model, spec, u, _field_density(u.alpha)))
 
 
 def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
@@ -556,7 +560,7 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     model = compile_model(spec, pot, grid, basis)
     masses = spec.masses[:, None]
     phases = _phases(model, u.q)
-    _, grad_v = _potential_core(u.q, phases, model)
+    grad_v = _potential_gradient(u.q, phases, model)
     c = _bracket(u.alpha, model.wpref * phases)
     a = _vector_potentials(model, c)
     da = _grad_vector_potentials(model, c)
@@ -636,6 +640,5 @@ def characteristic_density_m(s: float, xi: PhaseSpacePoint, u: PhaseSpacePoint,
     total = float(np.sum((2.0 * np.sum(pma * grad_dot, axis=1)
                           + np.sqrt(2.0) * np.sum(pma * im_b, axis=1)
                           + 2.0 * np.sum(a * xi.p, axis=1)) / spec.masses))
-    _, grad_v = _potential_core(x, phases, model)
-    total -= 2.0 * float(np.sum(grad_v * x0))
+    total -= 2.0 * float(np.sum(_potential_gradient(x, phases, model) * x0))
     return total

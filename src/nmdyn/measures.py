@@ -68,7 +68,8 @@ from .state import (
     ParticleSpec,
     ParticleState,
     PhaseSpacePoint,
-    _field_norm,
+    _density_norm,
+    _field_density,
     free_flow,
     real_inner,
 )
@@ -599,8 +600,8 @@ def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec,
         u = PhaseSpacePoint._of(trajs[0].grid, stack)
         rows = slice(start, start + len(stack))
         p2[rows] = np.sum(u.p ** 2, axis=(-2, -1))
-        half[rows] = _field_norm(u.grid, u.alpha, 0.5, "homogeneous")
-        l2[rows] = _field_norm(u.grid, u.alpha, 0.0, "homogeneous")
+        dens = _field_density(u.alpha)
+        half[rows], l2[rows] = (_density_norm(u.grid, dens, s, "homogeneous") for s in (0.5, 0.0))
     p2, half, l2 = (a.reshape(ensemble.size, n_times) for a in (p2, half, l2))
     p4, half4, l2_4 = (
         np.array([float(np.real(_kahan_mean(np.float_power(a[:, k], power).tolist())))

@@ -200,16 +200,24 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _field_norm(grid: KGrid, alpha: np.ndarray, sigma: float, flavor: str):
-    """field_norm of alpha (d-1, M), or of every row of a stack (..., d-1, M).
+def _field_density(alpha: np.ndarray) -> np.ndarray:
+    """sum_lam |alpha_lam|^2 at every node: (..., M) for alpha (..., d-1, M)."""
+    return np.sum(np.abs(alpha) ** 2, axis=-2)
+
+
+def _density_norm(grid: KGrid, dens: np.ndarray, sigma: float, flavor: str):
+    """sqrt(int weight * dens dk) for a ``_field_density`` dens, per row.
 
     Powers of a norm go through ``np.float_power``, which calls the same libm
     pow as Python's ``**`` on a float; ``array ** 2`` multiplies instead and
     differs in the last bit about once in a thousand.
     """
-    w = _weights(grid, sigma, flavor)
-    dens = np.sum(np.abs(alpha) ** 2, axis=-2) * w
-    return np.sqrt(integrate_k(grid, dens))
+    return np.sqrt(integrate_k(grid, dens * _weights(grid, sigma, flavor)))
+
+
+def _field_norm(grid: KGrid, alpha: np.ndarray, sigma: float, flavor: str):
+    """``_density_norm`` of the ``_field_density`` of alpha (d-1, M), or per row."""
+    return _density_norm(grid, _field_density(alpha), sigma, flavor)
 
 
 def field_norm(alpha: FieldState, sigma: float, flavor: str = INHOMOGENEOUS) -> float:
@@ -217,14 +225,19 @@ def field_norm(alpha: FieldState, sigma: float, flavor: str = INHOMOGENEOUS) -> 
     return float(_field_norm(alpha.grid, alpha.values, sigma, flavor))
 
 
+def _phase_norms(u: PhaseSpacePoint, dens: np.ndarray, sigmas, flavor: str = INHOMOGENEOUS):
+    """``phase_norm`` of u at each sigma, from its ``_field_density`` dens."""
+    particle = np.sum(u.p**2, axis=(-2, -1)) + np.sum(u.q**2, axis=(-2, -1))
+    return [np.sqrt(particle + np.float_power(_density_norm(u.grid, dens, sigma, flavor), 2))
+            for sigma in sigmas]
+
+
 def phase_norm(u: PhaseSpacePoint, sigma: float, flavor: str = INHOMOGENEOUS):
     """||u||_{X^sigma} = sqrt( sum_i (|p_i|^2 + |q_i|^2) + ||alpha||^2 ).
 
     A float for one point; an (S,) array, row by row, for a stack.
     """
-    particle = np.sum(u.p**2, axis=(-2, -1)) + np.sum(u.q**2, axis=(-2, -1))
-    field = np.float_power(_field_norm(u.grid, u.alpha, sigma, flavor), 2)
-    return _scalar(np.sqrt(particle + field))
+    return _scalar(_phase_norms(u, _field_density(u.alpha), (sigma,), flavor)[0])
 
 
 def real_inner(a: PhaseSpacePoint, b: PhaseSpacePoint, sigma: float):

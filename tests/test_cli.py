@@ -390,7 +390,13 @@ class TestCommands:
                              ids=["simulate", "verify-gauge"])
     @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
     def test_out_that_cannot_be_a_directory_is_a_config_error(self, command, under,
-                                                              config_file, tmp_path, capsys):
+                                                              config_file, tmp_path, capsys,
+                                                              monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("--out is checked before the run")
+
+        monkeypatch.setattr(nmdyn.cli, "evolve", must_not_run)
+        monkeypatch.setattr(nmdyn.cli, "run_suite", must_not_run)
         blocker = tmp_path / "taken"
         blocker.write_text("kept\n")
         out = blocker / "run" if under else blocker
@@ -400,6 +406,14 @@ class TestCommands:
         assert err.startswith("config error: --out")
         assert blocker.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "taken"]
+
+    @pytest.mark.parametrize("command", [["simulate"], ["ensemble"], ["hypotheses"]],
+                             ids=["simulate", "ensemble", "hypotheses"])
+    def test_negative_seed_is_a_config_error(self, command, config_file, tmp_path, capsys):
+        assert main(command + [config_file, "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: ensemble.seed: -1 is less than the minimum of 0\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
     def test_import_leaves_scipy_out(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(nmdyn.__file__)))

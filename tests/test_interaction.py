@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import coupling, random_field, random_point, rotate_frame
 
 from nmdyn.geometry import build_kgrid, integrate_k, polarization_basis
+from nmdyn.integrator import evolve
 from nmdyn.interaction import (
     FormFactor,
     PotentialSpec,
@@ -40,6 +41,7 @@ from nmdyn.interaction import (
     _smeared_pair_complex,
     _vector_potentials,
 )
+from nmdyn.measures import Ensemble, push_forward
 from nmdyn.state import (
     FieldState,
     ParticleSpec,
@@ -951,6 +953,34 @@ class TestStacks:
                 / np.sqrt(2.0 * grid.absk))
         expected = 1j * np.einsum("...im,...ilm->...lm", pref * phases, proj)
         assert _same_bits(nonlinearity_G(stack, spec, pot, grid).alpha, expected)
+
+    def test_recorded_diagnostics_are_the_public_functions_bits(self, case):
+        # evolve records one point, push_forward its four samples as one stack
+        grid, spec, pot, points, _ = case
+        traj = evolve(points[0], 0.03, 0.01, spec, pot, grid, allow_flagged=True)
+        pushed = push_forward(Ensemble(tuple(points[:4])), 0.03, 0.01, spec, pot, grid,
+                              allow_flagged=True).trajectories
+        stack = [np.stack([getattr(t, key) for t in pushed], axis=1)
+                 for key in ("energies", "norms", "stored")]
+        for energies, norms, stored in ((traj.energies, traj.norms, traj.stored), stack):
+            assert len(stored) == 4
+            for k, data in enumerate(stored):
+                u = PhaseSpacePoint._of(grid, data)
+                assert _same_bits(energies[k], hamiltonian(u, spec, pot, grid))
+                for j, sigma in enumerate((0.0, 0.5, 1.0)):
+                    assert _same_bits(norms[k][..., j], phase_norm(u, sigma))
+
+    @pytest.mark.parametrize("kind", ["coulomb", "cosine"])
+    def test_particles_at_rest_without_field_feel_only_the_potential(self, kind, small_grid):
+        rng = np.random.default_rng(5)
+        spec = ParticleSpec([1.0, 2.0, 1.5], [FormFactor.gaussian(1.0)] * 3)
+        pot = self.POTENTIALS[kind]
+        q = rng.standard_normal((3, 3))
+        u = PhaseSpacePoint(ParticleState(np.zeros((3, 3)), q),
+                            FieldState(small_grid, np.zeros((2, small_grid.node_count))))
+        v, grad_v = potential(q, spec, pot, small_grid)
+        assert _same_bits(nonlinearity_G(u, spec, pot, small_grid).p, -grad_v)
+        assert _same_bits(hamiltonian(u, spec, pot, small_grid), v)
 
     def test_real_inner_pairs_every_direction_with_every_row(self, case):
         grid, _, _, points, stack = case

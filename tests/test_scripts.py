@@ -72,3 +72,33 @@ def test_verify_all_writes_what_nmdyn_verify_writes(verify_all_run, tmp_path):
     assert cli.main(["verify", "gauge", config, "--out", str(tmp_path)]) == 0
     written = (tmp_path / "verify_gauge.json").read_bytes()
     assert written == (out / "verify_gauge.json").read_bytes()
+
+
+def test_verify_all_missing_config_is_a_config_error(tmp_path, capsys):
+    main = load_script("verify_all").main
+    missing = str(tmp_path / "absent.json")
+    assert main(["--config", missing, "--out", str(tmp_path / "v")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: config file not found: {missing}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_verify_all_out_that_cannot_be_a_directory_is_a_config_error(
+        under, quickstart, tmp_path, capsys, monkeypatch):
+    script = load_script("verify_all")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("--out is checked before any suite runs")
+
+    monkeypatch.setattr(script, "run_suite", must_not_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "verify" if under else blocker
+    assert script.main(["--config", quickstart, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: --out")
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["quickstart.json", "taken"]
