@@ -1,8 +1,10 @@
 """Run every verification suite on one scenario and summarize.
 
 Prints each suite's table, writes verify_<suite>.json files into --out,
-and exits 1 if any suite fails, or 2 with one line on stderr when the
-scenario, a suite's settings or --out are unusable.
+and lists every suite as PASS, FAIL or REFUSED.  A suite whose settings
+are unusable is refused with one line on stderr, and the rest still run.
+Exits 2 when the scenario or --out is unusable (before any suite runs) or
+a suite was refused, else 1 if any suite failed, else 0.
 """
 
 import argparse
@@ -26,21 +28,26 @@ def main(argv=None):
         cfg = load_config(args.config if args.config else reference_scenario(),
                           out_override=args.out)
         out = _out_dir(cfg)
-        results = {}
-        for name in sorted(SUITES):
-            outcome = run_suite(name, cfg)
-            results[name] = outcome.passed
-            write_payload(os.path.join(out, f"verify_{name}.json"), cfg,
-                          outcome.to_json())
-            print(outcome.table())
-            print()
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    results = {}
+    for name in sorted(SUITES):
+        try:
+            outcome = run_suite(name, cfg)
+        except ConfigError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            results[name] = "REFUSED"
+            continue
+        results[name] = "PASS" if outcome.passed else "FAIL"
+        write_payload(os.path.join(out, f"verify_{name}.json"), cfg, outcome.to_json())
+        print(outcome.table())
+        print()
     width = max(map(len, results))
-    for name, ok in sorted(results.items()):
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}")
-    return 0 if all(results.values()) else 1
+    for name, verdict in results.items():
+        print(f"{name:<{width}}  {verdict}")
+    verdicts = set(results.values())
+    return 2 if "REFUSED" in verdicts else 1 if "FAIL" in verdicts else 0
 
 
 if __name__ == "__main__":

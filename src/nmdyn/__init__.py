@@ -42,7 +42,6 @@ from .interaction import (
     potential,
     potential_gradient_bound,
     potential_value_bound,
-    smeared_coulomb,
     vartheta,
 )
 from .integrator import (

@@ -48,8 +48,8 @@ from .interaction import (
     HypothesisReport,
     PotentialSpec,
     _energy,
+    _model_for,
     check_hypotheses,
-    compile_model,
     nonlinearity_G,
     vartheta,
 )
@@ -301,7 +301,7 @@ def _record(u0: PhaseSpacePoint, states, stored_indices: np.ndarray, hist: dict,
     """
     energies, norms, p, q, stored = (hist[key] for key in
                                      ("energies", "norms", "p", "q", "stored"))
-    model = compile_model(spec, pot, grid, basis)
+    model = _model_for(spec, pot, grid, basis, u0)
     row = 0
     for k, physical in enumerate(itertools.chain([u0], states)):
         dens = _field_density(physical.alpha)

@@ -34,13 +34,14 @@ The state-independent data of the flow live in one immutable ``Model``
 (see its docstring for the tables), built once per (spec, pot, grid, basis)
 by ``compile_model`` and memoized by their identity; ``basis=None`` means
 ``default_basis(grid)``.  The kernels keep their ``(spec, pot, grid, basis)``
-signatures and fetch the model on entry.  Every coupling term goes through
-one bracket c_i = conj(alpha) chi_i/sqrt(2|k|) e^{-2 pi i k.q_i} over all
-polarizations and nodes, with the plane-wave phase factored per grid axis;
-A and grad A are then two matrix products of Re c and Im c with the model's
-polarization tables, for all particles at once.  ``hamiltonian``,
-``nonlinearity_G``, ``nonlinearity_F`` and ``vartheta`` also take an (S, D)
-stack of points and compute every row exactly as the point alone.
+signatures and fetch the model on entry, refusing a grid whose (d, K, N)
+differ from their state's.  Every coupling term goes through one bracket
+c_i = conj(alpha) chi_i/sqrt(2|k|) e^{-2 pi i k.q_i} over all polarizations
+and nodes, with the plane-wave phase factored per grid axis; A and grad A are
+then two matrix products of Re c and Im c with the model's polarization
+tables, for all particles at once.  ``hamiltonian``, ``nonlinearity_G``,
+``nonlinearity_F`` and ``vartheta`` also take an (S, D) stack of points and
+compute every row exactly as the point alone.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import KGrid, PolarizationBasis, _grid_axis, integrate_k, polarization_basis
+from .geometry import KGrid, PolarizationBasis, _grid_axis, polarization_basis
 from .state import (
     ParticleSpec,
     PhaseSpacePoint,
@@ -67,7 +68,6 @@ __all__ = [
     "PotentialSpec",
     "HypothesisReport",
     "check_hypotheses",
-    "smeared_coulomb",
     "potential",
     "potential_gradient_bound",
     "potential_value_bound",
@@ -210,39 +210,6 @@ class PotentialSpec:
         return cls(kind="product-of-cos", amplitude=float(amplitude), wavevector=kappa)
 
 
-def _pair_kernel(i: int, j: int, spec: ParticleSpec, pot: PotentialSpec,
-                 grid: KGrid) -> np.ndarray:
-    """g * chi_i chi_j / |k|^2 on the nodes (real, nonnegative for chi >= 0)."""
-    chi_i = spec.form_factors[i].profile(grid.absk)
-    chi_j = spec.form_factors[j].profile(grid.absk)
-    return pot.g * chi_i * chi_j / grid.absk**2
-
-
-def _smeared_pair_complex(i, j, x, spec, pot, grid):
-    """Complex quadrature values (w, grad w) before taking real parts."""
-    kernel = _pair_kernel(i, j, spec, pot, grid)
-    phase = np.exp(2j * np.pi * (grid.nodes @ x))
-    w = integrate_k(grid, kernel * phase)
-    gradw = 2j * np.pi * integrate_k(grid, (kernel * phase)[None, :] * grid.nodes.T)
-    return w, gradw
-
-
-def smeared_coulomb(i: int, j: int, x: np.ndarray, spec: ParticleSpec,
-                    pot: PotentialSpec, grid: KGrid) -> tuple[float, np.ndarray]:
-    """Smeared pair potential w_ij and its gradient at separation x.
-
-    Real up to rounding by the +/-k symmetry of the grid; w is even in x and
-    |w_ij(x)| <= w_ij(0) = g ||chi_i chi_j/|k|^2||_{L^1} pointwise.  As a node
-    sum it is anti-periodic: w(x + L e_mu) = -w(x) and grad w flips with it,
-    for L = N/(2K), so it is not the free-space potential (ROADMAP item 1).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (grid.d,):
-        raise ValueError(f"separation must have shape ({grid.d},), got {x.shape}")
-    w, gradw = _smeared_pair_complex(i, j, x, spec, pot, grid)
-    return float(np.real(w)), np.real(gradw)
-
-
 def _cos_pair(pot: PotentialSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w and grad w at separations x (..., d)."""
     kappa = pot.wavevector
@@ -256,9 +223,14 @@ def _cos_pair(pot: PotentialSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return w, grad
 
 
+def _pair_indices(pot, n):
+    """The pairs i < j of n particles that V sums over: none for the zero potential."""
+    return itertools.combinations(range(n if pot.kind != "zero" else 0), 2)
+
+
 def _pairs(q, phases, model):
     """(i, j, z) per pair i < j: z = kernel * conj(phase_i) * phase_j, or q_i - q_j for cos."""
-    for i, j in itertools.combinations(range(q.shape[-2] if model.pot.kind != "zero" else 0), 2):
+    for i, j in _pair_indices(model.pot, q.shape[-2]):
         if model.pot.kind == "smeared-coulomb":
             yield i, j, model.pair[i, j] * (np.conj(phases[..., i, :]) * phases[..., j, :])
         else:
@@ -292,10 +264,13 @@ def potential(q: np.ndarray, spec: ParticleSpec, pot: PotentialSpec,
     """Total pair potential V(q) = sum_{i<j} w_ij(q_i - q_j) and its gradient.
 
     Sign convention: grad_{q_i} V = sum_{j != i} (grad w_ij)(q_i - q_j), with
-    the evenness of w_ij supplying the action-reaction antisymmetry.
+    the evenness of w_ij supplying the action-reaction antisymmetry.  A smeared
+    w_ij is a real node sum, |w_ij(x)| <= w_ij(0), and anti-periodic (ROADMAP item 1).
     """
-    model = compile_model(spec, pot, grid)
     q = np.asarray(q, dtype=float)
+    if q.shape != (spec.n, grid.d):
+        raise ValueError(f"positions must have shape ({spec.n}, {grid.d}), got {q.shape}")
+    model = compile_model(spec, pot, grid)
     phases = _phases(model, q) if pot.kind == "smeared-coulomb" else None
     return float(_potential_value(q, phases, model)), _potential_gradient(q, phases, model)
 
@@ -307,38 +282,29 @@ def potential_gradient_bound(spec: ParticleSpec, pot: PotentialSpec,
     smeared-coulomb: |grad w_ij| <= 2 pi g int chi_i chi_j / |k| dk;
     product-of-cos: |grad w| <= |amplitude| |kappa|_2; zero: 0.
     """
-    n = spec.n
-    if pot.kind == "zero" or n < 2:
-        return np.zeros(n)
-    pair = np.zeros((n, n))
-    for i, j in itertools.combinations(range(n), 2):
-        if pot.kind == "smeared-coulomb":
-            kernel = _pair_kernel(i, j, spec, pot, grid)
-            b = 2.0 * np.pi * float(integrate_k(grid, kernel * grid.absk))
-        else:
-            b = abs(pot.amplitude) * float(np.linalg.norm(pot.wavevector))
-        pair[i, j] = pair[j, i] = b
-    return pair.sum(axis=1)
+    model = compile_model(spec, pot, grid)
+    bound = np.zeros(spec.n)
+    for i, j in _pair_indices(pot, spec.n):
+        bound[[i, j]] += (2.0 * np.pi * float(np.sum(model.pair[i, j] * grid.absk))
+                          if pot.kind == "smeared-coulomb"
+                          else abs(pot.amplitude) * np.linalg.norm(pot.wavevector))
+    return bound
 
 
 def potential_value_bound(spec: ParticleSpec, pot: PotentialSpec,
                           grid: KGrid) -> float:
     """Upper bound on sup_q |V(q)|, exact on the grid (L^1 kernel bounds).
 
-    smeared-coulomb: |w_ij| <= |g| int |chi_i chi_j| / |k|^2 dk per pair;
-    product-of-cos: |w_ij| <= |amplitude|; zero: 0.  In particular
-    V >= -potential_value_bound everywhere, which feeds the conserved-energy
-    certificates of the moment checks.
+    smeared-coulomb: |w_ij| <= |g| int |chi_i chi_j| / |k|^2 dk per pair,
+    from the model's pair table; product-of-cos: |w_ij| <= |amplitude|;
+    zero: 0.  In particular V >= -potential_value_bound everywhere, which
+    feeds the conserved-energy certificates of the moment checks.
     """
-    n = spec.n
-    if pot.kind == "zero" or n < 2:
-        return 0.0
+    model = compile_model(spec, pot, grid)
     total = 0.0
-    for i, j in itertools.combinations(range(n), 2):
-        if pot.kind == "smeared-coulomb":
-            total += float(integrate_k(grid, np.abs(_pair_kernel(i, j, spec, pot, grid))))
-        else:
-            total += abs(pot.amplitude)
+    for i, j in _pair_indices(pot, spec.n):
+        total += (float(np.sum(np.abs(model.pair[i, j]))) if pot.kind == "smeared-coulomb"
+                  else abs(pot.amplitude))
     return total
 
 
@@ -467,6 +433,15 @@ def compile_model(spec: ParticleSpec, pot: PotentialSpec, grid: KGrid,
     return _compile(spec, pot, grid, default_basis(grid) if basis is None else basis)
 
 
+def _model_for(spec, pot, grid, basis, *states) -> Model:
+    """``compile_model``, refusing a grid whose (d, K, N) differ from a state's."""
+    for u in states:
+        if (u.grid.d, u.grid.K, u.grid.N) != (grid.d, grid.K, grid.N):
+            raise ValueError(f"state on the grid (d, K, N) = {(u.grid.d, u.grid.K, u.grid.N)}"
+                             f", kernel given {(grid.d, grid.K, grid.N)}")
+    return compile_model(spec, pot, grid, basis)
+
+
 @functools.lru_cache(maxsize=16)
 def _compile(spec, pot, grid, basis) -> Model:
     d = grid.d
@@ -477,12 +452,12 @@ def _compile(spec, pot, grid, basis) -> Model:
     eps = np.asfortranarray(basis.vectors.transpose(1, 0, 2).reshape(-1, d))
     k = np.tile(grid.nodes, (d - 1, 1))
     epsk = np.asfortranarray((eps[:, :, None] * k[:, None, :]).reshape(-1, d * d))
-    pref = (np.array([ff.profile(grid.absk) for ff in spec.form_factors])
-            / np.sqrt(2.0 * grid.absk))
+    chi = np.array([ff.profile(grid.absk) for ff in spec.form_factors])
+    pref = chi / np.sqrt(2.0 * grid.absk)
     pair = {}
     if pot.kind == "smeared-coulomb":
-        pair = {(i, j): grid.weights * _pair_kernel(i, j, spec, pot, grid)
-                for i in range(spec.n) for j in range(i + 1, spec.n)}
+        pair = {(i, j): grid.weights * (pot.g * chi[i] * chi[j] / grid.absk**2)
+                for i, j in itertools.combinations(range(spec.n), 2)}
     return Model(pot=pot, grid=grid, axes=axes, eps=eps, epsk=epsk, ipref=1j * pref,
                  wpref=grid.weights * pref, pair=pair)
 
@@ -543,7 +518,7 @@ def hamiltonian(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     A float for one point; an (S,) array, row by row, for a stack.  It reads
     V, not grad V, through ``_energy``.
     """
-    model = compile_model(spec, pot, grid, basis)
+    model = _model_for(spec, pot, grid, basis, u)
     return _scalar(_energy(model, spec, u, _field_density(u.alpha)))
 
 
@@ -557,7 +532,7 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     G_alpha adds up the particles' terms in order, in place, without einsum.
     On a stack every row is computed as the single point would be.
     """
-    model = compile_model(spec, pot, grid, basis)
+    model = _model_for(spec, pot, grid, basis, u)
     masses = spec.masses[:, None]
     phases = _phases(model, u.q)
     grad_v = _potential_gradient(u.q, phases, model)
@@ -626,7 +601,7 @@ def characteristic_density_m(s: float, xi: PhaseSpacePoint, u: PhaseSpacePoint,
     m(s, xi) = -2 pi Re< vartheta(s, u), xi~ >_{X^0} with
     xi~ = (z_0/(i pi), alpha_0/(sqrt(2) pi)) is enforced by the tests.
     """
-    model = compile_model(spec, pot, grid, basis)
+    model = _model_for(spec, pot, grid, basis, xi, u)
     masses = spec.masses[:, None]
     x = u.q + s * u.p / masses
     x0 = xi.q + s * xi.p / masses

@@ -7,6 +7,7 @@ depend on resolution.
 """
 
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -641,10 +642,12 @@ class TestSchemaWalker:
         interpreted = {"$schema", "type", "const", "enum", "minimum", "exclusiveMinimum",
                        "items", "minItems", "maxItems", "required", "properties",
                        "additionalProperties", "oneOf"}
-        seen = set()
+        seen, types = set(), set()
 
         def visit(schema):
             seen.update(schema)
+            if "type" in schema:
+                types.add(schema["type"])
             assert schema.get("additionalProperties", False) is False
             for sub in schema.get("properties", {}).values():
                 visit(sub)
@@ -655,6 +658,7 @@ class TestSchemaWalker:
 
         visit(CONFIG_SCHEMA)
         assert seen <= interpreted, seen - interpreted
+        assert types <= set(nmdyn.cli._JSON_TYPES), types - set(nmdyn.cli._JSON_TYPES)
 
 
 class TestJsonText:
@@ -907,3 +911,15 @@ class TestSuitesOnSmallScenario:
         table = outcome.table()
         assert table.count("PASS") == len(outcome.checks) + 1
         assert table.splitlines()[-1].startswith("suite gauge: PASS")
+
+
+@pytest.mark.parametrize("module", ["nmdyn", "nmdyn.geometry", "nmdyn.state",
+                                    "nmdyn.interaction", "nmdyn.integrator",
+                                    "nmdyn.measures", "nmdyn.cli"])
+def test_every_exported_name_resolves(module):
+    """A deleted function must leave no dangling ``__all__`` entry (nmdyn's
+    own list also names cli's, which it imports on first use)."""
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)

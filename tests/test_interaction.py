@@ -30,15 +30,14 @@ from nmdyn.interaction import (
     nonlinearity_G,
     potential,
     potential_gradient_bound,
-    smeared_coulomb,
     vartheta,
 )
 from nmdyn.interaction import (
     _bracket,
     _compile,
     _hypothesis_norms,
+    _pairs,
     _phases,
-    _smeared_pair_complex,
     _vector_potentials,
 )
 from nmdyn.measures import Ensemble, push_forward
@@ -142,29 +141,33 @@ class TestPotential:
     def test_smeared_zero_form_factor(self, small_grid):
         spec = ParticleSpec(np.array([1.0, 1.0]),
                             (FormFactor.gaussian(1.0), zero_form_factor()))
-        w, grad = smeared_coulomb(0, 1, np.array([0.3, 0.1, -0.2]), spec,
-                                  PotentialSpec.coulomb(1.0), small_grid)
+        w, grad = potential(np.array([[0.3, 0.1, -0.2], [0.0, 0.0, 0.0]]), spec,
+                            PotentialSpec.coulomb(1.0), small_grid)
         assert w == 0.0
-        assert np.array_equal(grad, np.zeros(3))
+        assert np.array_equal(grad[0], np.zeros(3))
 
     def test_smeared_realness(self, small_grid, rng):
-        spec = two_particle_spec()
-        pot = PotentialSpec.coulomb(0.8)
+        """w = sum z and grad w = 2 pi i z.k over the pair terms z that V and
+        grad V sum: the imaginary parts, which _potential_value and
+        _potential_gradient drop, cancel in +/-k pairs."""
+        model = compile_model(two_particle_spec(), PotentialSpec.coulomb(0.8), small_grid)
         for _ in range(25):
-            x = rng.normal(size=3)
-            w, grad = _smeared_pair_complex(0, 1, x, spec, pot, small_grid)
-            scale = abs(w) + np.abs(grad).max() + 1.0
+            q = np.array([rng.normal(size=3), np.zeros(3)])
+            ((_, _, z),) = _pairs(q, _phases(model, q), model)
+            w, zk = np.sum(z), 2.0 * np.pi * (z @ small_grid.nodes)  # grad w = i zk
+            scale = abs(w) + np.abs(zk).max() + 1.0
             assert abs(np.imag(w)) <= 1e-12 * scale
-            assert np.abs(np.imag(grad)).max() <= 1e-12 * scale
+            assert np.abs(np.real(zk)).max() <= 1e-12 * scale
 
     def test_smeared_even_and_bounded_by_origin(self, small_grid, rng):
         spec = two_particle_spec()
         pot = PotentialSpec.coulomb(0.8)
-        w0, _ = smeared_coulomb(0, 1, np.zeros(3), spec, pot, small_grid)
+        w0, _ = potential(np.zeros((2, 3)), spec, pot, small_grid)
         for _ in range(10):
             x = rng.normal(size=3)
-            wp, gp = smeared_coulomb(0, 1, x, spec, pot, small_grid)
-            wm, gm = smeared_coulomb(0, 1, -x, spec, pot, small_grid)
+            wp, gp = potential(np.array([x, np.zeros(3)]), spec, pot, small_grid)
+            wm, gm = potential(np.array([-x, np.zeros(3)]), spec, pot, small_grid)
+            gp, gm = gp[0], gm[0]
             assert wp == pytest.approx(wm, abs=1e-13 * (1 + abs(wp)))
             assert np.allclose(gp, -gm, atol=1e-13 * (1 + np.abs(gp).max()))
             assert wp <= w0 * (1 + 1e-12)
@@ -196,7 +199,7 @@ class TestPotential:
         errs = []
         for N in (16, 32, 64):
             g = build_kgrid(3, 6.0, N)
-            w, _ = smeared_coulomb(0, 1, np.zeros(3), spec, pot, g)
+            w, _ = potential(np.zeros((2, 3)), spec, pot, g)
             errs.append(abs(w - GAUSS_COULOMB))
         assert errs[2] < errs[1] < errs[0]
 
@@ -220,18 +223,19 @@ class TestPotential:
         spec = ParticleSpec(np.ones(2), (FormFactor.gaussian(1.0),) * 2)
         pot = PotentialSpec.coulomb(1.0)
         x = np.array([0.7, 0.2, 0.1])
-        w, grad = smeared_coulomb(0, 1, x, spec, pot, grid)
+        w, grad = potential(np.array([x, np.zeros(3)]), spec, pot, grid)
         assert w == pytest.approx(w_at_x, abs=1e-4)
         for mu in range(3):
-            w_image, grad_image = smeared_coulomb(0, 1, x + N / (2 * K) * np.eye(3)[mu],
-                                                  spec, pot, grid)
+            w_image, grad_image = potential(
+                np.array([x + N / (2 * K) * np.eye(3)[mu], np.zeros(3)]), spec, pot, grid)
             assert abs(w_image + w) <= 1e-12
-            assert np.abs(grad_image + grad).max() <= 1e-12
+            assert np.abs(grad_image[0] + grad[0]).max() <= 1e-12
 
     def test_wrong_separation_shape_raises(self, small_grid):
-        with pytest.raises(ValueError):
-            smeared_coulomb(0, 1, np.zeros(4), two_particle_spec(),
-                            PotentialSpec.coulomb(1.0), small_grid)
+        for shape in ((2, 4), (3, 3), (3,)):
+            with pytest.raises(ValueError, match="positions must have shape"):
+                potential(np.zeros(shape), two_particle_spec(),
+                          PotentialSpec.coulomb(1.0), small_grid)
 
     def test_invalid_specs_raise(self):
         with pytest.raises(ValueError):
@@ -531,6 +535,30 @@ class TestModel:
         assert np.array_equal(g_a.p, g_b.p)
         assert np.array_equal(g_a.q, g_b.q)
         assert np.array_equal(g_a.alpha, g_b.alpha)
+
+    @pytest.mark.parametrize("kernel", ["hamiltonian", "nonlinearity_G", "nonlinearity_F",
+                                        "vartheta", "m_at_u", "m_at_xi", "evolve",
+                                        "push_forward"])
+    def test_kernels_refuse_a_grid_that_is_not_their_states(self, rng, kernel):
+        """Same N, other K: the field arrays fit, so only the check tells."""
+        spec = two_particle_spec()
+        pot = PotentialSpec.coulomb(0.8)
+        grid, grid_b = build_kgrid(3, 2.0, 10), build_kgrid(3, 2.5, 10)
+        u = random_point(rng, grid)
+        u_b = PhaseSpacePoint(u.particles, FieldState(grid_b, u.alpha))
+        calls = {
+            "hamiltonian": lambda: hamiltonian(u, spec, pot, grid_b),
+            "nonlinearity_G": lambda: nonlinearity_G(u, spec, pot, grid_b),
+            "nonlinearity_F": lambda: nonlinearity_F(u, spec, pot, grid_b),
+            "vartheta": lambda: vartheta(0.1, u, spec, pot, grid_b),
+            "m_at_u": lambda: characteristic_density_m(0.1, u_b, u, spec, pot, grid_b),
+            "m_at_xi": lambda: characteristic_density_m(0.1, u, u_b, spec, pot, grid_b),
+            "evolve": lambda: evolve(u, 0.1, 0.05, spec, pot, grid_b, allow_flagged=True),
+            "push_forward": lambda: push_forward(Ensemble(points=(u, u), seed=0), 0.1, 0.05,
+                                                 spec, pot, grid_b, allow_flagged=True),
+        }
+        with pytest.raises(ValueError, match=r"state on the grid \(d, K, N\) = \(3, 2.0, 10\)"):
+            calls[kernel]()
 
 
     def test_compiling_does_not_import_numpy_ma(self):

@@ -1,11 +1,12 @@
 """Smoke runs of the command-line scripts in ``scripts/``.
 
 Each script is loaded from its file and its ``main(argv)`` is called on the
-quickstart scenario, copied into the test's temporary directory; every call
-must return 0 and write its outputs there.
+quickstart scenario, copied into the test's temporary directory; a call on
+the scenario as shipped must return 0 and write its outputs there.
 """
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -102,3 +103,21 @@ def test_verify_all_out_that_cannot_be_a_directory_is_a_config_error(
     assert err.startswith("config error: --out")
     assert blocker.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["quickstart.json", "taken"]
+
+
+def test_verify_all_runs_the_suites_after_a_refused_one(quickstart, tmp_path, capsys):
+    """T/dt = 10 is refused by the characteristic suite (it also runs at 4*dt);
+    the six other suites still run and write their files."""
+    raw = json.loads(Path(quickstart).read_text())
+    raw["run"]["T"] = 0.1
+    Path(quickstart).write_text(json.dumps(raw))
+    out = tmp_path / "verify"
+    assert load_script("verify_all").main(["--config", quickstart, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: run: the characteristic suite")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"verify_{name}.json" for name in cli.SUITES if name != "characteristic")
+    summary = captured.out.splitlines()[-len(cli.SUITES):]
+    assert summary[0].split() == ["characteristic", "REFUSED"]
+    assert all(line.split()[1] == "PASS" for line in summary[1:])
