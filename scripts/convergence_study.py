@@ -11,7 +11,7 @@ import csv
 import math
 import sys
 
-from nmdyn.cli import load_config, reference_scenario
+from nmdyn.cli import guarded, load_config, reference_scenario
 from nmdyn.integrator import SCHEMES, evolve
 from nmdyn.state import phase_norm
 
@@ -28,8 +28,10 @@ def main(argv=None):
     ap.add_argument("--dt-max", type=float, default=0.02)
     ap.add_argument("--levels", type=int, default=4)
     ap.add_argument("--csv", help="append results to this CSV file")
-    args = ap.parse_args(argv)
+    return guarded(study, ap.parse_args(argv))
 
+
+def study(args):
     cfg = load_config(args.config if args.config else reference_scenario())
     dts = [args.dt_max / 2**j for j in range(args.levels)]
     rows = []

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from nmdyn.cli import load_config, reference_scenario
+from nmdyn.cli import guarded, load_config, reference_scenario
 from nmdyn.measures import moment_report, push_forward, sample_measure
 
 
@@ -31,8 +31,10 @@ def main(argv=None):
                     help="scenario JSON (default: reference physics on a "
                          "coarser grid, T=5)")
     ap.add_argument("--out", default="moment_curves.csv")
-    args = ap.parse_args(argv)
+    return guarded(curves, ap.parse_args(argv))
 
+
+def curves(args):
     cfg = load_config(args.config if args.config else default_scenario())
     ens = push_forward(sample_measure(cfg.require_measure(), cfg.m_samples,
                                       cfg.seed),

@@ -9,8 +9,7 @@ import argparse
 import json
 import os
 
-from nmdyn.cli import main as cli_main
-from nmdyn.cli import reference_scenario
+from nmdyn.cli import _check_out, guarded, main as cli_main, reference_scenario
 
 
 def main(argv=None):
@@ -18,9 +17,11 @@ def main(argv=None):
     ap.add_argument("--config", help="scenario JSON (default: built-in reference)")
     ap.add_argument("--out", default="out/reference")
     ap.add_argument("--seed", type=int)
-    args = ap.parse_args(argv)
+    return guarded(run, ap.parse_args(argv))
 
-    os.makedirs(args.out, exist_ok=True)
+
+def run(args):
+    os.makedirs(_check_out(args.out), exist_ok=True)
     if args.config is None:
         config = os.path.join(args.out, "config.json")
         with open(config, "w") as fh:

@@ -11,13 +11,14 @@ Four subcommands consume it:
 * ``simulate``  — one trajectory; writes trajectory.csv + summary.json.
 * ``ensemble``  — sample the initial measure, push every sample through the
   flow; writes ensemble.csv + reports.json (moments, characteristic checks).
-* ``verify``    — run one named verification suite and write its outcome;
-  exit code 0 iff every check passes.
+* ``verify``    — run one named verification suite, or ``all`` (a refused
+  suite is listed and the rest still run); exit code 0 iff every check passes.
 * ``hypotheses``— form-factor integrability report for the configured grid.
 
 Exit codes: 0 success / all checks pass, 1 suite failure, 2 configuration
 problem (schema violation, inconsistent shapes, or a flagged form factor
-without --allow-flagged), 3 numerical abort (non-finite state).
+without --allow-flagged), 3 numerical abort (non-finite state); ``guarded``
+gives 2 and 3 with one stderr line, for ``main`` and the scripts alike.
 
 Every output file embeds the resolved scenario (defaults applied, --seed
 applied) plus a format-version field; the output directory is runtime
@@ -59,6 +60,7 @@ from .interaction import (
     PotentialSpec,
     _bracket,
     _grad_vector_potentials,
+    _hypothesis_norms,
     _phases,
     _vector_potentials,
     characteristic_density_m,
@@ -99,6 +101,7 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "VerifyOutcome",
+    "guarded",
     "load_config",
     "reference_scenario",
     "run_suite",
@@ -438,12 +441,15 @@ def _build_form_factor(data: dict, base_dir: str) -> FormFactor:
     return FormFactor.from_csv(os.path.join(base_dir, data["path"]))
 
 
-def _build_potential(data: dict) -> PotentialSpec:
+def _build_potential(data: dict, d: int) -> PotentialSpec:
     family = data["family"]
     if family == "zero":
         return PotentialSpec.zero()
     if family == "smeared-coulomb":
         return PotentialSpec.coulomb(data["g"])
+    if len(data["wavevector"]) != d:
+        raise ConfigError(f"potential.wavevector: expected {d} components, "
+                          f"got {len(data['wavevector'])}")
     return PotentialSpec.cosine(data["amplitude"], data["wavevector"])
 
 
@@ -531,7 +537,7 @@ def load_config(source, base_dir: str = ".",
             form_factors=[_build_form_factor(part["form_factor"], base_dir)
                           for part in raw["particles"]],
         )
-        pot = _build_potential(raw["potential"])
+        pot = _build_potential(raw["potential"], grid.d)
         n = len(raw["particles"])
         initial = raw["initial"]
         if "measure" in initial:
@@ -707,8 +713,7 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
     """
     grid, spec, pot = cfg.grid, cfg.spec, cfg.pot
     n = spec.masses.size
-    report = check_hypotheses(spec, 0.5, grid)
-    norms = report.norms
+    norms = _hypothesis_norms(spec, 0.5, grid)
     chi_l2 = np.array([
         np.sqrt(float(integrate_k(grid, ff.profile(grid.absk) ** 2)))
         for ff in spec.form_factors
@@ -799,6 +804,8 @@ def verify_duhamel_order(cfg: ScenarioConfig, allow_flagged: bool = False,
     must leave C stable.
     """
     u0 = cfg.require_point()
+    if cfg.T == 0:
+        raise ConfigError("run: the duhamel-order suite needs T > 0")
     refuse_flagged(cfg.spec, cfg.grid, allow_flagged)
     ends = {}
     for scheme in SCHEMES:
@@ -865,9 +872,9 @@ def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
     ys = [_random_direction(rng, cfg.grid, cfg.spec.masses.size) for _ in range(5)]
     checks = []
     coarsest = 4 if cfg.point is not None else 2  # the point-mass part also runs 4*dt
-    if _step_count(cfg.T, cfg.dt) % coarsest != 0:
+    if cfg.T == 0 or _step_count(cfg.T, cfg.dt) % coarsest != 0:
         raise ConfigError(f"run: the characteristic suite also runs at {coarsest}*dt,"
-                          f" so T/dt must be divisible by {coarsest}")
+                          f" so T must be positive and T/dt divisible by {coarsest}")
 
     if cfg.point is not None:
         dirac = MeasureSpec.dirac(cfg.point)
@@ -1123,17 +1130,33 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """One suite, or under ``all`` each suite through ``guarded``: a refusal (2)
+    is listed as REFUSED and the rest run; a numerical abort (3) ends the run."""
     source = args.config if args.config else reference_scenario()
     cfg = load_config(source, seed_override=args.seed, out_override=args.out)
     kwargs = {"allow_flagged": args.allow_flagged}
     if args.draws is not None:
         kwargs["draws"] = args.draws
-    outcome = run_suite(args.suite, cfg, **kwargs)
-    out = _out_dir(cfg)
-    write_payload(os.path.join(out, f"verify_{outcome.suite}.json"), cfg,
-                  outcome.to_json())
-    print(outcome.table())
-    return 0 if outcome.passed else 1
+    every = args.suite == "all"
+
+    def one(name):
+        outcome = run_suite(name, cfg, **kwargs)
+        write_payload(os.path.join(_out_dir(cfg), f"verify_{name}.json"), cfg,
+                      outcome.to_json())
+        print(outcome.table() + ("\n" if every else ""))
+        return 0 if outcome.passed else 1
+
+    if not every:
+        return one(args.suite)
+    codes = {}
+    for name in sorted(SUITES):
+        codes[name] = guarded(one, name)
+        if codes[name] == 3:
+            return 3
+    width = max(map(len, codes))
+    for name, code in codes.items():
+        print(f"{name:<{width}}  {('PASS', 'FAIL', 'REFUSED')[code]}")
+    return max(codes.values())
 
 
 def cmd_hypotheses(args) -> int:
@@ -1177,8 +1200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p = sub.add_parser("verify", help="run a named verification suite, or all")
+    p.add_argument("suite", choices=["all", *sorted(SUITES)])
     p.add_argument("config", nargs="?", default=None,
                    help="scenario JSON file (default: built-in reference)")
     p.add_argument("--draws", type=int, default=None,
@@ -1192,19 +1215,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each refusal and numerical abort: error types, stderr prefix, exit code
+_FAILURES = ((ConfigError, "config error", 2),
+             (FlaggedHypothesesError, "hypothesis flag", 2),
+             ((NumericalBlowupError, EnsemblePropagationError), "numerical abort", 3))
+
+
+def guarded(run, *args) -> int:
+    """run(*args)'s exit code; a refusal or numerical abort prints one stderr
+    line under its prefix and gives its documented code instead."""
+    try:
+        return run(*args)
+    except Exception as err:
+        for kind, prefix, code in _FAILURES:
+            if isinstance(err, kind):
+                print(f"{prefix}: {err}", file=sys.stderr)
+                return code
+        raise
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except FlaggedHypothesesError as err:
-        print(f"hypothesis flag: {err}", file=sys.stderr)
-        return 2
-    except (NumericalBlowupError, EnsemblePropagationError) as err:
-        print(f"numerical abort: {err}", file=sys.stderr)
-        return 3
+    return guarded(args.func, args)
 
 
 if __name__ == "__main__":

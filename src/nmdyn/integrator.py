@@ -159,16 +159,6 @@ class DivergenceReport:
     envelope_c: float
     envelope_violations: int
 
-    def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "times": self.times.tolist(),
-            "divergence": self.divergence.tolist(),
-            "fitted_c": self.fitted_c,
-            "envelope_c": self.envelope_c,
-            "envelope_violations": self.envelope_violations,
-        }
-
 
 def _rk4(f, t: float, u: PhaseSpacePoint, dt: float) -> PhaseSpacePoint:
     """One classical 4-stage Runge-Kutta step of du/dt = f(t, u), summing

@@ -645,12 +645,12 @@ def ensemble_to_csv(ensemble: Ensemble, path) -> None:
     """One row per (sample, step): sample, t, H, and the three X^sigma norms."""
     if ensemble.trajectories is None:
         raise ValueError("ensemble_to_csv needs trajectories")
-    rows = []
-    for m, traj in enumerate(ensemble.trajectories):
-        for k in range(traj.times.size):
-            rows.append([
-                float(m), traj.times[k], traj.energies[k],
-                traj.norms[k, 0], traj.norms[k, 1], traj.norms[k, 2],
-            ])
+    trajs = ensemble.trajectories
+    table = np.column_stack([
+        np.repeat(np.arange(len(trajs), dtype=float), [t.times.size for t in trajs]),
+        np.concatenate([t.times for t in trajs]),
+        np.concatenate([t.energies for t in trajs]),
+        np.concatenate([t.norms for t in trajs]),
+    ])
     header = "sample,t,H,norm_X0,norm_X12,norm_X1"
-    np.savetxt(path, np.asarray(rows), delimiter=",", header=header, comments="")
+    np.savetxt(path, table, delimiter=",", header=header, comments="")

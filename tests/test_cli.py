@@ -387,6 +387,69 @@ class TestCommands:
         assert err.count("\n") == 1
         assert err.startswith("config error: run")
 
+    @pytest.mark.parametrize("suite", ["duhamel-order", "characteristic"])
+    def test_zero_horizon_is_refused_by_the_comparing_suites(self, suite, tmp_path, capsys):
+        raw = small_scenario()
+        raw["run"]["T"] = 0
+        path = tmp_path / "still.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "v"
+        assert main(["verify", suite, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: run: " + {
+            "duhamel-order": "the duhamel-order suite needs T > 0",
+            "characteristic": "the characteristic suite also runs at 4*dt, so T must be "
+                              "positive and T/dt divisible by 4"}[suite] + "\n"
+        assert not out.exists()
+
+    def test_verify_all_runs_the_other_suites_at_a_zero_horizon(self, tmp_path, capsys):
+        raw = small_scenario()
+        raw["run"]["T"] = 0
+        path = tmp_path / "still.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "v"
+        assert main(["verify", "all", str(path), "--out", str(out), "--draws", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 2
+        refused = {"characteristic", "duhamel-order"}
+        summary = dict(line.split() for line in
+                       captured.out.splitlines()[-len(nmdyn.cli.SUITES):])
+        assert summary == {name: "REFUSED" if name in refused else "PASS"
+                           for name in nmdyn.cli.SUITES}
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"verify_{name}.json" for name in nmdyn.cli.SUITES if name not in refused)
+
+    def test_verify_all_stops_at_a_numerical_abort(self, tmp_path, capsys):
+        raw = small_scenario()
+        raw["grid"] = {"d": 3, "K": 1.0, "N": 2}
+        raw["run"] = {"T": 4.0, "dt": 1.0}
+        raw["initial"] = {"coherent": {
+            "p": [[0, 0, 0], [0, 0, 0]], "q": [[0, 0, 0], [0, 0, 0]],
+            "amplitude": 1e8, "width": 1e-4, "direction": [1.0, 1.0, 1.0]}}
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps(raw))
+        with np.errstate(all="ignore"):
+            code = main(["verify", "all", str(path), "--out", str(tmp_path / "v"),
+                         "--allow-flagged"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical abort")  # the first suite, characteristic
+        assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "hypotheses"])
+    @pytest.mark.parametrize("wavevector", [[1.0, 2.0], []], ids=["two", "none"])
+    def test_wavevector_of_the_wrong_length_is_a_config_error(self, command, wavevector,
+                                                              tmp_path, capsys):
+        raw = small_scenario()
+        raw["potential"] = {"family": "product-of-cos", "amplitude": 0.1,
+                            "wavevector": wavevector}
+        path = tmp_path / "cos.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: potential.wavevector: expected 3 components, "
+            f"got {len(wavevector)}\n")
+
     @pytest.mark.parametrize("command", [["simulate"], ["verify", "gauge"]],
                              ids=["simulate", "verify-gauge"])
     @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
@@ -705,13 +768,12 @@ class TestJsonText:
 
 def _tightened_hypotheses(monkeypatch, factor):
     """Make the suites read the hypothesis norms scaled by ``factor``."""
-    original = nmdyn.cli.check_hypotheses
+    original = nmdyn.cli._hypothesis_norms
 
     def tight(*args, **kwargs):
-        report = original(*args, **kwargs)
-        return dataclasses.replace(report, norms=factor * report.norms)
+        return factor * original(*args, **kwargs)
 
-    monkeypatch.setattr(nmdyn.cli, "check_hypotheses", tight)
+    monkeypatch.setattr(nmdyn.cli, "_hypothesis_norms", tight)
     return tight
 
 
@@ -819,7 +881,7 @@ class TestSuitesOnSmallScenario:
         assert 7 % rows != 0  # the last block is partial
         outcome = run_suite("lemma-bounds", cfg, draws=7)
         counts = [c["value"] for c in outcome.checks]
-        expected = _lemma_counts_per_draw(cfg, 7, tight(cfg.spec, 0.5, cfg.grid).norms)
+        expected = _lemma_counts_per_draw(cfg, 7, tight(cfg.spec, 0.5, cfg.grid))
         assert counts == expected
         assert all(0 < count < most
                    for count, most in zip(counts, (7, 7 * cfg.grid.d, 7, 7 * 6)))

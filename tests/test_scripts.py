@@ -2,7 +2,8 @@
 
 Each script is loaded from its file and its ``main(argv)`` is called on the
 quickstart scenario, copied into the test's temporary directory; a call on
-the scenario as shipped must return 0 and write its outputs there.
+the scenario as shipped must return 0 and write its outputs there.  A
+refused scenario exits as ``nmdyn`` does: one stderr line and its code.
 """
 
 import importlib.util
@@ -69,10 +70,62 @@ def test_verify_all_accepts_ignored_threads_flag(verify_all_run):
 
 
 def test_verify_all_writes_what_nmdyn_verify_writes(verify_all_run, tmp_path):
+    """verify_all is ``nmdyn verify all``: the bytes of one run per suite."""
     config, _, out = verify_all_run
-    assert cli.main(["verify", "gauge", config, "--out", str(tmp_path)]) == 0
-    written = (tmp_path / "verify_gauge.json").read_bytes()
-    assert written == (out / "verify_gauge.json").read_bytes()
+    for name in cli.SUITES:
+        assert cli.main(["verify", name, config, "--out", str(tmp_path)]) == 0
+        written = (tmp_path / f"verify_{name}.json").read_bytes()
+        assert written == (out / f"verify_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("entry", ["nmdyn simulate", "nmdyn ensemble", "nmdyn hypotheses",
+                                   "nmdyn verify gauge", "nmdyn verify all",
+                                   "convergence_study", "moment_curves", "run_reference",
+                                   "verify_all"])
+def test_missing_config_is_one_line_and_exit_2(entry, tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    out = str(tmp_path / "out")
+    if entry.startswith("nmdyn "):
+        code = cli.main(entry.split()[1:] + [missing, "--out", out])
+    else:
+        extra = [] if entry == "convergence_study" else ["--out", out]
+        code = load_script(entry).main(["--config", missing, *extra])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: config file not found: {missing}\n"
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_run_reference_out_that_cannot_be_a_directory_is_a_config_error(
+        under, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "reference" if under else blocker
+    assert load_script("run_reference").main(["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: --out")
+    assert blocker.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize("entry", ["verify_all", "nmdyn verify all"])
+def test_flagged_spec_refuses_the_suites_that_evolve(entry, quickstart, tmp_path, capsys):
+    raw = json.loads(Path(quickstart).read_text())
+    raw["particles"][0]["form_factor"] = {"family": "point"}
+    Path(quickstart).write_text(json.dumps(raw))
+    out = str(tmp_path / "verify")
+    code = (load_script("verify_all").main(["--config", quickstart, "--out", out])
+            if entry == "verify_all" else cli.main(["verify", "all", quickstart, "--out", out]))
+    assert code == 2
+    captured = capsys.readouterr()
+    evolving = {"characteristic", "duhamel-order", "gronwall", "moments"}
+    assert captured.err.splitlines() == len(evolving) * [captured.err.splitlines()[0]]
+    assert captured.err.startswith("hypothesis flag: ")
+    summary = dict(line.split() for line in captured.out.splitlines()[-len(cli.SUITES):])
+    assert summary == {name: "REFUSED" if name in evolving else "PASS"
+                       for name in cli.SUITES}
+    assert sorted(p.name for p in Path(out).iterdir()) == sorted(
+        f"verify_{name}.json" for name in cli.SUITES if name not in evolving)
 
 
 def test_verify_all_missing_config_is_a_config_error(tmp_path, capsys):
@@ -93,7 +146,7 @@ def test_verify_all_out_that_cannot_be_a_directory_is_a_config_error(
     def must_not_run(*args, **kwargs):
         raise AssertionError("--out is checked before any suite runs")
 
-    monkeypatch.setattr(script, "run_suite", must_not_run)
+    monkeypatch.setattr(cli, "run_suite", must_not_run)
     blocker = tmp_path / "taken"
     blocker.write_text("kept\n")
     out = blocker / "verify" if under else blocker
