@@ -9,9 +9,11 @@ observed order per level; optionally appends rows to a CSV.
 import argparse
 import csv
 import math
+import os
 import sys
 
-from nmdyn.cli import guarded, load_config, reference_scenario
+from nmdyn.cli import guarded
+from nmdyn.config import _check_out, load_config, reference_scenario
 from nmdyn.integrator import SCHEMES, evolve
 from nmdyn.state import phase_norm
 
@@ -33,6 +35,8 @@ def main(argv=None):
 
 def study(args):
     cfg = load_config(args.config if args.config else reference_scenario())
+    if args.csv:
+        _check_out(os.path.dirname(args.csv) or os.curdir, "--csv", must_exist=True)
     dts = [args.dt_max / 2**j for j in range(args.levels)]
     rows = []
     for scheme in SCHEMES:

@@ -10,11 +10,13 @@ them is the quickest way to see how much headroom the ensemble has.
 
 import argparse
 import csv
+import os
 import sys
 
 import numpy as np
 
-from nmdyn.cli import guarded, load_config, reference_scenario
+from nmdyn.cli import guarded
+from nmdyn.config import _check_out, load_config, reference_scenario
 from nmdyn.measures import moment_report, push_forward, sample_measure
 
 
@@ -36,6 +38,7 @@ def main(argv=None):
 
 def curves(args):
     cfg = load_config(args.config if args.config else default_scenario())
+    _check_out(os.path.dirname(args.out) or os.curdir, must_exist=True)
     ens = push_forward(sample_measure(cfg.require_measure(), cfg.m_samples,
                                       cfg.seed),
                        cfg.T, cfg.dt, cfg.spec, cfg.pot, cfg.grid,

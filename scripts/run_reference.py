@@ -9,7 +9,8 @@ import argparse
 import json
 import os
 
-from nmdyn.cli import _check_out, guarded, main as cli_main, reference_scenario
+from nmdyn.cli import guarded, main as cli_main
+from nmdyn.config import _check_out, reference_scenario
 
 
 def main(argv=None):

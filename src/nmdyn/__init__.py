@@ -5,8 +5,9 @@ quadrature), ``state`` (phase-space points, norms, the free flow),
 ``interaction`` (form factors, potentials, the coupling terms and their
 proved bounds), ``integrator`` (splitting schemes, trajectories,
 divergence tracking), ``measures`` (sample ensembles, push-forward,
-characteristic-equation and moment checks), ``cli`` (scenario configs and
-verification suites).
+characteristic-equation and moment checks), ``config`` (the scenario
+schema and its checker), ``suites`` (the verification suites) and, on top,
+``cli`` (the subcommands, which ``import nmdyn`` leaves unimported).
 """
 
 from .geometry import (
@@ -68,21 +69,17 @@ from .measures import (
     push_forward,
     sample_measure,
 )
+from .config import (
+    CONFIG_SCHEMA,
+    FORMAT_VERSION,
+    ConfigError,
+    ScenarioConfig,
+    load_config,
+    reference_scenario,
+)
+from .suites import VerifyOutcome, run_suite
 
-# ``cli`` is imported on first use, so ``python -m nmdyn.cli`` does not find
-# it already in sys.modules when it starts running it as __main__.
-_CLI_NAMES = ("CONFIG_SCHEMA", "FORMAT_VERSION", "ConfigError", "ScenarioConfig",
-              "VerifyOutcome", "load_config", "reference_scenario", "run_suite")
-
-# every name imported above, as a star import took them before, plus cli's
-__all__ = [name for name in dir() if not name.startswith("_")] + list(_CLI_NAMES)
-
-
-def __getattr__(name):
-    if name in _CLI_NAMES:
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+# every name imported above, as a star import took them before
+__all__ = [name for name in dir() if not name.startswith("_")]
 
 __version__ = "0.1.0"

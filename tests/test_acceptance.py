@@ -12,7 +12,8 @@ import pytest
 
 from conftest import coupling, random_point, rotate_frame
 
-from nmdyn.cli import load_config, main, reference_scenario, run_suite
+from nmdyn.cli import main
+from nmdyn.config import load_config, reference_scenario
 from nmdyn.geometry import build_kgrid, integrate_k
 from nmdyn.integrator import evolve
 from nmdyn.interaction import (
@@ -21,6 +22,7 @@ from nmdyn.interaction import (
     nonlinearity_F,
 )
 from nmdyn.state import FieldState, PhaseSpacePoint, phase_norm
+from nmdyn.suites import run_suite
 
 
 @pytest.fixture(scope="module")

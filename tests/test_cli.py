@@ -20,20 +20,19 @@ import pytest
 from conftest import coupling
 
 import nmdyn.cli
+import nmdyn.config
 import nmdyn.integrator
 import nmdyn.interaction
 import nmdyn.measures
+import nmdyn.suites
 
-from nmdyn.cli import (
+from nmdyn.cli import main, write_payload
+from nmdyn.config import (
     CONFIG_SCHEMA,
     ConfigError,
     FORMAT_VERSION,
-    _random_state,
     load_config,
-    main,
     reference_scenario,
-    run_suite,
-    write_payload,
 )
 from nmdyn.geometry import integrate_k
 from nmdyn.interaction import (
@@ -53,6 +52,7 @@ from nmdyn.state import (
     point_to_json,
     real_inner,
 )
+from nmdyn.suites import _random_state, run_suite
 
 
 def small_scenario() -> dict:
@@ -109,6 +109,14 @@ class TestConfig:
         # scenario definition shows up here first
         h0 = hamiltonian(cfg.point, cfg.spec, cfg.pot, cfg.grid, cfg.basis)
         assert h0 == pytest.approx(0.38915860021068427, abs=1e-12)
+
+    def test_reference_config_file_is_the_dump_of_reference_scenario(self):
+        # reference_scenario() is the one source; the shipped file is its dump
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs",
+                            "reference.json")
+        with open(path) as handle:
+            text = handle.read()
+        assert text == json.dumps(reference_scenario(), indent=2, sort_keys=True) + "\n"
 
     def test_schema_is_valid_against_its_meta_schema(self):
         # load_config walks CONFIG_SCHEMA as given and never checks it itself
@@ -452,8 +460,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", [["simulate"], ["verify", "gauge"]],
                              ids=["simulate", "verify-gauge"])
-    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
-    def test_out_that_cannot_be_a_directory_is_a_config_error(self, command, under,
+    @pytest.mark.parametrize("target", ["taken", "taken/run", ""],
+                             ids=["a-file", "under-a-file", "empty"])
+    def test_out_that_cannot_be_a_directory_is_a_config_error(self, command, target,
                                                               config_file, tmp_path, capsys,
                                                               monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -463,8 +472,8 @@ class TestCommands:
         monkeypatch.setattr(nmdyn.cli, "run_suite", must_not_run)
         blocker = tmp_path / "taken"
         blocker.write_text("kept\n")
-        out = blocker / "run" if under else blocker
-        assert main(command + [config_file, "--out", str(out)]) == 2
+        out = str(tmp_path / target) if target else ""
+        assert main(command + [config_file, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("config error: --out")
@@ -501,6 +510,15 @@ class TestCommands:
 
         added = top_level(", nmdyn.cli") - top_level("")
         assert added - set(sys.stdlib_module_names) - {"nmdyn"} == {"numpy"}
+
+    def test_library_layers_leave_cli_unimported(self):
+        # ``python -m nmdyn.cli`` warns if the package import already loaded cli
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nmdyn.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, nmdyn, nmdyn.config, nmdyn.suites; print('nmdyn.cli' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_module_entry_runs_without_warning(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(nmdyn.__file__)))
@@ -695,7 +713,7 @@ class TestSchemaWalker:
     def test_agrees_with_jsonschema(self, doc, root):
         validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
         for mutant in _mutants(doc, root):
-            ours = nmdyn.cli._schema_error(CONFIG_SCHEMA, mutant, ())
+            ours = nmdyn.config._schema_error(CONFIG_SCHEMA, mutant, ())
             errors = list(validator.iter_errors(mutant))
             assert (ours is None) == (not errors), (mutant, ours)
             if ours is not None:
@@ -721,7 +739,7 @@ class TestSchemaWalker:
 
         visit(CONFIG_SCHEMA)
         assert seen <= interpreted, seen - interpreted
-        assert types <= set(nmdyn.cli._JSON_TYPES), types - set(nmdyn.cli._JSON_TYPES)
+        assert types <= set(nmdyn.config._JSON_TYPES), types - set(nmdyn.config._JSON_TYPES)
 
 
 class TestJsonText:
@@ -768,12 +786,12 @@ class TestJsonText:
 
 def _tightened_hypotheses(monkeypatch, factor):
     """Make the suites read the hypothesis norms scaled by ``factor``."""
-    original = nmdyn.cli._hypothesis_norms
+    original = nmdyn.suites._hypothesis_norms
 
     def tight(*args, **kwargs):
         return factor * original(*args, **kwargs)
 
-    monkeypatch.setattr(nmdyn.cli, "_hypothesis_norms", tight)
+    monkeypatch.setattr(nmdyn.suites, "_hypothesis_norms", tight)
     return tight
 
 
@@ -918,7 +936,7 @@ class TestSuitesOnSmallScenario:
             last.append(_random_state(rng, grid, n, scale))
             return last[0]
 
-        monkeypatch.setattr(nmdyn.cli, "_random_state", near_pairs)
+        monkeypatch.setattr(nmdyn.suites, "_random_state", near_pairs)
         outcome = run_suite("lemma-bounds", cfg, draws=5)
         assert outcome.checks[2]["value"] == 5
 
@@ -962,7 +980,7 @@ class TestSuitesOnSmallScenario:
 
         for name in calls:
             original = getattr(nmdyn.interaction, name)
-            for module in (nmdyn.interaction, nmdyn.integrator, nmdyn.cli):
+            for module in (nmdyn.interaction, nmdyn.integrator, nmdyn.suites):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted(name, original))
         assert run_suite("duhamel-order", cfg).passed
@@ -977,10 +995,10 @@ class TestSuitesOnSmallScenario:
 
 @pytest.mark.parametrize("module", ["nmdyn", "nmdyn.geometry", "nmdyn.state",
                                     "nmdyn.interaction", "nmdyn.integrator",
-                                    "nmdyn.measures", "nmdyn.cli"])
+                                    "nmdyn.measures", "nmdyn.config", "nmdyn.suites",
+                                    "nmdyn.cli"])
 def test_every_exported_name_resolves(module):
-    """A deleted function must leave no dangling ``__all__`` entry (nmdyn's
-    own list also names cli's, which it imports on first use)."""
+    """A deleted function must leave no dangling ``__all__`` entry."""
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []

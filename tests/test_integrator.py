@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import nmdyn.integrator
-from nmdyn.cli import load_config
+from nmdyn.config import load_config
 from nmdyn.geometry import build_kgrid
 from nmdyn.integrator import (
     DivergenceReport,

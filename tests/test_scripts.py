@@ -6,8 +6,10 @@ the scenario as shipped must return 0 and write its outputs there.  A
 refused scenario exits as ``nmdyn`` does: one stderr line and its code.
 """
 
+import errno
 import importlib.util
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -106,6 +108,30 @@ def test_run_reference_out_that_cannot_be_a_directory_is_a_config_error(
     assert err.startswith("config error: --out")
     assert blocker.read_text() == "kept\n"
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize("entry,flag,run", [("moment_curves", "--out", "push_forward"),
+                                            ("convergence_study", "--csv", "evolve")],
+                         ids=["moment_curves", "convergence_study"])
+@pytest.mark.parametrize("folder", ["nodir", "taken"], ids=["missing", "a-file"])
+def test_csv_whose_directory_cannot_take_it_is_a_config_error(entry, flag, run, folder,
+                                                               quickstart, tmp_path, capsys):
+    script = load_script(entry)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{flag} is checked before the run")
+
+    setattr(script, run, must_not_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    target = tmp_path / folder
+    assert script.main(["--config", quickstart, flag, str(target / "x.csv")]) == 2
+    reason = (os.strerror(errno.ENOENT) if folder == "nodir"
+              else f"{str(target)!r} is not a directory")
+    assert capsys.readouterr().err == (
+        f"config error: {flag}: cannot use {str(target)!r} as the output directory: "
+        f"{reason}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["quickstart.json", "taken"]
 
 
 @pytest.mark.parametrize("entry", ["verify_all", "nmdyn verify all"])
