@@ -9,18 +9,17 @@ observed order per level; optionally appends rows to a CSV.
 import argparse
 import csv
 import math
-import os
 import sys
 
 from nmdyn.cli import guarded
-from nmdyn.config import _check_out, load_config, reference_scenario
-from nmdyn.integrator import SCHEMES, evolve
+from nmdyn.config import ConfigError, _check_csv, load_config, reference_scenario
+from nmdyn.integrator import SCHEMES, _step_count, evolve
 from nmdyn.state import phase_norm
 
 
 def endpoint(cfg, dt, scheme):
-    traj = evolve(cfg.point, cfg.T, dt, cfg.spec, cfg.pot, cfg.grid,
-                  scheme=scheme, store_every=10**9, basis=cfg.basis)
+    traj = evolve(cfg.point, cfg.T, dt, cfg.spec, cfg.pot, scheme=scheme,
+                  store_every=10**9)
     return traj.endpoint()
 
 
@@ -36,8 +35,18 @@ def main(argv=None):
 def study(args):
     cfg = load_config(args.config if args.config else reference_scenario())
     if args.csv:
-        _check_out(os.path.dirname(args.csv) or os.curdir, "--csv", must_exist=True)
+        _check_csv(args.csv, "--csv")
+    cfg.require_point()
+    if cfg.T == 0:
+        raise ConfigError("run: the convergence study needs T > 0")
+    if args.levels < 1:
+        raise ConfigError(f"--levels: need at least 1 level, got {args.levels}")
     dts = [args.dt_max / 2**j for j in range(args.levels)]
+    for dt in dts + [dts[-1] / 4.0]:  # the ladder and its reference step
+        try:
+            _step_count(cfg.T, dt)
+        except ValueError as err:
+            raise ConfigError(f"--dt-max: {err}") from err
     rows = []
     for scheme in SCHEMES:
         ref = endpoint(cfg, dts[-1] / 4.0, scheme)

@@ -10,13 +10,12 @@ them is the quickest way to see how much headroom the ensemble has.
 
 import argparse
 import csv
-import os
 import sys
 
 import numpy as np
 
 from nmdyn.cli import guarded
-from nmdyn.config import _check_out, load_config, reference_scenario
+from nmdyn.config import _check_csv, load_config, reference_scenario
 from nmdyn.measures import moment_report, push_forward, sample_measure
 
 
@@ -38,13 +37,12 @@ def main(argv=None):
 
 def curves(args):
     cfg = load_config(args.config if args.config else default_scenario())
-    _check_out(os.path.dirname(args.out) or os.curdir, must_exist=True)
+    _check_csv(args.out, "--out")
     ens = push_forward(sample_measure(cfg.require_measure(), cfg.m_samples,
                                       cfg.seed),
-                       cfg.T, cfg.dt, cfg.spec, cfg.pot, cfg.grid,
-                       scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                       basis=cfg.basis)
-    rep = moment_report(ens, cfg.spec, cfg.pot, cfg.grid)
+                       cfg.T, cfg.dt, cfg.spec, cfg.pot, scheme=cfg.scheme,
+                       store_every=cfg.snapshot_every)
+    rep = moment_report(ens, cfg.spec, cfg.pot)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "mean_p4", "mean_field_half4", "bounded_pair",

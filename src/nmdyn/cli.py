@@ -115,9 +115,8 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed,
                       out_override=args.out)
     u0 = cfg.require_point()
-    traj = evolve(u0, cfg.T, cfg.dt, cfg.spec, cfg.pot, cfg.grid,
-                  scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                  basis=cfg.basis, allow_flagged=args.allow_flagged)
+    traj = evolve(u0, cfg.T, cfg.dt, cfg.spec, cfg.pot, scheme=cfg.scheme,
+                  store_every=cfg.snapshot_every, allow_flagged=args.allow_flagged)
     out = _out_dir(cfg)
     _write_csv(os.path.join(out, "trajectory.csv"), cfg,
                lambda handle: trajectory_to_csv(traj, handle))
@@ -143,15 +142,12 @@ def cmd_ensemble(args) -> int:
                       out_override=args.out)
     measure = cfg.require_measure()
     ens = push_forward(sample_measure(measure, cfg.m_samples, cfg.seed),
-                       cfg.T, cfg.dt, cfg.spec, cfg.pot, cfg.grid,
-                       scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                       basis=cfg.basis, allow_flagged=args.allow_flagged)
+                       cfg.T, cfg.dt, cfg.spec, cfg.pot, scheme=cfg.scheme,
+                       store_every=cfg.snapshot_every, allow_flagged=args.allow_flagged)
     rng = np.random.default_rng(cfg.seed)
-    ys = [_random_direction(rng, cfg.grid, cfg.spec.masses.size)
-          for _ in range(3)]
-    char = characteristic_residual(ens, ys, cfg.T, 0.0, 0.0, cfg.spec,
-                                   cfg.pot, cfg.grid, cfg.basis)
-    moments = moment_report(ens, cfg.spec, cfg.pot, cfg.grid)
+    ys = [_random_direction(rng, cfg.grid, cfg.spec.masses.size) for _ in range(3)]
+    char = characteristic_residual(ens, ys, cfg.T, 0.0, 0.0, cfg.spec, cfg.pot)
+    moments = moment_report(ens, cfg.spec, cfg.pot)
     out = _out_dir(cfg)
     _write_csv(os.path.join(out, "ensemble.csv"), cfg,
                lambda handle: ensemble_to_csv(ens, handle))

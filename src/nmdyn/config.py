@@ -377,8 +377,7 @@ def _build_potential(data: dict, d: int) -> PotentialSpec:
     return PotentialSpec.cosine(data["amplitude"], data["wavevector"])
 
 
-def _build_center(data: dict, grid: KGrid, basis: PolarizationBasis,
-                  n_particles: int) -> PhaseSpacePoint:
+def _build_center(data: dict, grid: KGrid, n_particles: int) -> PhaseSpacePoint:
     if "point" in data:
         u = point_from_json(data["point"], grid)
     else:
@@ -390,7 +389,7 @@ def _build_center(data: dict, grid: KGrid, basis: PolarizationBasis,
             raise ConfigError(f"initial.coherent.direction: expected {grid.d} "
                               f"components, got {direction.shape}")
         decay = np.exp(-c.get("width", 1.0) * grid.absk**2)
-        alpha = (c["amplitude"] * np.einsum("jlv,v->lj", basis.vectors, direction)
+        alpha = (c["amplitude"] * np.einsum("jlv,v->lj", default_basis(grid).vectors, direction)
                  * decay[None, :])
         u = PhaseSpacePoint(ParticleState(p, q), FieldState(grid, alpha))
     if u.p.shape != (n_particles, grid.d):
@@ -399,16 +398,12 @@ def _build_center(data: dict, grid: KGrid, basis: PolarizationBasis,
     return u
 
 
-def _build_measure(data: dict, grid: KGrid, basis: PolarizationBasis,
-                   n_particles: int) -> MeasureSpec:
+def _build_measure(data: dict, grid: KGrid, n_particles: int) -> MeasureSpec:
     if data["kind"] == "mixture":
-        components = [
-            (comp["weight"],
-             _build_measure(comp["measure"], grid, basis, n_particles))
-            for comp in data["components"]
-        ]
+        components = [(comp["weight"], _build_measure(comp["measure"], grid, n_particles))
+                      for comp in data["components"]]
         return MeasureSpec.mixture(components)
-    center = _build_center(data["center"], grid, basis, n_particles)
+    center = _build_center(data["center"], grid, n_particles)
     if data["kind"] == "dirac":
         return MeasureSpec.dirac(center)
     return MeasureSpec.gaussian(
@@ -423,9 +418,8 @@ def _check_out(output: str, flag: str = "--out",
                must_exist: bool = False) -> str:
     """``output``, checked before a run.  It must be a directory or, unless
     ``must_exist``, a path whose nearest existing ancestor is one, which
-    ``cli._out_dir`` makes after the run; the empty path is refused.  The
-    scripts check their CSV file's directory with ``must_exist``; ``flag``
-    names the option in the message."""
+    ``cli._out_dir`` makes after the run; the empty path is refused.
+    ``flag`` names the option in the message."""
     probe = os.path.abspath(output) if output else ""
     while probe and not must_exist and not os.path.exists(probe):
         probe = os.path.dirname(probe)
@@ -435,6 +429,13 @@ def _check_out(output: str, flag: str = "--out",
         raise ConfigError(f"{flag}: cannot use {output!r} as the output "
                           f"directory: {reason}")
     return output
+
+
+def _check_csv(path: str, flag: str) -> None:
+    """``path``, a script's CSV file: in a directory, and not one itself."""
+    _check_out(os.path.dirname(path) or os.curdir, flag, must_exist=True)
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag}: cannot write {path!r}: {os.strerror(errno.EISDIR)}")
 
 
 def load_config(source, base_dir: str = ".",
@@ -472,7 +473,6 @@ def load_config(source, base_dir: str = ".",
         grid = build_kgrid(int(g["d"]), g["K"], int(g["N"]))
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
-    basis = default_basis(grid)
     try:
         spec = ParticleSpec(
             masses=np.array([part["mass"] for part in raw["particles"]]),
@@ -483,10 +483,10 @@ def load_config(source, base_dir: str = ".",
         n = len(raw["particles"])
         initial = raw["initial"]
         if "measure" in initial:
-            measure = _build_measure(initial["measure"], grid, basis, n)
+            measure = _build_measure(initial["measure"], grid, n)
             point = measure.center if measure.kind != "mixture" else None
         else:
-            point = _build_center(initial, grid, basis, n)
+            point = _build_center(initial, grid, n)
             measure = MeasureSpec.dirac(point)
     except ConfigError:
         raise
@@ -499,7 +499,7 @@ def load_config(source, base_dir: str = ".",
     except ValueError as err:
         raise ConfigError(f"run: {err}") from err
     return ScenarioConfig(
-        raw=raw, grid=grid, basis=basis, spec=spec, pot=pot,
+        raw=raw, grid=grid, basis=default_basis(grid), spec=spec, pot=pot,
         point=point, measure=measure,
         T=float(run["T"]), dt=float(run["dt"]), scheme=run["scheme"],
         snapshot_every=int(run["snapshot_every"]),

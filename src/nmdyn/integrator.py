@@ -28,6 +28,10 @@ and a caller that needs only the endpoint (the duhamel-order suite) takes the
 last item and computes no diagnostics.  ``refuse_flagged`` is the one place
 that refuses a spec whose hypothesis check is flagged.
 
+A run reads its grid from its first state and its frame from that grid
+(``basis=None``, the grid's ``default_basis``); another state it takes (the
+divergence direction) on a grid of other (d, K, N) raises ValueError.
+
 Diagnostics (energy and the X^sigma norms at sigma = 0, 1/2, 1) are
 recomputed from the state at every step, never interpolated.  Particle
 positions and momenta are recorded every step; whole states are kept at a
@@ -39,17 +43,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .geometry import KGrid, PolarizationBasis
+from .geometry import KGrid
 from .interaction import (
     HypothesisReport,
     PotentialSpec,
     _energy,
     _model_for,
     check_hypotheses,
+    compile_model,
     nonlinearity_G,
     vartheta,
 )
@@ -174,24 +178,23 @@ def _rk4(f, t: float, u: PhaseSpacePoint, dt: float) -> PhaseSpacePoint:
     return u._like(np.add(u.data, total, out=total))
 
 
-def _strang(u, dt, spec, pot, grid, basis, turn) -> PhaseSpacePoint:
+def _strang(u, dt, spec, pot, turn) -> PhaseSpacePoint:
     """``strang_step`` with its half-step field turn e^{-i (dt/2) |k|} given."""
-    kicked = _rk4(lambda _, v: nonlinearity_G(v, spec, pot, grid, basis), 0.0,
+    kicked = _rk4(lambda _, v: nonlinearity_G(v, spec, pot, u.grid), 0.0,
                   _turned(u, dt / 2.0, turn, spec), dt)
     return _turned(kicked, dt / 2.0, turn, spec)
 
 
-def strang_step(u: PhaseSpacePoint, dt: float, spec: ParticleSpec, pot: PotentialSpec,
-                grid: KGrid, basis: Optional[PolarizationBasis] = None) -> PhaseSpacePoint:
+def strang_step(u: PhaseSpacePoint, dt: float, spec: ParticleSpec,
+                pot: PotentialSpec) -> PhaseSpacePoint:
     """One symmetric splitting step; dt may be negative (time reversal)."""
-    return _strang(u, dt, spec, pot, grid, basis, np.exp(-1j * (dt / 2.0) * u.grid.absk))
+    return _strang(u, dt, spec, pot, np.exp(-1j * (dt / 2.0) * u.grid.absk))
 
 
 def rk4_interaction_step(t: float, u: PhaseSpacePoint, dt: float, spec: ParticleSpec,
-                         pot: PotentialSpec, grid: KGrid,
-                         basis: Optional[PolarizationBasis] = None) -> PhaseSpacePoint:
+                         pot: PotentialSpec) -> PhaseSpacePoint:
     """One RK4 step on the interaction-picture equation du/dt = vartheta(t, u)."""
-    return _rk4(lambda s, v: vartheta(s, v, spec, pot, grid, basis), t, u, dt)
+    return _rk4(lambda s, v: vartheta(s, v, spec, pot, u.grid), t, u, dt)
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -223,8 +226,7 @@ def refuse_flagged(spec: ParticleSpec, grid: KGrid, allow_flagged: bool) -> Hypo
 
 
 def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
-            pot: PotentialSpec, grid: KGrid, scheme: str = "strang",
-            basis: Optional[PolarizationBasis] = None):
+            pot: PotentialSpec, scheme: str = "strang"):
     """Iterator over the physical states after each of the T/dt steps from u0.
 
     u0 is one point or an (S, D) stack, stepped as a whole.  The arguments
@@ -242,9 +244,9 @@ def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
         state = last = u0
         for k in range(1, times.size):
             if scheme == "strang":
-                state = physical = _strang(state, dt, spec, pot, grid, basis, turn)
+                state = physical = _strang(state, dt, spec, pot, turn)
             else:
-                state = rk4_interaction_step(times[k - 1], state, dt, spec, pot, grid, basis)
+                state = rk4_interaction_step(times[k - 1], state, dt, spec, pot)
                 physical = free_flow(state, times[k], spec)
             if not physical.is_finite():
                 raise NumericalBlowupError(
@@ -280,8 +282,7 @@ def _history(rows: tuple, u0: PhaseSpacePoint, n: int, stored_indices: np.ndarra
 
 
 def _record(u0: PhaseSpacePoint, states, stored_indices: np.ndarray, hist: dict,
-           spec: ParticleSpec, pot: PotentialSpec, grid: KGrid,
-           basis: Optional[PolarizationBasis] = None) -> None:
+            spec: ParticleSpec, pot: PotentialSpec) -> None:
     """Write the diagnostics of u0 and of every state ``states`` yields.
 
     u0 is one point or a stack; ``hist`` holds ``history`` arrays with the
@@ -291,7 +292,7 @@ def _record(u0: PhaseSpacePoint, states, stored_indices: np.ndarray, hist: dict,
     """
     energies, norms, p, q, stored = (hist[key] for key in
                                      ("energies", "norms", "p", "q", "stored"))
-    model = _model_for(spec, pot, grid, basis, u0)
+    model = compile_model(spec, pot, u0.grid)
     row = 0
     for k, physical in enumerate(itertools.chain([u0], states)):
         dens = _field_density(physical.alpha)
@@ -312,8 +313,7 @@ def _trajectory(grid: KGrid, dt: float, stored_indices: np.ndarray, hist: dict) 
 
 
 def evolve(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
-           pot: PotentialSpec, grid: KGrid, scheme: str = "strang",
-           store_every: int = 1, basis: Optional[PolarizationBasis] = None,
+           pot: PotentialSpec, scheme: str = "strang", store_every: int = 1,
            allow_flagged: bool = False) -> Trajectory:
     """Evolve u0 over [0, T] in steps of dt, recording diagnostics each step.
 
@@ -322,26 +322,24 @@ def evolve(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
     both schemes.
     This is ``push_forward``'s loop for a single sample.
     """
-    states = stepper(u0, T, dt, spec, pot, grid, scheme, basis)
+    states = stepper(u0, T, dt, spec, pot, scheme)
     n = _step_count(T, dt)
     stored_indices = _stored_steps(n, store_every)
-    refuse_flagged(spec, grid, allow_flagged)
+    refuse_flagged(spec, u0.grid, allow_flagged)
 
     hist = _history((), u0, n, stored_indices)
-    _record(u0, states, stored_indices, hist, spec, pot, grid, basis)
+    _record(u0, states, stored_indices, hist, spec, pot)
     hist["stored"].flags.writeable = False
     return _trajectory(u0.grid, dt, stored_indices, hist)
 
 
 def divergence_report(u0: PhaseSpacePoint, epsilon: float, direction: PhaseSpacePoint,
                       T: float, dt: float, spec: ParticleSpec, pot: PotentialSpec,
-                      grid: KGrid, scheme: str = "strang",
-                      basis: Optional[PolarizationBasis] = None,
-                      allow_flagged: bool = False) -> DivergenceReport:
+                      scheme: str = "strang", allow_flagged: bool = False) -> DivergenceReport:
     """Track the X^0 separation of u0 and u0 + epsilon*direction.
 
-    direction must be X^0-normalized, so the separation at t=0 equals
-    epsilon.  The least-squares constant fits log(d/d(0)) = c t; the
+    direction must be on u0's grid and X^0-normalized, so the separation at
+    t=0 equals epsilon.  The least-squares constant fits log(d/d(0)) = c t; the
     envelope constant is the largest per-sample slope, giving a bound
     d(t) <= d(0) e^{c t} whose violations are counted.  Both anchor at the
     *measured* d(0) rather than epsilon: forming u0 + epsilon*direction and
@@ -351,12 +349,13 @@ def divergence_report(u0: PhaseSpacePoint, epsilon: float, direction: PhaseSpace
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    _model_for(spec, pot, u0.grid, None, direction)
     dir_norm = phase_norm(direction, 0.0)
     if abs(dir_norm - 1.0) > 1e-8:
         raise ValueError(f"direction must have unit X^0 norm, got {dir_norm}")
     pair = u0._like(np.stack([u0.data, (u0 + epsilon * direction).data]))
-    states = stepper(pair, T, dt, spec, pot, grid, scheme, basis)
-    refuse_flagged(spec, grid, allow_flagged)
+    states = stepper(pair, T, dt, spec, pot, scheme)
+    refuse_flagged(spec, u0.grid, allow_flagged)
 
     dist = np.array([phase_norm(ab._like(ab.data[1] - ab.data[0]), 0.0)
                      for ab in itertools.chain([pair], states)])

@@ -33,13 +33,14 @@ not the free-space potential, and the same holds for A_i (ROADMAP item 1).
 The state-independent data of the flow live in one immutable ``Model``
 (see its docstring for the tables), built once per (spec, pot, grid, basis)
 by ``compile_model`` and memoized by their identity; ``basis=None`` means
-``default_basis(grid)``.  The kernels keep their ``(spec, pot, grid, basis)``
-signatures and fetch the model on entry, refusing a grid whose (d, K, N)
-differ from their state's.  Every coupling term goes through one bracket
-c_i = conj(alpha) chi_i/sqrt(2|k|) e^{-2 pi i k.q_i} over all polarizations
-and nodes, with the plane-wave phase factored per grid axis; A and grad A are
-then two matrix products of Re c and Im c with the model's polarization
-tables, for all particles at once.  ``hamiltonian``, ``nonlinearity_G``,
+``default_basis(grid)``.  The kernels take that model key as arguments (a
+rotated frame included), and ``_model_for`` refuses a grid whose (d, K, N)
+differ from a state's; runs pass their first state's grid and basis=None.
+Every coupling term goes through one bracket c_i = conj(alpha) chi_i/
+sqrt(2|k|) e^{-2 pi i k.q_i} over all polarizations and nodes, with the
+plane-wave phase factored per grid axis; A and grad A are then two matrix
+products of Re c and Im c with the model's polarization tables, for all
+particles at once.  ``hamiltonian``, ``nonlinearity_G``,
 ``nonlinearity_F`` and ``vartheta`` also take an (S, D) stack of points and
 compute every row exactly as the point alone.
 """

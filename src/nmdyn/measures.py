@@ -35,6 +35,10 @@ snapshots, decays at second order in dt, whichever scheme ran: the time
 trapezoid rule is second order and no scheme is less accurate.  It is
 reported together with the Monte-Carlo standard error of the pathwise
 defects.
+
+As in ``integrator``, a run reads its grid and frame from its first state
+(sample, or pushed point); a sample or a characteristic direction on a grid
+of other (d, K, N) raises ValueError.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import KGrid, PolarizationBasis
 from .integrator import (
     NumericalBlowupError,
     _history,
@@ -60,6 +63,7 @@ from .integrator import (
 from .interaction import (
     PotentialSpec,
     _hypothesis_norms,
+    _model_for,
     potential_value_bound,
     vartheta,
 )
@@ -307,9 +311,8 @@ def sample_measure(measure: MeasureSpec, m_samples: int, seed: int) -> Ensemble:
 
 
 def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
-                 pot: PotentialSpec, grid: KGrid, scheme: str = "strang",
-                 store_every: int = 1, allow_flagged: bool = False,
-                 basis: Optional[PolarizationBasis] = None) -> Ensemble:
+                 pot: PotentialSpec, scheme: str = "strang", store_every: int = 1,
+                 allow_flagged: bool = False) -> Ensemble:
     """Transport every sample through the flow; returns the time-T ensemble.
 
     The form-factor resolution check runs once and is shared by all samples.
@@ -322,18 +325,20 @@ def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
     ``np.errstate``) aborts the push with its index: a failing block is
     stepped again one sample at a time, so the first failing sample in
     sample order is named, with its own step and time.  Invalid arguments
-    raise ValueError unwrapped.
+    raise ValueError unwrapped, as does a sample off the first one's grid.
     """
+    points = ensemble.points
+    grid = points[0].grid
+    _model_for(spec, pot, grid, None, *points)
     # a property of (spec, grid), not of any sample: refuse up front
     refuse_flagged(spec, grid, allow_flagged)
-    points = ensemble.points
     n = _step_count(T, dt)
     stored_indices = _stored_steps(n, store_every)
     hist = _history((ensemble.size,), points[0], n, stored_indices)
 
     def push(u, part):
-        _record(u, stepper(u, T, dt, spec, pot, grid, scheme, basis), stored_indices,
-                {key: array[part] for key, array in hist.items()}, spec, pot, grid, basis)
+        _record(u, stepper(u, T, dt, spec, pot, scheme), stored_indices,
+                {key: array[part] for key, array in hist.items()}, spec, pot)
 
     for lo, stack in _stacks((u.data for u in points), points[0].data.nbytes):
         block = slice(lo, lo + len(stack))
@@ -351,8 +356,8 @@ def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
 
     hist["stored"].flags.writeable = False
     trajectories = tuple(
-        _trajectory(u.grid, dt, stored_indices, {key: array[m] for key, array in hist.items()})
-        for m, u in enumerate(points))
+        _trajectory(grid, dt, stored_indices, {key: array[m] for key, array in hist.items()})
+        for m in range(ensemble.size))
     return Ensemble(
         points=tuple(traj.endpoint() for traj in trajectories),
         seed=ensemble.seed,
@@ -419,8 +424,7 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 def characteristic_residual(ensemble: Ensemble,
                             y: PhaseSpacePoint | Sequence[PhaseSpacePoint],
                             t: float, t0: float, sigma: float,
-                            spec: ParticleSpec, pot: PotentialSpec, grid: KGrid,
-                            basis: Optional[PolarizationBasis] = None):
+                            spec: ParticleSpec, pot: PotentialSpec):
     """Check the characteristic equation between two stored times.
 
     Uses the retained trajectories of a pushed ensemble: snapshots are mapped
@@ -434,7 +438,8 @@ def characteristic_residual(ensemble: Ensemble,
     ``y`` may be a single direction or a sequence; the expensive part (the
     interaction-picture states and their drift-removed generator) does not
     depend on ``y``, so a batch of directions costs nearly the same as one.
-    Returns one CharacteristicCheck, or a list of them in direction order.
+    Every direction must be on the ensemble's grid.  Returns one
+    CharacteristicCheck, or a list of them in direction order.
     """
     if ensemble.trajectories is None:
         raise ValueError("characteristic_residual needs the trajectories of "
@@ -443,6 +448,8 @@ def characteristic_residual(ensemble: Ensemble,
     directions = [y] if single else list(y)
     if not directions:
         raise ValueError("need at least one direction y")
+    grid = ensemble.points[0].grid
+    _model_for(spec, pot, grid, None, *directions)
     lo, hi = (t0, t) if t0 <= t else (t, t0)
     stored = ensemble.trajectories[0].stored_times
     rows = np.flatnonzero((stored >= lo - 1e-12) & (stored <= hi + 1e-12))
@@ -467,8 +474,8 @@ def characteristic_residual(ensemble: Ensemble,
     for start, stack in _stacks(snapshots, trajs[0].stored[0].nbytes):
         cols = slice(start, start + len(stack))
         s = row_times[cols]
-        interaction = free_flow(PhaseSpacePoint._of(trajs[0].grid, stack), -s, spec)
-        theta = vartheta(s, interaction, spec, pot, grid, basis)
+        interaction = free_flow(PhaseSpacePoint._of(grid, stack), -s, spec)
+        theta = vartheta(s, interaction, spec, pot, grid)
         z[:, cols] = np.exp(2j * np.pi * real_inner(ys, interaction, sigma))
         terms[:, cols] = row_weights[cols] * z[:, cols] * real_inner(theta, ys, sigma)
     z = z.reshape(n_dir, ensemble.size, n_times)
@@ -583,11 +590,11 @@ def _exponential_form(times: np.ndarray, values: np.ndarray) -> float:
     return hi
 
 
-def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec,
-                  grid: KGrid) -> MomentReport:
+def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec) -> MomentReport:
     """Ensemble fourth moments at every stored snapshot time."""
     if ensemble.trajectories is None:
         raise ValueError("moment_report needs the trajectories of a pushed ensemble")
+    grid = ensemble.points[0].grid
     times = ensemble.trajectories[0].stored_times
     n_times = times.size
 
@@ -597,7 +604,7 @@ def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec,
     p2, half, l2 = (np.empty(ensemble.size * n_times) for _ in range(3))
     snapshots = (row for traj in trajs for row in traj.stored)
     for start, stack in _stacks(snapshots, trajs[0].stored[0].nbytes):
-        u = PhaseSpacePoint._of(trajs[0].grid, stack)
+        u = PhaseSpacePoint._of(grid, stack)
         rows = slice(start, start + len(stack))
         p2[rows] = np.sum(u.p ** 2, axis=(-2, -1))
         dens = _field_density(u.alpha)

@@ -248,8 +248,10 @@ def real_inner(a: PhaseSpacePoint, b: PhaseSpacePoint, sigma: float):
     other by their leading axes, so (J, 1, D) against (S, D) gives all J*S
     pairings as a (J, S) array.
     """
-    if a.grid.node_count != b.grid.node_count or a.grid.d != b.grid.d:
-        raise ValueError("phase-space points live on incompatible grids")
+    grids = [(u.grid.d, u.grid.K, u.grid.N) for u in (a, b)]
+    if grids[0] != grids[1]:
+        raise ValueError(f"phase-space points live on incompatible grids (d, K, N) = "
+                         f"{grids[0]} and {grids[1]}")
     za = a.q + 1j * a.p
     zb = b.q + 1j * b.p
     particle = np.sum(np.conj(za) * zb, axis=(-2, -1)).real

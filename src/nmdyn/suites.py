@@ -134,7 +134,7 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
     c_dim = np.sqrt(2.0 * (grid.d - 1))
     field_factor = np.sqrt((grid.d - 1) / 2.0)
     slack, floor = 1 + 1e-12, 1e-15
-    model = compile_model(spec, pot, grid, cfg.basis)
+    model = compile_model(spec, pot, grid)
     rng = np.random.default_rng(cfg.seed)
 
     def draw():
@@ -179,7 +179,7 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
                + 2 * np.pi * c_dim * norms[i, 2] * dq * l2_v)
         v_lip += np.count_nonzero(a_diff > lip * slack + floor)
 
-        f = nonlinearity_F(u, spec, pot, grid, cfg.basis)
+        f = nonlinearity_F(u, spec, pot, grid)
         rhs_h1 = rhs_l2 = 0.0
         for j in range(n):
             pma = norm(u.p[:, j] - a_all[:, j])
@@ -227,8 +227,7 @@ def verify_duhamel_order(cfg: ScenarioConfig, allow_flagged: bool = False,
     for scheme in SCHEMES:
         for div in (1, 2, 8):
             end = u0  # only the endpoint matters, so no diagnostics are taken
-            for end in stepper(u0, cfg.T, cfg.dt / div, cfg.spec, cfg.pot,
-                               cfg.grid, scheme, cfg.basis):
+            for end in stepper(u0, cfg.T, cfg.dt / div, cfg.spec, cfg.pot, scheme):
                 pass
             ends[scheme, div] = end
     checks = []
@@ -262,8 +261,7 @@ def verify_gronwall(cfg: ScenarioConfig, allow_flagged: bool = False,
     checks = []
     for eps in (1e-6, 1e-5):
         rep = divergence_report(u0, eps, direction, cfg.T, cfg.dt, cfg.spec,
-                                cfg.pot, cfg.grid, scheme=cfg.scheme,
-                                basis=cfg.basis, allow_flagged=allow_flagged)
+                                cfg.pot, scheme=cfg.scheme, allow_flagged=allow_flagged)
         rates[eps] = rep.fitted_c
         checks.append(_check(f"envelope violations (eps={eps:g})",
                              rep.envelope_violations, 0, "=="))
@@ -283,7 +281,7 @@ def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
     same samples at twice the snapshot spacing.
     """
     measure = cfg.require_measure()
-    args = (cfg.spec, cfg.pot, cfg.grid)
+    args = (cfg.spec, cfg.pot)
     rng = np.random.default_rng(cfg.seed)
     ys = [_random_direction(rng, cfg.grid, cfg.spec.masses.size) for _ in range(5)]
     checks = []
@@ -298,9 +296,8 @@ def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
         for mult in (4, 2, 1):
             ens = push_forward(sample_measure(dirac, 1, cfg.seed), cfg.T,
                                mult * cfg.dt, *args, scheme=cfg.scheme,
-                               basis=cfg.basis, allow_flagged=allow_flagged)
-            chk = characteristic_residual(ens, ys[0], cfg.T, 0.0, 0.0, *args,
-                                          cfg.basis)
+                               allow_flagged=allow_flagged)
+            chk = characteristic_residual(ens, ys[0], cfg.T, 0.0, 0.0, *args)
             res.append(chk.residual)
         checks.append(_check("point-mass decay ratio (4dt/2dt)",
                              res[0] / res[1], 3.4, ">="))
@@ -308,16 +305,14 @@ def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
                              res[1] / res[2], 3.4, ">="))
 
     common = dict(scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                  basis=cfg.basis, allow_flagged=allow_flagged)
+                  allow_flagged=allow_flagged)
     ens0 = sample_measure(measure, cfg.m_samples, cfg.seed)
     fine = push_forward(ens0, cfg.T, cfg.dt, *args, **common)
     coarse = push_forward(ens0, cfg.T, 2 * cfg.dt, *args, **common)
     delta_f = cfg.snapshot_every * cfg.dt
     delta_c = 2 * delta_f
-    fine_checks = characteristic_residual(fine, ys, cfg.T, 0.0, 0.0, *args,
-                                          cfg.basis)
-    coarse_checks = characteristic_residual(coarse, ys, cfg.T, 0.0, 0.0,
-                                            *args, cfg.basis)
+    fine_checks = characteristic_residual(fine, ys, cfg.T, 0.0, 0.0, *args)
+    coarse_checks = characteristic_residual(coarse, ys, cfg.T, 0.0, 0.0, *args)
     for j, (f, c) in enumerate(zip(fine_checks, coarse_checks)):
         budget = 3 * f.mc_stderr + 1.5 * (c.residual / delta_c**2) * delta_f**2
         checks.append(_check(f"ensemble residual (direction {j})",
@@ -353,7 +348,7 @@ def verify_mvfi_identity(cfg: ScenarioConfig, draws: int = 100, **_) -> VerifyOu
     for _, block in _blocks(drawn, first[0].data.nbytes):
         points_u, points_xi, times = zip(*block)
         u, xi = _stacked(points_u), _stacked(points_xi)
-        theta = vartheta(np.array(times), u, spec, pot, grid, cfg.basis)
+        theta = vartheta(np.array(times), u, spec, pot, grid)
         pairing = xi._like(np.empty_like(xi.data))
         pairing.p[...] = -xi.q / np.pi
         pairing.q[...] = xi.p / np.pi
@@ -363,7 +358,7 @@ def verify_mvfi_identity(cfg: ScenarioConfig, draws: int = 100, **_) -> VerifyOu
         scale = ((1.0 + np.float_power(phase_norm(u, 0.0), 2))
                  * (1.0 + phase_norm(xi, 0.0)))
         for b, (s, u_b, xi_b) in enumerate(zip(times, points_u, points_xi)):
-            m = characteristic_density_m(s, xi_b, u_b, spec, pot, grid, cfg.basis)
+            m = characteristic_density_m(s, xi_b, u_b, spec, pot, grid)
             worst = max(worst, abs(m - rhs[b]) / scale[b])
     return VerifyOutcome("mvfi-identity", (
         _check(f"max scaled residual ({draws} draws)", worst, 1e-10),
@@ -375,10 +370,9 @@ def verify_moments(cfg: ScenarioConfig, allow_flagged: bool = False,
     """Fourth-moment propagation against conserved-energy certificates."""
     measure = cfg.require_measure()
     ens = push_forward(sample_measure(measure, cfg.m_samples, cfg.seed),
-                       cfg.T, cfg.dt, cfg.spec, cfg.pot, cfg.grid,
-                       scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                       basis=cfg.basis, allow_flagged=allow_flagged)
-    rep = moment_report(ens, cfg.spec, cfg.pot, cfg.grid)
+                       cfg.T, cfg.dt, cfg.spec, cfg.pot, scheme=cfg.scheme,
+                       store_every=cfg.snapshot_every, allow_flagged=allow_flagged)
+    rep = moment_report(ens, cfg.spec, cfg.pot)
     return VerifyOutcome("moments", (
         _check("bounded-envelope violations", rep.violations_bounded, 0, "=="),
         _check("exponential-envelope violations", rep.violations_exp, 0, "=="),

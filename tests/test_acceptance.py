@@ -104,8 +104,8 @@ def test_04_both_schemes_converge_at_design_order():
 def test_05_energy_conservation_on_reference_run(ref):
     drifts = {}
     for dt in (2e-3, 1e-3):
-        traj = evolve(ref.point, 10.0, dt, ref.spec, ref.pot, ref.grid,
-                      scheme="strang", store_every=10**9, basis=ref.basis)
+        traj = evolve(ref.point, 10.0, dt, ref.spec, ref.pot,
+                      scheme="strang", store_every=10**9)
         h = traj.energies
         drifts[dt] = float(np.max(np.abs(h - h[0])) / abs(h[0]))
     assert drifts[1e-3] <= 1e-6, f"relative drift {drifts[1e-3]:.3e}"
@@ -115,11 +115,9 @@ def test_05_energy_conservation_on_reference_run(ref):
 
 def test_06_strang_round_trip_returns_initial_state():
     cfg = scenario(grid={"d": 3, "K": 2.0, "N": 12})
-    args = (cfg.spec, cfg.pot, cfg.grid)
-    fwd = evolve(cfg.point, 1.0, 1e-3, *args, scheme="strang",
-                 store_every=10**9, basis=cfg.basis)
-    back = evolve(fwd.endpoint(), -1.0, -1e-3, *args, scheme="strang",
-                  store_every=10**9, basis=cfg.basis)
+    args = (cfg.spec, cfg.pot)
+    fwd = evolve(cfg.point, 1.0, 1e-3, *args, scheme="strang", store_every=10**9)
+    back = evolve(fwd.endpoint(), -1.0, -1e-3, *args, scheme="strang", store_every=10**9)
     rel = phase_norm(back.endpoint() - cfg.point, 0.0) / \
         phase_norm(cfg.point, 0.0)
     assert rel <= 1e-8, f"relative return distance {rel:.3e}"

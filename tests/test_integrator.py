@@ -95,22 +95,22 @@ class TestSteps:
         grid, spec, pot, u0 = decoupled
         state = u0
         for _ in range(10):
-            state = strang_step(state, 0.05, spec, pot, grid)
+            state = strang_step(state, 0.05, spec, pot)
         exact = free_flow(u0, 0.5, spec)
         err = phase_norm(state - exact, 0.0)
         assert err <= 1e-13 * (1.0 + phase_norm(exact, 0.0))
 
     def test_interaction_step_free_case_is_identity(self, decoupled):
         grid, spec, pot, u0 = decoupled
-        stepped = rk4_interaction_step(0.3, u0, 0.05, spec, pot, grid)
+        stepped = rk4_interaction_step(0.3, u0, 0.05, spec, pot)
         assert np.array_equal(stepped.p, u0.p)
         assert np.array_equal(stepped.q, u0.q)
         assert np.array_equal(stepped.alpha, u0.alpha)
 
     def test_single_step_reversibility(self, coupled):
         grid, spec, pot, u0, _ = coupled
-        forward = strang_step(u0, 1e-2, spec, pot, grid)
-        back = strang_step(forward, -1e-2, spec, pot, grid)
+        forward = strang_step(u0, 1e-2, spec, pot)
+        back = strang_step(forward, -1e-2, spec, pot)
         err = phase_norm(back - u0, 0.0)
         assert err <= 1e-12 * (1.0 + phase_norm(u0, 0.0))
 
@@ -130,7 +130,7 @@ class TestSteps:
 
         for cls in calls:
             monkeypatch.setattr(cls, "__post_init__", counted(cls))
-        args = (cfg.spec, cfg.pot, cfg.grid, cfg.basis)
+        args = (cfg.spec, cfg.pot)
         strang_step(cfg.point, cfg.dt, *args)
         rk4_interaction_step(0.0, cfg.point, cfg.dt, *args)
         assert calls == {ParticleState: 0, FieldState: 0}
@@ -138,9 +138,9 @@ class TestSteps:
     def test_zero_dt_rejected(self, decoupled):
         grid, spec, pot, u0 = decoupled
         with pytest.raises(ValueError):
-            strang_step(u0, 0.0, spec, pot, grid)
+            strang_step(u0, 0.0, spec, pot)
         with pytest.raises(ValueError):
-            rk4_interaction_step(0.0, u0, 0.0, spec, pot, grid)
+            rk4_interaction_step(0.0, u0, 0.0, spec, pot)
 
 
 class TestBitIdentity:
@@ -169,8 +169,8 @@ class TestBitIdentity:
             rng = np.random.default_rng(9)
             u0 = u0._like(u0.data + 1e-3 * rng.standard_normal((rows, u0.data.size)))
         state = u0
-        for stepped in stepper(u0, 0.06, 0.02, spec, pot, grid):
-            state = strang_step(state, 0.02, spec, pot, grid)
+        for stepped in stepper(u0, 0.06, 0.02, spec, pot):
+            state = strang_step(state, 0.02, spec, pot)
             assert stepped.data.tobytes() == state.data.tobytes()
 
 
@@ -178,8 +178,8 @@ class TestEvolve:
     @pytest.mark.parametrize("scheme", ["strang", "interaction-rk4"])
     def test_stepper_last_state_is_evolve_endpoint(self, coupled, scheme):
         grid, spec, pot, u0, _ = coupled
-        states = list(stepper(u0, 0.1, 0.02, spec, pot, grid, scheme))
-        end = evolve(u0, 0.1, 0.02, spec, pot, grid, scheme=scheme,
+        states = list(stepper(u0, 0.1, 0.02, spec, pot, scheme))
+        end = evolve(u0, 0.1, 0.02, spec, pot, scheme=scheme,
                      store_every=3).endpoint()
         assert len(states) == 5
         assert np.array_equal(states[-1].p, end.p)
@@ -188,7 +188,7 @@ class TestEvolve:
 
     def test_zero_horizon_records_initial_state(self, decoupled):
         grid, spec, pot, u0 = decoupled
-        traj = evolve(u0, 0.0, 1e-2, spec, pot, grid, allow_flagged=True)
+        traj = evolve(u0, 0.0, 1e-2, spec, pot, allow_flagged=True)
         assert traj.n_steps == 0
         assert traj.times.tolist() == [0.0]
         assert np.array_equal(traj.stored_indices, [0])
@@ -199,14 +199,14 @@ class TestEvolve:
     def test_non_divisible_horizon_rejected(self, decoupled):
         grid, spec, pot, u0 = decoupled
         with pytest.raises(ValueError, match="whole number"):
-            evolve(u0, 1.0, 0.3, spec, pot, grid, allow_flagged=True)
+            evolve(u0, 1.0, 0.3, spec, pot, allow_flagged=True)
 
     def test_bad_arguments_rejected(self, decoupled):
         grid, spec, pot, u0 = decoupled
         with pytest.raises(ValueError, match="scheme"):
-            evolve(u0, 0.1, 0.1, spec, pot, grid, scheme="euler", allow_flagged=True)
+            evolve(u0, 0.1, 0.1, spec, pot, scheme="euler", allow_flagged=True)
         with pytest.raises(ValueError, match="store_every"):
-            evolve(u0, 0.1, 0.1, spec, pot, grid, store_every=0, allow_flagged=True)
+            evolve(u0, 0.1, 0.1, spec, pot, store_every=0, allow_flagged=True)
 
     def test_flagged_spec_refused_without_override(self, small_grid):
         spec = ParticleSpec(
@@ -217,14 +217,14 @@ class TestEvolve:
         rng = np.random.default_rng(3)
         u0 = random_point(rng, small_grid, n=1)
         with pytest.raises(FlaggedHypothesesError):
-            evolve(u0, 0.0, 1e-2, spec, PotentialSpec.zero(), small_grid)
-        traj = evolve(u0, 0.0, 1e-2, spec, PotentialSpec.zero(), small_grid,
+            evolve(u0, 0.0, 1e-2, spec, PotentialSpec.zero())
+        traj = evolve(u0, 0.0, 1e-2, spec, PotentialSpec.zero(),
                       allow_flagged=True)
         assert traj.n_steps == 0
 
     def test_store_every_keeps_endpoints(self, decoupled):
         grid, spec, pot, u0 = decoupled
-        traj = evolve(u0, 1.0, 0.1, spec, pot, grid, store_every=3,
+        traj = evolve(u0, 1.0, 0.1, spec, pot, store_every=3,
                       allow_flagged=True)
         assert traj.stored_indices.tolist() == [0, 3, 6, 9, 10]
         assert np.allclose(traj.stored_times, [0.0, 0.3, 0.6, 0.9, 1.0])
@@ -236,7 +236,7 @@ class TestEvolve:
 
     def test_interaction_scheme_records_physical_variables(self, decoupled):
         grid, spec, pot, u0 = decoupled
-        traj = evolve(u0, 0.5, 0.1, spec, pot, grid, scheme="interaction-rk4",
+        traj = evolve(u0, 0.5, 0.1, spec, pot, scheme="interaction-rk4",
                       allow_flagged=True)
         for k, t in enumerate(traj.times):
             exact = free_flow(u0, float(t), spec)
@@ -245,7 +245,7 @@ class TestEvolve:
 
     def test_diagnostics_match_recomputation(self, coupled):
         grid, spec, pot, u0, _ = coupled
-        traj = evolve(u0, 0.1, 2e-2, spec, pot, grid)
+        traj = evolve(u0, 0.1, 2e-2, spec, pot)
         for k, state in zip(traj.stored_indices, traj.stored_states()):
             assert hamiltonian(state, spec, pot, grid) == traj.energies[k]
             assert phase_norm(state, 0.5) == traj.norms[k, 1]
@@ -254,7 +254,7 @@ class TestEvolve:
         grid, spec, pot, u0, _ = coupled
         drifts = []
         for dt in (2e-2, 1e-2):
-            traj = evolve(u0, 1.0, dt, spec, pot, grid)
+            traj = evolve(u0, 1.0, dt, spec, pot)
             drifts.append(np.max(np.abs(traj.energies - traj.energies[0])))
         assert drifts[0] < 5e-4
         ratio = drifts[0] / drifts[1]
@@ -264,8 +264,8 @@ class TestEvolve:
         grid, spec, pot, u0, _ = coupled
         gaps = []
         for dt in (2e-2, 1e-2):
-            a = evolve(u0, 0.5, dt, spec, pot, grid, scheme="strang").endpoint()
-            b = evolve(u0, 0.5, dt, spec, pot, grid, scheme="interaction-rk4").endpoint()
+            a = evolve(u0, 0.5, dt, spec, pot, scheme="strang").endpoint()
+            b = evolve(u0, 0.5, dt, spec, pot, scheme="interaction-rk4").endpoint()
             gaps.append(phase_norm(b - a, 0.0))
         assert gaps[0] < 5e-4
         ratio = gaps[0] / gaps[1]
@@ -273,10 +273,10 @@ class TestEvolve:
 
     def test_global_error_is_second_order(self, coupled):
         grid, spec, pot, u0, _ = coupled
-        ref = evolve(u0, 0.4, 5e-3, spec, pot, grid).endpoint()
+        ref = evolve(u0, 0.4, 5e-3, spec, pot).endpoint()
         errs = [
             phase_norm(
-                evolve(u0, 0.4, dt, spec, pot, grid).endpoint() - ref, 0.0)
+                evolve(u0, 0.4, dt, spec, pot).endpoint() - ref, 0.0)
             for dt in (4e-2, 2e-2)
         ]
         ratio = errs[0] / errs[1]
@@ -285,8 +285,8 @@ class TestEvolve:
 
     def test_round_trip_reversibility(self, coupled):
         grid, spec, pot, u0, _ = coupled
-        fwd = evolve(u0, 0.5, 2e-3, spec, pot, grid)
-        back = evolve(fwd.endpoint(), -0.5, -2e-3, spec, pot, grid)
+        fwd = evolve(u0, 0.5, 2e-3, spec, pot)
+        back = evolve(fwd.endpoint(), -0.5, -2e-3, spec, pot)
         err = phase_norm(back.endpoint() - u0, 0.0)
         assert err <= 1e-10  # measured 1.3e-14 over 500 steps
 
@@ -301,7 +301,7 @@ class TestEvolve:
         )
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalBlowupError) as exc:
-                evolve(u0, 10.0, 1.0, spec, PotentialSpec.zero(), tiny_grid,
+                evolve(u0, 10.0, 1.0, spec, PotentialSpec.zero(),
                        allow_flagged=True)
         assert exc.value.time > 0.0
         assert not exc.value.state.is_finite()
@@ -328,7 +328,7 @@ def direction(coupled):
 @pytest.fixture(scope="module")
 def short_trajectory(coupled):
     grid, spec, pot, u0, _ = coupled
-    return evolve(u0, 0.1, 2e-2, spec, pot, grid, store_every=2)
+    return evolve(u0, 0.1, 2e-2, spec, pot, store_every=2)
 
 
 class TestHistory:
@@ -355,8 +355,8 @@ class TestHistory:
     ])
     def test_stored_rows_are_the_stepper_states(self, coupled, T, dt, store_every):
         grid, spec, pot, u0, _ = coupled
-        traj = evolve(u0, T, dt, spec, pot, grid, store_every=store_every)
-        states = [u0, *stepper(u0, T, dt, spec, pot, grid)]
+        traj = evolve(u0, T, dt, spec, pot, store_every=store_every)
+        states = [u0, *stepper(u0, T, dt, spec, pot)]
         expected = list(range(0, len(states), store_every))
         if expected[-1] != len(states) - 1:
             expected.append(len(states) - 1)
@@ -379,7 +379,7 @@ class TestHistory:
                 yield state
 
         monkeypatch.setattr(nmdyn.integrator, "stepper", watched)
-        traj = evolve(u0, 0.1, 1e-2, spec, pot, grid, store_every=100)
+        traj = evolve(u0, 0.1, 1e-2, spec, pot, store_every=100)
         assert traj.n_steps == 10
         assert alive == [0] * 10
 
@@ -387,13 +387,13 @@ class TestHistory:
 class TestDivergence:
     def test_initial_separation_equals_epsilon(self, coupled, direction):
         grid, spec, pot, u0, _ = coupled
-        rep = divergence_report(u0, 1e-6, direction, 0.1, 2e-2, spec, pot, grid)
+        rep = divergence_report(u0, 1e-6, direction, 0.1, 2e-2, spec, pot)
         assert abs(rep.divergence[0] - 1e-6) <= 1e-12
         assert rep.times.size == rep.divergence.size == 6
 
     def test_envelope_has_no_violations(self, coupled, direction):
         grid, spec, pot, u0, _ = coupled
-        rep = divergence_report(u0, 1e-6, direction, 2.0, 1e-2, spec, pot, grid)
+        rep = divergence_report(u0, 1e-6, direction, 2.0, 1e-2, spec, pot)
         assert rep.envelope_violations == 0
         assert rep.envelope_c >= rep.fitted_c
         assert 0.0 < rep.fitted_c < 0.5  # measured 0.0344
@@ -401,8 +401,7 @@ class TestDivergence:
     def test_fitted_constant_stable_in_epsilon(self, coupled, direction):
         grid, spec, pot, u0, _ = coupled
         cs = [
-            divergence_report(u0, eps, direction, 2.0, 1e-2, spec, pot,
-                              grid).fitted_c
+            divergence_report(u0, eps, direction, 2.0, 1e-2, spec, pot).fitted_c
             for eps in (1e-6, 1e-5)
         ]
         assert abs(cs[0] - cs[1]) <= 1e-4  # measured 1.7e-8
@@ -412,7 +411,7 @@ class TestDivergence:
         rng = np.random.default_rng(11)
         raw = random_point(rng, grid, n=2, decay=False)
         direction = (1.0 / phase_norm(raw, 0.0)) * raw
-        rep = divergence_report(u0, 1e-6, direction, 2.0, 1e-2, spec, pot, grid,
+        rep = divergence_report(u0, 1e-6, direction, 2.0, 1e-2, spec, pot,
                                 allow_flagged=True)
         # free flow moves q by t p/m and rotates the field, so the separation
         # can grow at most like (1 + t / min m) epsilon
@@ -423,25 +422,34 @@ class TestDivergence:
     def test_pair_stack_matches_two_lone_runs(self, coupled, direction, scheme):
         grid, spec, pot, u0, _ = coupled
         b0 = u0 + 1e-6 * direction
-        pairs = zip(stepper(u0, 0.1, 2e-2, spec, pot, grid, scheme),
-                    stepper(b0, 0.1, 2e-2, spec, pot, grid, scheme))
+        pairs = zip(stepper(u0, 0.1, 2e-2, spec, pot, scheme),
+                    stepper(b0, 0.1, 2e-2, spec, pot, scheme))
         lone = [phase_norm(b0 - u0, 0.0)] + [phase_norm(b - a, 0.0) for a, b in pairs]
-        rep = divergence_report(u0, 1e-6, direction, 0.1, 2e-2, spec, pot, grid,
+        rep = divergence_report(u0, 1e-6, direction, 0.1, 2e-2, spec, pot,
                                 scheme=scheme)
         assert rep.divergence.tobytes() == np.array(lone).tobytes()
 
     def test_bad_arguments_rejected(self, coupled, direction):
         grid, spec, pot, u0, _ = coupled
         with pytest.raises(ValueError, match="epsilon"):
-            divergence_report(u0, 0.0, direction, 0.1, 0.1, spec, pot, grid)
+            divergence_report(u0, 0.0, direction, 0.1, 0.1, spec, pot)
         with pytest.raises(ValueError, match="unit"):
-            divergence_report(u0, 1e-6, 2.0 * direction, 0.1, 0.1, spec, pot, grid)
-        rep = divergence_report(u0, 1e-6, direction, 0.0, 0.1, spec, pot, grid)
+            divergence_report(u0, 1e-6, 2.0 * direction, 0.1, 0.1, spec, pot)
+        rep = divergence_report(u0, 1e-6, direction, 0.0, 0.1, spec, pot)
         assert rep.fitted_c == 0.0
+
+    def test_direction_on_another_grid_is_refused(self, coupled, direction):
+        """Same N, other K: the field arrays fit, so only the check tells."""
+        grid, spec, pot, u0, _ = coupled
+        other = build_kgrid(3, 2.5, 12)
+        stray = PhaseSpacePoint(direction.particles, FieldState(other, direction.alpha))
+        stray = (1.0 / phase_norm(stray, 0.0)) * stray
+        with pytest.raises(ValueError, match=r"state on the grid \(d, K, N\) = \(3, 2.5, 12\)"):
+            divergence_report(u0, 1e-6, stray, 0.1, 2e-2, spec, pot)
 
     def test_report_fields(self, coupled, direction):
         grid, spec, pot, u0, _ = coupled
-        rep = divergence_report(u0, 1e-6, direction, 0.1, 5e-2, spec, pot, grid)
+        rep = divergence_report(u0, 1e-6, direction, 0.1, 5e-2, spec, pot)
         assert rep.epsilon == 1e-6
         assert rep.envelope_violations == 0
         assert rep.times.size == rep.divergence.size == 3

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import coupling, random_field, random_point, rotate_frame
 
 from nmdyn.geometry import build_kgrid, integrate_k, polarization_basis
-from nmdyn.integrator import evolve
+from nmdyn.integrator import divergence_report, evolve
 from nmdyn.interaction import (
     FormFactor,
     PotentialSpec,
@@ -553,9 +553,13 @@ class TestModel:
             "vartheta": lambda: vartheta(0.1, u, spec, pot, grid_b),
             "m_at_u": lambda: characteristic_density_m(0.1, u_b, u, spec, pot, grid_b),
             "m_at_xi": lambda: characteristic_density_m(0.1, u, u_b, spec, pot, grid_b),
-            "evolve": lambda: evolve(u, 0.1, 0.05, spec, pot, grid_b, allow_flagged=True),
-            "push_forward": lambda: push_forward(Ensemble(points=(u, u), seed=0), 0.1, 0.05,
-                                                 spec, pot, grid_b, allow_flagged=True),
+            # a run reads its grid from its first state, u_b here, so the
+            # stray state is a later one: the divergence direction of evolve's
+            # sibling, and the push's second sample
+            "evolve": lambda: divergence_report(u_b, 1e-6, (1.0 / phase_norm(u, 0.0)) * u,
+                                                0.1, 0.05, spec, pot, allow_flagged=True),
+            "push_forward": lambda: push_forward(Ensemble(points=(u_b, u), seed=0), 0.1, 0.05,
+                                                 spec, pot, allow_flagged=True),
         }
         with pytest.raises(ValueError, match=r"state on the grid \(d, K, N\) = \(3, 2.0, 10\)"):
             calls[kernel]()
@@ -985,8 +989,8 @@ class TestStacks:
     def test_recorded_diagnostics_are_the_public_functions_bits(self, case):
         # evolve records one point, push_forward its four samples as one stack
         grid, spec, pot, points, _ = case
-        traj = evolve(points[0], 0.03, 0.01, spec, pot, grid, allow_flagged=True)
-        pushed = push_forward(Ensemble(tuple(points[:4])), 0.03, 0.01, spec, pot, grid,
+        traj = evolve(points[0], 0.03, 0.01, spec, pot, allow_flagged=True)
+        pushed = push_forward(Ensemble(tuple(points[:4])), 0.03, 0.01, spec, pot,
                               allow_flagged=True).trajectories
         stack = [np.stack([getattr(t, key) for t in pushed], axis=1)
                  for key in ("energies", "norms", "stored")]

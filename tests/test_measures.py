@@ -72,7 +72,7 @@ def scenario(grid10):
                       q=np.array([[0.5, 0.0, -0.3], [-0.4, 0.6, 0.2]])),
         FieldState(grid10, amp),
     )
-    return {"basis": basis, "spec": spec, "pot": pot, "center": center,
+    return {"spec": spec, "pot": pot, "center": center,
             "decay": decay}
 
 
@@ -113,8 +113,7 @@ def pushed_pair(grid10, scenario, gauss_measure):
     for the fine run's residual budget.
     """
     ens0 = sample_measure(gauss_measure, 32, seed=2026)
-    common = dict(spec=scenario["spec"], pot=scenario["pot"], grid=grid10,
-                  store_every=10, basis=scenario["basis"])
+    common = dict(spec=scenario["spec"], pot=scenario["pot"], store_every=10)
     fine = push_forward(ens0, 1.0, 1e-2, **common)
     coarse = push_forward(ens0, 1.0, 2e-2, **common)
     return {"initial": ens0, "fine": fine, "coarse": coarse,
@@ -286,25 +285,21 @@ class TestPushForward:
     def test_zero_horizon_is_identity(self, tiny_grid, decoupled):
         ens0 = sample_measure(MeasureSpec.dirac(decoupled["center"]), 2, seed=0)
         ens = push_forward(ens0, 0.0, 0.1, decoupled["spec"], decoupled["pot"],
-                           tiny_grid, allow_flagged=True)
+                           allow_flagged=True)
         assert all(points_equal(a, b) for a, b in zip(ens.points, ens0.points))
 
     def test_dirac_commutes_with_flow(self, grid10, scenario):
         ens0 = sample_measure(MeasureSpec.dirac(scenario["center"]), 3, seed=0)
-        ens = push_forward(ens0, 0.1, 2e-2, scenario["spec"], scenario["pot"],
-                           grid10, basis=scenario["basis"])
+        ens = push_forward(ens0, 0.1, 2e-2, scenario["spec"], scenario["pot"])
         direct = evolve(scenario["center"], 0.1, 2e-2, scenario["spec"],
-                        scenario["pot"], grid10,
-                        basis=scenario["basis"]).endpoint()
+                        scenario["pot"]).endpoint()
         assert all(points_equal(u, direct) for u in ens.points)
 
     def test_group_property(self, grid10, scenario, gauss_measure):
         ens0 = sample_measure(gauss_measure, 2, seed=6)
-        args = (scenario["spec"], scenario["pot"], grid10)
-        kw = dict(basis=scenario["basis"])
-        one_hop = push_forward(ens0, 0.6, 2e-2, *args, **kw)
-        two_hop = push_forward(push_forward(ens0, 0.4, 2e-2, *args, **kw),
-                               0.2, 2e-2, *args, **kw)
+        args = (scenario["spec"], scenario["pot"])
+        one_hop = push_forward(ens0, 0.6, 2e-2, *args)
+        two_hop = push_forward(push_forward(ens0, 0.4, 2e-2, *args), 0.2, 2e-2, *args)
         assert all(points_equal(a, b)
                    for a, b in zip(one_hop.points, two_hop.points))
 
@@ -325,7 +320,7 @@ class TestPushForward:
             with np.errstate(all=mode):
                 with pytest.raises(EnsemblePropagationError, match="sample 1") as exc:
                     push_forward(ens0, 3.0, 1.0, spec, PotentialSpec.coulomb(0.5),
-                                 tiny_grid, allow_flagged=True)
+                                 allow_flagged=True)
             assert exc.value.sample_index == 1
 
     @pytest.mark.parametrize("run, T, kwargs, match", [
@@ -343,7 +338,7 @@ class TestPushForward:
         first = sample_measure(MeasureSpec.dirac(center), 2, seed=0) \
             if run is push_forward else center
         args = dict(T=T, dt=0.1, spec=decoupled["spec"], pot=decoupled["pot"],
-                    grid=tiny_grid, allow_flagged=True)
+                    allow_flagged=True)
         with pytest.raises(ValueError, match=match):
             run(first, **{**args, **kwargs})
 
@@ -357,7 +352,29 @@ class TestPushForward:
         )
         ens0 = sample_measure(MeasureSpec.dirac(center), 1, seed=0)
         with pytest.raises(FlaggedHypothesesError):
-            push_forward(ens0, 0.1, 1e-2, spec, PotentialSpec.zero(), small_grid)
+            push_forward(ens0, 0.1, 1e-2, spec, PotentialSpec.zero())
+
+    def test_a_sample_on_another_grid_is_refused(self, scenario):
+        """Same N, other K: the samples stack, so only the check tells."""
+        center = scenario["center"]
+        other = PhaseSpacePoint(center.particles,
+                                FieldState(build_kgrid(3, 2.5, 10), center.alpha))
+        with pytest.raises(ValueError, match=r"state on the grid \(d, K, N\) = \(3, 2.5, 10\)"):
+            push_forward(Ensemble(points=(center, other)), 0.1, 2e-2,
+                         scenario["spec"], scenario["pot"])
+
+    def test_samples_on_equal_grids_built_apart_push_together(self, scenario):
+        # the check compares (d, K, N), not the grid objects
+        center = scenario["center"]
+        twin = PhaseSpacePoint(center.particles,
+                               FieldState(build_kgrid(3, 2.0, 10), center.alpha))
+        assert twin.grid is not center.grid
+        args = (0.1, 2e-2, scenario["spec"], scenario["pot"])
+        apart = push_forward(Ensemble(points=(center, twin)), *args)
+        alike = push_forward(Ensemble(points=(center, center)), *args)
+        for a, b in zip(apart.trajectories, alike.trajectories):
+            assert a.stored.tobytes() == b.stored.tobytes()
+            assert a.energies.tobytes() == b.energies.tobytes()
 
     def test_trajectories_match_endpoints(self, pushed_pair):
         fine = pushed_pair["fine"]
@@ -388,8 +405,7 @@ class TestPushForward:
 
     def test_each_sample_evolves_as_it_would_alone(self, grid10, scenario, gauss_measure):
         ens0 = sample_measure(gauss_measure, 6, seed=3)  # blocks of 4 and 2
-        common = dict(spec=scenario["spec"], pot=scenario["pot"], grid=grid10,
-                      store_every=3, basis=scenario["basis"])
+        common = dict(spec=scenario["spec"], pot=scenario["pot"], store_every=3)
         pushed = push_forward(ens0, 0.1, 1e-2, **common)
         for u0, traj in zip(ens0.points, pushed.trajectories):
             alone = evolve(u0, 0.1, 1e-2, **common)
@@ -412,11 +428,11 @@ class TestPushForward:
         for mode in ("ignore", "raise"):
             with np.errstate(all=mode):
                 with pytest.raises(NumericalBlowupError, match=r"\(step 1\)"):
-                    evolve(early, 4.0, 1.0, spec, pot, tiny_grid, allow_flagged=True)
+                    evolve(early, 4.0, 1.0, spec, pot, allow_flagged=True)
                 with pytest.raises(NumericalBlowupError, match=r"\(step 3\)") as alone:
-                    evolve(late, 4.0, 1.0, spec, pot, tiny_grid, allow_flagged=True)
+                    evolve(late, 4.0, 1.0, spec, pot, allow_flagged=True)
                 with pytest.raises(EnsemblePropagationError) as exc:
-                    push_forward(ens0, 4.0, 1.0, spec, pot, tiny_grid, allow_flagged=True)
+                    push_forward(ens0, 4.0, 1.0, spec, pot, allow_flagged=True)
             assert exc.value.sample_index == 1
             assert str(exc.value) == f"sample 1 failed: {alone.value}"
 
@@ -426,26 +442,24 @@ class TestCharacteristicResidual:
         # drift-removed generator vanishes identically; measured 3.1e-15
         meas = MeasureSpec.gaussian(decoupled["center"], particle_scale=0.1)
         ens = push_forward(sample_measure(meas, 4, seed=9), 0.5, 0.1,
-                           decoupled["spec"], decoupled["pot"], tiny_grid,
+                           decoupled["spec"], decoupled["pot"],
                            allow_flagged=True)
         y = random_point(np.random.default_rng(1), tiny_grid, scale=0.3,
                          decay=False)
         chk = characteristic_residual(ens, y, 0.5, 0.0, 0.0,
-                                      decoupled["spec"], decoupled["pot"],
-                                      tiny_grid)
+                                      decoupled["spec"], decoupled["pot"])
         assert chk.residual <= 1e-12
 
     def test_dirac_residual_second_order(self, grid10, scenario, directions):
         # residuals 1.369e-3 / 3.418e-4 / 8.542e-5 at dt = 0.04 / 0.02 / 0.01,
         # ratios 4.006 and 4.001
         dirac = MeasureSpec.dirac(scenario["center"])
-        args = (scenario["spec"], scenario["pot"], grid10)
+        args = (scenario["spec"], scenario["pot"])
         res = {}
         for dt in (4e-2, 2e-2, 1e-2):
             ens = push_forward(sample_measure(dirac, 1, seed=0), 0.4, dt,
-                               *args, basis=scenario["basis"])
-            chk = characteristic_residual(ens, directions["y0"], 0.4, 0.0,
-                                          0.0, *args, scenario["basis"])
+                               *args)
+            chk = characteristic_residual(ens, directions["y0"], 0.4, 0.0, 0.0, *args)
             assert chk.mc_stderr == 0.0  # a point mass has a single path
             res[dt] = chk.residual
         assert 3.5 < res[4e-2] / res[2e-2] < 4.5
@@ -455,12 +469,11 @@ class TestCharacteristicResidual:
     def test_gaussian_within_fitted_budget(self, grid10, scenario, directions,
                                            pushed_pair):
         # measured margins 5.1 / 2.0 / 1.8 for the three directions
-        args = (scenario["spec"], scenario["pot"], grid10)
+        args = (scenario["spec"], scenario["pot"])
         fine = characteristic_residual(pushed_pair["fine"], directions["ys"],
-                                       1.0, 0.0, 0.0, *args, scenario["basis"])
+                                       1.0, 0.0, 0.0, *args)
         coarse = characteristic_residual(pushed_pair["coarse"],
-                                         directions["ys"], 1.0, 0.0, 0.0,
-                                         *args, scenario["basis"])
+                                         directions["ys"], 1.0, 0.0, 0.0, *args)
         d_f, d_c = pushed_pair["delta_fine"], pushed_pair["delta_coarse"]
         for f, c in zip(fine, coarse):
             c_fit = c.residual / d_c**2
@@ -468,38 +481,44 @@ class TestCharacteristicResidual:
 
     def test_batch_matches_single_calls(self, grid10, scenario, directions,
                                         pushed_pair):
-        args = (scenario["spec"], scenario["pot"], grid10)
+        args = (scenario["spec"], scenario["pot"])
         batch = characteristic_residual(pushed_pair["fine"], directions["ys"],
-                                        1.0, 0.0, 0.0, *args,
-                                        scenario["basis"])
+                                        1.0, 0.0, 0.0, *args)
         for y, b in zip(directions["ys"], batch):
-            s = characteristic_residual(pushed_pair["fine"], y, 1.0, 0.0, 0.0,
-                                        *args, scenario["basis"])
+            s = characteristic_residual(pushed_pair["fine"], y, 1.0, 0.0, 0.0, *args)
             assert (b.lhs, b.rhs, b.residual, b.mc_stderr) == \
                    (s.lhs, s.rhs, s.residual, s.mc_stderr)
 
     def test_reversed_interval_same_residual(self, grid10, scenario,
                                              directions, pushed_pair):
-        args = (scenario["spec"], scenario["pot"], grid10)
+        args = (scenario["spec"], scenario["pot"])
         fwd = characteristic_residual(pushed_pair["fine"], directions["y0"],
-                                      1.0, 0.0, 0.0, *args, scenario["basis"])
+                                      1.0, 0.0, 0.0, *args)
         bwd = characteristic_residual(pushed_pair["fine"], directions["y0"],
-                                      0.0, 1.0, 0.0, *args, scenario["basis"])
+                                      0.0, 1.0, 0.0, *args)
         # the pathwise defects flip sign, so the residual moduli coincide
         assert fwd.residual == bwd.residual
         assert (bwd.t0, bwd.t) == (1.0, 0.0)
 
     def test_json_round_trip(self, grid10, scenario, directions, pushed_pair):
-        args = (scenario["spec"], scenario["pot"], grid10)
+        args = (scenario["spec"], scenario["pot"])
         chk = characteristic_residual(pushed_pair["fine"], directions["y0"],
-                                      0.5, 0.2, 0.5, *args, scenario["basis"])
+                                      0.5, 0.2, 0.5, *args)
         blob = chk.to_json()
         assert complex(*blob["lhs"]) == chk.lhs
         assert blob["residual"] == chk.residual and blob["sigma"] == 0.5
 
+    def test_direction_on_another_grid_is_refused(self, scenario, directions, pushed_pair):
+        """Same N, other K: the directions stack, so only the check tells."""
+        y = directions["y0"]
+        stray = PhaseSpacePoint(y.particles, FieldState(build_kgrid(3, 2.5, 10), y.alpha))
+        with pytest.raises(ValueError, match=r"state on the grid \(d, K, N\) = \(3, 2.5, 10\)"):
+            characteristic_residual(pushed_pair["fine"], [y, stray], 1.0, 0.0, 0.0,
+                                    scenario["spec"], scenario["pot"])
+
     def test_validation(self, grid10, scenario, directions, pushed_pair,
                         gauss_measure):
-        args = (scenario["spec"], scenario["pot"], grid10)
+        args = (scenario["spec"], scenario["pot"])
         with pytest.raises(ValueError, match="stored snapshot"):
             characteristic_residual(pushed_pair["fine"], directions["y0"],
                                     0.35, 0.0, 0.0, *args)
@@ -515,7 +534,7 @@ class TestMoments:
     def test_certificates_hold_on_coupled_run(self, grid10, scenario,
                                               pushed_pair):
         rep = moment_report(pushed_pair["fine"], scenario["spec"],
-                            scenario["pot"], grid10)
+                            scenario["pot"])
         assert rep.violations_bounded == 0 and rep.violations_exp == 0
         assert rep.times.shape == rep.mean_p4.shape == rep.mean_field_l2_4.shape
         assert rep.observed_max_bounded < rep.c_bounded
@@ -531,7 +550,7 @@ class TestMoments:
     def test_builds_no_refinement_grid(self, grid10, scenario, pushed_pair,
                                        monkeypatch):
         """The certificates need the base-grid ||chi/|k||| norms only."""
-        args = (pushed_pair["fine"], scenario["spec"], scenario["pot"], grid10)
+        args = (pushed_pair["fine"], scenario["spec"], scenario["pot"])
         expected = moment_report(*args).to_json()
 
         def refuse(*_):
@@ -543,10 +562,9 @@ class TestMoments:
     def test_decoupled_moments_are_constants(self, tiny_grid, decoupled):
         meas = MeasureSpec.gaussian(decoupled["center"], particle_scale=0.1)
         ens = push_forward(sample_measure(meas, 4, seed=9), 0.5, 0.1,
-                           decoupled["spec"], decoupled["pot"], tiny_grid,
+                           decoupled["spec"], decoupled["pot"],
                            allow_flagged=True)
-        rep = moment_report(ens, decoupled["spec"], decoupled["pot"],
-                            tiny_grid)
+        rep = moment_report(ens, decoupled["spec"], decoupled["pot"])
         # free flow: p untouched bitwise, field norms conserved to rounding
         assert np.all(rep.mean_p4 == rep.mean_p4[0])
         assert np.allclose(rep.mean_field_half4, rep.mean_field_half4[0],
@@ -567,9 +585,9 @@ class TestMoments:
                        np.zeros((2, tiny_grid.node_count), dtype=complex)),
         )
         ens = push_forward(sample_measure(MeasureSpec.dirac(u0), 2, seed=0),
-                           1.0, 0.25, spec, pot, tiny_grid,
+                           1.0, 0.25, spec, pot,
                            allow_flagged=True)
-        rep = moment_report(ens, spec, pot, tiny_grid)
+        rep = moment_report(ens, spec, pot)
         assert rep.c_exp == 0.0 and rep.violations_exp == 0
         assert np.all(rep.mean_field_l2_4 == 0.0)
         p4 = float(np.sum(u0.p**2))**2
@@ -579,7 +597,7 @@ class TestMoments:
     def test_needs_trajectories(self, grid10, scenario, gauss_measure):
         with pytest.raises(ValueError, match="trajectories"):
             moment_report(sample_measure(gauss_measure, 2, seed=0),
-                          scenario["spec"], scenario["pot"], grid10)
+                          scenario["spec"], scenario["pot"])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_exponential_form_is_tight_certificate(self, seed):
@@ -599,7 +617,7 @@ class TestExports:
     def test_csv_layout(self, tmp_path, decoupled, tiny_grid):
         meas = MeasureSpec.gaussian(decoupled["center"], particle_scale=0.1)
         ens = push_forward(sample_measure(meas, 3, seed=9), 0.4, 0.1,
-                           decoupled["spec"], decoupled["pot"], tiny_grid,
+                           decoupled["spec"], decoupled["pot"],
                            allow_flagged=True)
         path = tmp_path / "ensemble.csv"
         ensemble_to_csv(ens, path)

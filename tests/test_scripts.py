@@ -113,7 +113,8 @@ def test_run_reference_out_that_cannot_be_a_directory_is_a_config_error(
 @pytest.mark.parametrize("entry,flag,run", [("moment_curves", "--out", "push_forward"),
                                             ("convergence_study", "--csv", "evolve")],
                          ids=["moment_curves", "convergence_study"])
-@pytest.mark.parametrize("folder", ["nodir", "taken"], ids=["missing", "a-file"])
+@pytest.mark.parametrize("folder", ["nodir", "taken", "adir"],
+                         ids=["missing", "a-file", "a-directory"])
 def test_csv_whose_directory_cannot_take_it_is_a_config_error(entry, flag, run, folder,
                                                                quickstart, tmp_path, capsys):
     script = load_script(entry)
@@ -124,14 +125,47 @@ def test_csv_whose_directory_cannot_take_it_is_a_config_error(entry, flag, run, 
     setattr(script, run, must_not_run)
     blocker = tmp_path / "taken"
     blocker.write_text("kept\n")
+    (tmp_path / "adir").mkdir()
     target = tmp_path / folder
-    assert script.main(["--config", quickstart, flag, str(target / "x.csv")]) == 2
-    reason = (os.strerror(errno.ENOENT) if folder == "nodir"
-              else f"{str(target)!r} is not a directory")
-    assert capsys.readouterr().err == (
-        f"config error: {flag}: cannot use {str(target)!r} as the output directory: "
-        f"{reason}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["quickstart.json", "taken"]
+    if folder == "adir":  # the CSV path itself is a directory
+        assert script.main(["--config", quickstart, flag, str(target)]) == 2
+        expected = f"{flag}: cannot write {str(target)!r}: {os.strerror(errno.EISDIR)}"
+    else:
+        assert script.main(["--config", quickstart, flag, str(target / "x.csv")]) == 2
+        reason = (os.strerror(errno.ENOENT) if folder == "nodir"
+                  else f"{str(target)!r} is not a directory")
+        expected = f"{flag}: cannot use {str(target)!r} as the output directory: {reason}"
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "quickstart.json", "taken"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, edit, message", [
+    (["--levels", "0"], None, "--levels: need at least 1 level, got 0"),
+    (["--levels", "-1"], None, "--levels: need at least 1 level, got -1"),
+    (["--dt-max", "0"], None, "--dt-max: dt must be nonzero"),
+    (["--dt-max", "0.03"], None, "--dt-max: dt=0.03 must divide T=0.2 into a whole number"),
+    # every error of a zero horizon is 0, and so is each ratio's divisor
+    ([], lambda c: c["run"].update(T=0.0), "run: the convergence study needs T > 0"),
+    ([], lambda c: c["initial"].update(measure={"kind": "mixture", "components": [
+        {"weight": 1.0, "measure": {"kind": "dirac", "center": c["initial"]["measure"]["center"]}}
+    ]}), "initial: this command needs a point-valued initial condition"),
+], ids=["no-levels", "negative-levels", "zero-dt", "dt-not-dividing-T", "zero-horizon",
+        "no-point"])
+def test_convergence_ladder_is_checked_before_the_run(argv, edit, message, quickstart, capsys):
+    script = load_script("convergence_study")
+    if edit:
+        raw = json.loads(Path(quickstart).read_text())
+        edit(raw)
+        Path(quickstart).write_text(json.dumps(raw))
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the ladder is checked before the run")
+
+    script.evolve = must_not_run
+    assert script.main(["--config", quickstart, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("entry", ["verify_all", "nmdyn verify all"])

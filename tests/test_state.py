@@ -1,5 +1,7 @@
 """Norm oracles, inner-product properties, and the exact free flow."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import random_field, random_point
@@ -135,6 +137,13 @@ class TestRealInner:
         b = random_point(rng, small_grid)
         with pytest.raises(ValueError):
             real_inner(a, b, 0.5)
+        # same N, other K: the arrays fit, so only the check tells
+        a = random_point(rng, build_kgrid(3, 2.0, 10))
+        b = random_point(rng, build_kgrid(3, 2.5, 10))
+        for x, y in ((a, b), (b, a)):
+            grids = f"(3, {x.grid.K}, 10) and (3, {y.grid.K}, 10)"
+            with pytest.raises(ValueError, match=re.escape(f"(d, K, N) = {grids}")):
+                real_inner(x, y, 0.5)
 
 
 class TestFreeFlow:
