@@ -9,11 +9,13 @@
 * ``hypotheses``— form-factor integrability report for the configured grid.
 
 Each reads one scenario (``config.load_config``), and every output file
-embeds the resolved scenario plus a format-version field.  Exit codes: 0
-success / all checks pass, 1 suite failure, 2 configuration problem (schema
-violation, inconsistent shapes, or a flagged form factor without
---allow-flagged), 3 numerical abort (non-finite state); ``guarded`` gives 2
-and 3 with one stderr line, for ``main`` and the scripts alike.
+embeds the resolved scenario plus a format-version field.  ``_json_chunks``
+is the one JSON encoder: it writes a result dataclass as the dict of its
+fields, an array as its ``tolist()`` and a complex number as [re, im].
+Exit codes: 0 success / all checks pass, 1 suite failure, 2 configuration
+problem (schema violation, inconsistent shapes, or a flagged form factor
+without --allow-flagged), 3 numerical abort (non-finite state); ``guarded``
+gives 2 and 3 with one stderr line, for ``main`` and the scripts alike.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -46,15 +49,29 @@ def _scalar_json(value) -> str:
     return json.dumps(value)
 
 
+def _plain(value):
+    """A result's JSON form: a dataclass as the dict of its fields, an array
+    as its ``tolist()``, a complex number as ``[re, im]``; else ``value``."""
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
 def _json_chunks(value, indent: str = ""):
-    """The text of ``json.dump(value, indent=2, sort_keys=True)``, in pieces.
+    """The text of ``json.dump(value, indent=2, sort_keys=True)``, in pieces,
+    with ``_plain`` applied at every level.
 
     With an indent, json falls back to its pure-Python encoder, which
     formats each float separately.  Here a list of plain floats and ints is
     written from the repr of 1,024 items at a time, which spells every item
-    as json does unless one is not finite.  Values other than dicts, lists,
-    tuples and json's scalars are left to json, which rejects them.
+    as json does unless one is not finite.  Other values that json does not
+    encode are left to json, which rejects them.
     """
+    value = _plain(value)
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, dict) and value:
@@ -83,13 +100,12 @@ def _json_chunks(value, indent: str = ""):
         yield _scalar_json(value)
 
 
-def write_payload(path: str, cfg: ScenarioConfig, body: dict) -> None:
-    """Write body as JSON, after the format version and the scenario it ran.
-
-    The bytes are those of ``json.dump(payload, indent=2, sort_keys=True)``
-    plus a newline.
+def write_payload(path: str, cfg: ScenarioConfig, body) -> None:
+    """Write body, a dict or a result dataclass, as JSON, after the format
+    version and the scenario it ran: the bytes of ``_json_chunks`` plus a
+    newline.
     """
-    payload = {"format_version": FORMAT_VERSION, "config": cfg.raw, **body}
+    payload = {"format_version": FORMAT_VERSION, "config": cfg.raw, **_plain(body)}
     with open(path, "w") as handle:
         handle.writelines(_json_chunks(payload))
         handle.write("\n")
@@ -152,8 +168,8 @@ def cmd_ensemble(args) -> int:
     _write_csv(os.path.join(out, "ensemble.csv"), cfg,
                lambda handle: ensemble_to_csv(ens, handle))
     write_payload(os.path.join(out, "reports.json"), cfg, {
-        "moments": moments.to_json(),
-        "characteristic": [c.to_json() for c in char],
+        "moments": moments,
+        "characteristic": char,
     })
     print(f"ensemble: {cfg.m_samples} samples to T={cfg.T}; moment envelope "
           f"violations {moments.violations_bounded}+{moments.violations_exp}; "
@@ -173,8 +189,7 @@ def cmd_verify(args) -> int:
 
     def one(name):
         outcome = run_suite(name, cfg, **kwargs)
-        write_payload(os.path.join(_out_dir(cfg), f"verify_{name}.json"), cfg,
-                      outcome.to_json())
+        write_payload(os.path.join(_out_dir(cfg), f"verify_{name}.json"), cfg, outcome)
         print(outcome.table() + ("\n" if every else ""))
         return 0 if outcome.passed else 1
 
@@ -196,8 +211,7 @@ def cmd_hypotheses(args) -> int:
                       out_override=args.out)
     report = check_hypotheses(cfg.spec, 0.5, cfg.grid)
     out = _out_dir(cfg)
-    write_payload(os.path.join(out, "hypotheses.json"), cfg,
-                  {"hypotheses": report.to_json()})
+    write_payload(os.path.join(out, "hypotheses.json"), cfg, {"hypotheses": report})
     flag = "FLAGGED" if report.flagged else "stable"
     print(f"hypotheses: form-factor norms {flag}; wrote {out}/hypotheses.json")
     return 0

@@ -5,8 +5,9 @@ potential, an initial condition — either a single phase-space point or a
 sampleable measure — and the run parameters.  CONFIG_SCHEMA (JSON Schema,
 draft 2020-12) declares its shape, and load_config checks a document against
 it with a small walker of its own that interprets exactly the keywords the
-schema uses, so numpy is the only runtime dependency.  A refused document
-raises ConfigError with a path-to-field hint.
+schema uses, so numpy is the only runtime dependency; every number must
+also be a finite float.  A refused document raises ConfigError with a
+path-to-field hint.
 
 The resolved scenario (defaults and --seed applied) is what every output
 file embeds; the output directory is runtime placement and deliberately not
@@ -20,6 +21,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,14 +43,13 @@ class ConfigError(ValueError):
     """Configuration rejected; the message carries a path-to-field hint."""
 
 
+# p and q are (n, d) nested lists; alpha_re and alpha_im are flat
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+_ROWS = {"type": "array", "items": _NUMBERS}
+
 _POINT_SCHEMA = {
     "type": "object",
-    "properties": {
-        "p": {"type": "array"},
-        "q": {"type": "array"},
-        "alpha_re": {"type": "array"},
-        "alpha_im": {"type": "array"},
-    },
+    "properties": {"p": _ROWS, "q": _ROWS, "alpha_re": _NUMBERS, "alpha_im": _NUMBERS},
     "required": ["p", "q", "alpha_re", "alpha_im"],
     "additionalProperties": False,
 }
@@ -57,11 +58,11 @@ _POINT_SCHEMA = {
 _COHERENT_SCHEMA = {
     "type": "object",
     "properties": {
-        "p": {"type": "array"},
-        "q": {"type": "array"},
+        "p": _ROWS,
+        "q": _ROWS,
         "amplitude": {"type": "number"},
         "width": {"type": "number", "exclusiveMinimum": 0},
-        "direction": {"type": "array", "items": {"type": "number"}},
+        "direction": _NUMBERS,
     },
     "required": ["p", "q", "amplitude", "direction"],
     "additionalProperties": False,
@@ -284,6 +285,16 @@ def _schema_error(schema: dict, value, path: tuple) -> Optional[tuple]:
     return None
 
 
+def _non_finite(value, path: tuple = ()) -> Optional[tuple]:
+    """The (path, message) of the first number in ``value`` that is not a
+    finite float, or None: json reads NaN, Infinity, 1e400 and 10**400."""
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        return path, f"{value!r} is not a finite float"
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    return next(filter(None, (_non_finite(item, path + (key,)) for key, item in items)), None)
+
+
 def _discriminator(branch: dict, value) -> Optional[tuple]:
     """(key, allowed values) of a const or enum property of ``branch`` that
     ``value`` fails: the value names another branch of the oneOf."""
@@ -448,15 +459,19 @@ def load_config(source, base_dir: str = ".",
         if not os.path.exists(source):
             raise ConfigError(f"config file not found: {source}")
         base_dir = os.path.dirname(os.path.abspath(source))
-        with open(source) as handle:
-            try:
+        try:
+            with open(source, encoding="utf-8") as handle:
                 raw = json.load(handle)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"not valid JSON: {err}") from err
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config file {source} is not UTF-8 text: {err.reason}") from err
+        except ValueError as err:  # also an integer of more digits than int() reads
+            raise ConfigError(f"not valid JSON: {err}") from err
+        except OSError as err:
+            raise ConfigError(f"cannot read config file {source}: {err.strerror}") from err
     ensemble = raw.setdefault("ensemble", {"M": 64, "seed": 0}) if isinstance(raw, dict) else None
     if seed_override is not None and isinstance(ensemble, dict):  # the schema checks it
         ensemble["seed"] = int(seed_override)
-    error = _schema_error(CONFIG_SCHEMA, raw, ())
+    error = _schema_error(CONFIG_SCHEMA, raw, ()) or _non_finite(raw)
     if error is not None:
         path, message = error
         raise ConfigError(f"{'.'.join(map(str, path)) or '(root)'}: {message}")

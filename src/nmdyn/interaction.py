@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -148,7 +149,12 @@ class FormFactor:
 
     @classmethod
     def from_csv(cls, path) -> "FormFactor":
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data: refused below
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+        if data.size == 0 or data.shape[1] != 2:
+            raise ValueError(f"{path}: a table form factor needs two CSV columns (r, chi), "
+                             f"found {data.shape[1] if data.size else 0}")
         return cls.table(data[:, 0], data[:, 1])
 
     def profile(self, r: np.ndarray) -> np.ndarray:
@@ -320,7 +326,8 @@ class HypothesisReport:
     norms / norms_fine / norms_wide are (n, 4) arrays evaluated on the base
     grid, at doubled N (same K; probes the |k| -> 0 singularities) and at
     doubled K with the same spacing (probes the |k| -> infinity tails).  A
-    norm is flagged when either refinement grows it by more than 10%.
+    norm is flagged when either refinement grows it by more than 10%, and
+    ``flagged`` says whether any is.
     """
 
     sigma: float
@@ -329,21 +336,10 @@ class HypothesisReport:
     norms_fine: np.ndarray
     norms_wide: np.ndarray
     flags: np.ndarray
+    flagged: bool = field(init=False)
 
-    @property
-    def flagged(self) -> bool:
-        return bool(self.flags.any())
-
-    def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "labels": list(self.labels),
-            "norms": self.norms.tolist(),
-            "norms_fine": self.norms_fine.tolist(),
-            "norms_wide": self.norms_wide.tolist(),
-            "flags": self.flags.tolist(),
-            "flagged": self.flagged,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "flagged", bool(self.flags.any()))
 
 
 def _hypothesis_norms(spec: ParticleSpec, sigma: float, grid: KGrid) -> np.ndarray:

@@ -402,17 +402,6 @@ class CharacteristicCheck:
     t: float
     sigma: float
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "residual": self.residual,
-            "mc_stderr": self.mc_stderr,
-            "t0": self.t0,
-            "t": self.t,
-            "sigma": self.sigma,
-        }
-
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     w = np.zeros_like(times)
@@ -542,20 +531,6 @@ class MomentReport:
     observed_max_l2: float
     violations_bounded: int
     violations_exp: int
-
-    def to_json(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "mean_p4": self.mean_p4.tolist(),
-            "mean_field_half4": self.mean_field_half4.tolist(),
-            "mean_field_l2_4": self.mean_field_l2_4.tolist(),
-            "c_bounded": self.c_bounded,
-            "c_exp": self.c_exp,
-            "observed_max_bounded": self.observed_max_bounded,
-            "observed_max_l2": self.observed_max_l2,
-            "violations_bounded": self.violations_bounded,
-            "violations_exp": self.violations_exp,
-        }
 
 
 _DRIFT_SLACK = 1.05

@@ -37,14 +37,10 @@ class VerifyOutcome:
 
     suite: str
     checks: tuple = field(default_factory=tuple)
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"suite": self.suite, "passed": self.passed,
-                "checks": list(self.checks)}
+    def __post_init__(self):
+        object.__setattr__(self, "passed", all(c["passed"] for c in self.checks))
 
     def table(self) -> str:
         lines = [f"suite: {self.suite}"]

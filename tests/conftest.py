@@ -1,8 +1,11 @@
 """Shared fixtures and random-state factories for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
+from nmdyn.cli import _json_chunks
 from nmdyn.geometry import PolarizationBasis, build_kgrid
 from nmdyn.interaction import (
     PotentialSpec,
@@ -47,6 +50,11 @@ def rotate_frame(rng, grid, basis, alpha):
     vectors = np.einsum("jlv,jlm->jmv", basis.vectors, q_mat)
     rotated = np.einsum("jlm,lj->mj", q_mat, alpha)
     return PolarizationBasis(grid, vectors), rotated, q_mat
+
+
+def json_form(result):
+    """``result`` as the CLI writes it into an output file, read back."""
+    return json.loads("".join(_json_chunks(result)))
 
 
 def coupling(q, alpha, spec, grid, basis=None):

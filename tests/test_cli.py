@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -261,6 +262,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(path))
 
+    def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(small_scenario()).replace('"N": 10', '"N": 1' + "0" * 5000))
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(str(path))
+
     def test_unknown_suite(self):
         with pytest.raises(ConfigError, match="unknown suite"):
             run_suite("telepathy", load_config(small_scenario()))
@@ -487,6 +494,91 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "config error: ensemble.seed: -1 is less than the minimum of 0\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+    @pytest.mark.parametrize("command", [["simulate"], ["verify", "gauge"]],
+                             ids=["simulate", "verify-gauge"])
+    def test_config_that_is_a_directory_is_a_config_error(self, command, tmp_path, capsys):
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / "o"
+        assert main(command + [str(tmp_path / "adir"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: ") and "adir" in err
+        assert not out.exists()
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(small_scenario()).encode("utf-16-le"))
+        out = tmp_path / "o"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: ") and "wide.json" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, where", [
+        (("initial", "measure", "center", "coherent", "p", 0, 1), None, "coherent.p.0.1"),
+        (("initial", "measure", "center", "coherent", "q", 0, 1), {}, "coherent.q.0.1"),
+        (("initial", "measure", "center", "coherent", "p", 0, 1), True, "coherent.p.0.1"),
+        (("initial", "measure", "center", "coherent", "amplitude"), float("inf"),
+         "coherent.amplitude"),
+        (("initial", "measure", "center", "coherent", "amplitude"), 1e400,
+         "coherent.amplitude"),
+        (("initial", "measure", "center", "coherent", "direction", 0), float("nan"),
+         "coherent.direction.0"),
+        (("initial", "measure", "particle_scale"), float("inf"), "measure.particle_scale"),
+        (("initial", "measure", "field_variances", 1), float("inf"),
+         "measure.field_variances.1"),
+        (("potential", "g"), float("inf"), "potential.g"),
+        (("grid", "K"), float("inf"), "grid.K"),
+        (("particles", 0, "mass"), float("inf"), "particles.0.mass"),
+        (("run", "T"), 10**400, "run.T"),
+    ], ids=["p-null", "q-object", "p-true", "amplitude-inf", "amplitude-1e400",
+            "direction-nan", "particle-scale-inf", "variance-inf", "g-inf", "K-inf",
+            "mass-inf", "T-400-digits"])
+    def test_scenario_numbers_must_be_finite_numbers(self, field, value, where,
+                                                     tmp_path, capsys):
+        raw = small_scenario()
+        node = raw
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))  # writes NaN and Infinity, which json.load reads
+        out = tmp_path / "o"
+        assert main(["ensemble", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: ") and where in err
+        assert not out.exists()
+
+    def test_explicit_point_numbers_must_be_finite(self):
+        raw = small_scenario()
+        cfg = load_config(raw)
+        point = point_to_json(cfg.point)
+        point["alpha_im"][5] = float("nan")
+        raw["initial"] = {"point": point}
+        with pytest.raises(ConfigError, match=r"^initial\.point\.alpha_im\.5: nan is not"):
+            load_config(raw)
+
+    @pytest.mark.parametrize("text, found", [("0.0\n1.0\n", "found 1"),
+                                             ("", "found 0"),
+                                             ("0,1,2\n1,0.5,3\n", "found 3")],
+                             ids=["one-column", "empty", "three-columns"])
+    def test_table_csv_needs_two_columns(self, text, found, tmp_path, capsys):
+        (tmp_path / "chi.csv").write_text(text)
+        raw = small_scenario()
+        raw["particles"][0]["form_factor"] = {"family": "table", "path": "chi.csv"}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["hypotheses", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: ") and "two CSV columns" in err and found in err
+        assert not out.exists()
 
     def test_import_leaves_scipy_out(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(nmdyn.__file__)))
@@ -778,6 +870,28 @@ class TestJsonText:
         expected = json.dumps({"format_version": FORMAT_VERSION, "config": cfg.raw,
                                **body}, indent=2, sort_keys=True) + "\n"
         assert path.read_text() == expected
+
+    def test_results_are_written_as_their_plain_form(self):
+        @dataclasses.dataclass(frozen=True)
+        class Inner:
+            flags: np.ndarray
+            label: str
+
+        @dataclasses.dataclass(frozen=True)
+        class Result:
+            values: np.ndarray
+            z: complex
+            inner: Inner
+            parts: tuple
+
+        result = Result(values=np.array([[0.5, -0.0], [2e-300, 3.0]]), z=1.5 - 0.25j,
+                        inner=Inner(np.array([True, False]), "x"),
+                        parts=(Inner(np.array([], dtype=bool), ""), np.array([1j, 2.0])))
+        plain = {"values": [[0.5, -0.0], [2e-300, 3.0]], "z": [1.5, -0.25],
+                 "inner": {"flags": [True, False], "label": "x"},
+                 "parts": [{"flags": [], "label": ""}, [[0.0, 1.0], [2.0, 0.0]]]}
+        text = "".join(nmdyn.cli._json_chunks(result))
+        assert text == json.dumps(plain, indent=2, sort_keys=True)
 
     def test_unknown_types_are_refused(self):
         with pytest.raises(TypeError):

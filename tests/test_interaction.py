@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coupling, random_field, random_point, rotate_frame
+from conftest import coupling, json_form, random_field, random_point, rotate_frame
 
 from nmdyn.geometry import build_kgrid, integrate_k, polarization_basis
 from nmdyn.integrator import divergence_report, evolve
@@ -293,7 +293,7 @@ class TestHypotheses:
 
     def test_report_serializes(self, small_grid):
         report = check_hypotheses(two_particle_spec(), 0.75, small_grid)
-        data = report.to_json()
+        data = json_form(report)
         assert set(data) == {"sigma", "labels", "norms", "norms_fine",
                              "norms_wide", "flags", "flagged"}
         assert data["sigma"] == 0.75

@@ -16,7 +16,7 @@ Convergence ratios quoted in comments were measured on this exact scenario.
 import numpy as np
 import pytest
 
-from conftest import random_point
+from conftest import json_form, random_point
 
 from nmdyn import interaction, measures
 from nmdyn.geometry import build_kgrid, polarization_basis
@@ -504,7 +504,7 @@ class TestCharacteristicResidual:
         args = (scenario["spec"], scenario["pot"])
         chk = characteristic_residual(pushed_pair["fine"], directions["y0"],
                                       0.5, 0.2, 0.5, *args)
-        blob = chk.to_json()
+        blob = json_form(chk)
         assert complex(*blob["lhs"]) == chk.lhs
         assert blob["residual"] == chk.residual and blob["sigma"] == 0.5
 
@@ -543,7 +543,7 @@ class TestMoments:
         # room to spare, and the observed maxima record the actual excursion
         assert rep.observed_max_bounded == pytest.approx(
             np.max(rep.mean_p4 + rep.mean_field_half4))
-        blob = rep.to_json()
+        blob = json_form(rep)
         assert blob["violations_bounded"] == 0
         assert blob["times"] == rep.times.tolist()
 
@@ -551,13 +551,13 @@ class TestMoments:
                                        monkeypatch):
         """The certificates need the base-grid ||chi/|k||| norms only."""
         args = (pushed_pair["fine"], scenario["spec"], scenario["pot"])
-        expected = moment_report(*args).to_json()
+        expected = json_form(moment_report(*args))
 
         def refuse(*_):
             raise AssertionError("moment_report built a refinement grid")
 
         monkeypatch.setattr(interaction, "_grid_axis", refuse)
-        assert moment_report(*args).to_json() == expected
+        assert json_form(moment_report(*args)) == expected
 
     def test_decoupled_moments_are_constants(self, tiny_grid, decoupled):
         meas = MeasureSpec.gaussian(decoupled["center"], particle_scale=0.1)
