@@ -30,7 +30,8 @@ import numpy as np
 
 from .config import (FORMAT_VERSION, ConfigError, ScenarioConfig, load_config,
                      reference_scenario)
-from .integrator import FlaggedHypothesesError, NumericalBlowupError, evolve, trajectory_to_csv
+from .integrator import (FlaggedHypothesesError, NumericalBlowupError, _step_count, evolve,
+                         trajectory_to_csv)
 from .interaction import check_hypotheses
 from .measures import (EnsemblePropagationError, characteristic_residual, ensemble_to_csv,
                        moment_report, push_forward, sample_measure)
@@ -131,8 +132,9 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed,
                       out_override=args.out)
     u0 = cfg.require_point()
+    # only the endpoint is written: keep rows 0 and n, not every snapshot
     traj = evolve(u0, cfg.T, cfg.dt, cfg.spec, cfg.pot, scheme=cfg.scheme,
-                  store_every=cfg.snapshot_every, allow_flagged=args.allow_flagged)
+                  store_every=_step_count(cfg.T, cfg.dt), allow_flagged=args.allow_flagged)
     out = _out_dir(cfg)
     _write_csv(os.path.join(out, "trajectory.csv"), cfg,
                lambda handle: trajectory_to_csv(traj, handle))

@@ -95,7 +95,10 @@ def build_kgrid(d: int, K: float, N: int) -> KGrid:
         to keep the k -> -k symmetry exact
 
     The per-axis nodes are +/-(h/2 + m*h), m = 0..N/2-1, built by explicit
-    mirroring so the symmetry holds exactly in floating point.
+    mirroring so the symmetry holds exactly in floating point: node M-1-j is
+    exactly -k_j, and the first M/2 nodes are those with k^0 < 0.  The
+    coupling kernels rely on this, summing over those M/2 nodes and reading
+    the others through the mirror (see ``interaction``).
     """
     if d < 3:
         raise ValueError(f"dimension must be >= 3, got d={d}")
@@ -104,23 +107,28 @@ def build_kgrid(d: int, K: float, N: int) -> KGrid:
     if not K > 0:
         raise ValueError(f"cutoff K must be positive, got K={K}")
 
-    h, axis, absk = _grid_axis(d, K, N)
+    h, half = _grid_axis(K, N)
+    axis = np.concatenate([-half[::-1], half])
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     nodes = np.stack(mesh, axis=-1).reshape(-1, d)
     weights = np.full(nodes.shape[0], h**d)
-    return KGrid(d=d, K=float(K), N=int(N), nodes=nodes, weights=weights, absk=absk)
+    return KGrid(d=d, K=float(K), N=int(N), nodes=nodes, weights=weights,
+                 absk=_radii(d, axis))
 
 
-def _grid_axis(d: int, K: float, N: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """The spacing, the per-axis nodes and |k| at every node of build_kgrid(d, K, N),
-    |k|^2 summing the squares in axis order, as np.sum(nodes**2, axis=1) does."""
+def _grid_axis(K: float, N: int) -> tuple[float, np.ndarray]:
+    """The spacing of build_kgrid(d, K, N) and its N/2 positive per-axis nodes."""
     h = 2.0 * K / N
-    half = h / 2.0 + h * np.arange(N // 2)
-    axis = np.concatenate([-half[::-1], half])
+    return h, h / 2.0 + h * np.arange(N // 2)
+
+
+def _radii(d: int, axis: np.ndarray) -> np.ndarray:
+    """|k| at every node of the ij tensor product of d copies of axis, |k|^2
+    summing the squares in axis order, as np.sum(nodes**2, axis=1) does."""
     sq = k2 = axis**2
     for _ in range(1, d):
         k2 = k2[..., None] + sq
-    return h, axis, np.sqrt(k2).ravel()
+    return np.sqrt(k2).ravel()
 
 
 def transverse_frame(khat: np.ndarray) -> np.ndarray:

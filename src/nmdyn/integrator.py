@@ -93,7 +93,8 @@ class FlaggedHypothesesError(RuntimeError):
 
 
 class NumericalBlowupError(RuntimeError):
-    """Raised when the state stops being finite; carries the last state."""
+    """Raised when the state stops being finite, or a step raises
+    FloatingPointError; carries the non-finite state, or the last finite one."""
 
     def __init__(self, message: str, time: float, state: PhaseSpacePoint):
         super().__init__(message)
@@ -234,28 +235,35 @@ def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
     run computes its half-step field turn e^{-i (dt/2) |k|} once.  A
     non-finite state raises NumericalBlowupError carrying the time, the state
     and figures of the last finite state (the largest over a stack's rows).
+    So does a FloatingPointError inside a step, which only a raising
+    ``np.errstate`` makes: it is chained from the error and carries the last
+    finite state.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     times = np.arange(_step_count(T, dt) + 1) * dt
     turn = np.exp(-1j * (dt / 2.0) * u0.grid.absk)
 
+    def blowup(what, k, last, state):
+        with np.errstate(all="ignore"):
+            figures = (f"last finite |p|={np.abs(last.p).max():.3e}, "
+                       f"norm_X0={np.max(phase_norm(last, 0.0)):.3e}")
+        return NumericalBlowupError(f"{what} at t={times[k]:.6g} (step {k}); {figures}",
+                                    time=float(times[k]), state=state)
+
     def states():
         state = last = u0
         for k in range(1, times.size):
-            if scheme == "strang":
-                state = physical = _strang(state, dt, spec, pot, turn)
-            else:
-                state = rk4_interaction_step(times[k - 1], state, dt, spec, pot)
-                physical = free_flow(state, times[k], spec)
+            try:
+                if scheme == "strang":
+                    state = physical = _strang(state, dt, spec, pot, turn)
+                else:
+                    state = rk4_interaction_step(times[k - 1], state, dt, spec, pot)
+                    physical = free_flow(state, times[k], spec)
+            except FloatingPointError as err:
+                raise blowup(f"floating-point error ({err})", k, last, last) from err
             if not physical.is_finite():
-                raise NumericalBlowupError(
-                    f"non-finite state at t={times[k]:.6g} (step {k}); "
-                    f"last finite |p|={np.abs(last.p).max():.3e}, "
-                    f"norm_X0={np.max(phase_norm(last, 0.0)):.3e}",
-                    time=float(times[k]),
-                    state=physical,
-                )
+                raise blowup("non-finite state", k, last, physical)
             last = physical
             yield physical
 

@@ -36,13 +36,26 @@ by ``compile_model`` and memoized by their identity; ``basis=None`` means
 ``default_basis(grid)``.  The kernels take that model key as arguments (a
 rotated frame included), and ``_model_for`` refuses a grid whose (d, K, N)
 differ from a state's; runs pass their first state's grid and basis=None.
-Every coupling term goes through one bracket c_i = conj(alpha) chi_i/
-sqrt(2|k|) e^{-2 pi i k.q_i} over all polarizations and nodes, with the
-plane-wave phase factored per grid axis; A and grad A are then two matrix
-products of Re c and Im c with the model's polarization tables, for all
-particles at once.  ``hamiltonian``, ``nonlinearity_G``,
-``nonlinearity_F`` and ``vartheta`` also take an (S, D) stack of points and
-compute every row exactly as the point alone.
+
+Every coupling term is summed over the half grid H, the first M/2 nodes
+(k^0 < 0), and reads the other half through the mirror: node M-1-j is
+exactly -k_j (``build_kgrid``).  The identities are exact: the phase
+P_i(k) = e^{-2 pi i k.q_i} has P_i(-k) = conj P_i(k); chi, |k| and the
+weights are the same at +-k; and the frames at +-k span the same transverse
+plane, so eps_lam(-k) = sum_mu R_lam,mu(k) eps_mu(k) with the orthogonal
+R_lam,mu(k) = eps_lam(-k) . eps_mu(k).  R is a per-node map, not a sign (for
+the Householder frame it is a reflection).  Hence one bracket on H,
+
+    c_i = w chi_i/sqrt(2|k|) P_i beta,  beta_mu(k) = conj alpha_mu(k)
+                                        + sum_lam R_lam,mu(k) alpha_lam(-k),
+
+gives A_i = 2 Re c_i . eps and grad A_i = 4 pi Im c_i . (eps k), two matrix
+products for all particles at once, with the phase factored per grid axis.
+A pair term z = kernel * conj P_i P_j on H gives V = 2 sum_H Re z and
+grad V = -4 pi sum_H (Im z) k, and G's field output, computed on H, is
+G_alpha(-k) = -R(k) conj G_alpha(k) on the mirror.  ``hamiltonian``,
+``nonlinearity_G``, ``nonlinearity_F`` and ``vartheta`` also take an (S, D)
+stack of points and compute every row exactly as the point alone.
 """
 
 from __future__ import annotations
@@ -55,7 +68,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import KGrid, PolarizationBasis, _grid_axis, polarization_basis
+from .geometry import KGrid, PolarizationBasis, _grid_axis, _radii, polarization_basis
 from .state import (
     ParticleSpec,
     PhaseSpacePoint,
@@ -236,7 +249,8 @@ def _pair_indices(pot, n):
 
 
 def _pairs(q, phases, model):
-    """(i, j, z) per pair i < j: z = kernel * conj(phase_i) * phase_j, or q_i - q_j for cos."""
+    """(i, j, z) per pair i < j: z = kernel * conj(phase_i) * phase_j on H, or
+    q_i - q_j for cos."""
     for i, j in _pair_indices(model.pot, q.shape[-2]):
         if model.pot.kind == "smeared-coulomb":
             yield i, j, model.pair[i, j] * (np.conj(phases[..., i, :]) * phases[..., j, :])
@@ -245,21 +259,24 @@ def _pairs(q, phases, model):
 
 
 def _potential_value(q, phases, model):
-    """V at positions q (..., n, d), per row of a stack; what H reads."""
+    """V at positions q (..., n, d), per row of a stack; what H reads.
+    A smeared pair's w = 2 sum_H Re z."""
     total = np.zeros(q.shape[:-2])
     for _, _, z in _pairs(q, phases, model):
-        total += (np.real(np.sum(z, axis=-1)) if model.pot.kind == "smeared-coulomb"
+        total += (2.0 * np.sum(z.real, axis=-1) if model.pot.kind == "smeared-coulomb"
                   else _cos_pair(model.pot, z)[0])
     return total
 
 
 def _potential_gradient(q, phases, model):
     """grad V at positions q (..., n, d), per row of a stack; what G and m read.
-    A smeared pair's (..., 1, M) @ (M, d) product rounds per row as a single
-    point's does, and casts the node table to complex on every call."""
+    A smeared pair's grad w = -4 pi sum_H (Im z) k is a real
+    (..., 1, M/2) @ (M/2, d) product, which rounds per row as a single
+    point's does."""
     grad = np.zeros_like(q)
     for i, j, z in _pairs(q, phases, model):
-        gw = (-2.0 * np.pi * np.imag(np.matmul(z[..., None, :], model.grid.nodes)[..., 0, :])
+        gw = (-4.0 * np.pi * np.matmul(np.ascontiguousarray(z.imag)[..., None, :],
+                                       model.nodes)[..., 0, :]
               if model.pot.kind == "smeared-coulomb" else _cos_pair(model.pot, z)[1])
         grad[..., i, :] += gw
         grad[..., j, :] -= gw
@@ -278,7 +295,7 @@ def potential(q: np.ndarray, spec: ParticleSpec, pot: PotentialSpec,
     if q.shape != (spec.n, grid.d):
         raise ValueError(f"positions must have shape ({spec.n}, {grid.d}), got {q.shape}")
     model = compile_model(spec, pot, grid)
-    phases = _phases(model, q) if pot.kind == "smeared-coulomb" else None
+    phases = _phases(model, q, half=True) if pot.kind == "smeared-coulomb" else None
     return float(_potential_value(q, phases, model)), _potential_gradient(q, phases, model)
 
 
@@ -286,13 +303,13 @@ def potential_gradient_bound(spec: ParticleSpec, pot: PotentialSpec,
                              grid: KGrid) -> np.ndarray:
     """Per-particle upper bound on sup_q |grad_{q_i} V|, exact on the grid.
 
-    smeared-coulomb: |grad w_ij| <= 2 pi g int chi_i chi_j / |k| dk;
-    product-of-cos: |grad w| <= |amplitude| |kappa|_2; zero: 0.
+    smeared-coulomb: |grad w_ij| <= 2 pi g int chi_i chi_j / |k| dk, twice the
+    sum over H; product-of-cos: |grad w| <= |amplitude| |kappa|_2; zero: 0.
     """
     model = compile_model(spec, pot, grid)
     bound = np.zeros(spec.n)
     for i, j in _pair_indices(pot, spec.n):
-        bound[[i, j]] += (2.0 * np.pi * float(np.sum(model.pair[i, j] * grid.absk))
+        bound[[i, j]] += (4.0 * np.pi * float(np.sum(model.pair[i, j] * model.absk))
                           if pot.kind == "smeared-coulomb"
                           else abs(pot.amplitude) * np.linalg.norm(pot.wavevector))
     return bound
@@ -303,14 +320,16 @@ def potential_value_bound(spec: ParticleSpec, pot: PotentialSpec,
     """Upper bound on sup_q |V(q)|, exact on the grid (L^1 kernel bounds).
 
     smeared-coulomb: |w_ij| <= |g| int |chi_i chi_j| / |k|^2 dk per pair,
-    from the model's pair table; product-of-cos: |w_ij| <= |amplitude|;
+    twice the sum of the model's pair table over H; product-of-cos:
+    |w_ij| <= |amplitude|;
     zero: 0.  In particular V >= -potential_value_bound everywhere, which
     feeds the conserved-energy certificates of the moment checks.
     """
     model = compile_model(spec, pot, grid)
     total = 0.0
     for i, j in _pair_indices(pot, spec.n):
-        total += (float(np.sum(np.abs(model.pair[i, j]))) if pot.kind == "smeared-coulomb"
+        total += (2.0 * float(np.sum(np.abs(model.pair[i, j])))
+                  if pot.kind == "smeared-coulomb"
                   else abs(pot.amplitude))
     return total
 
@@ -344,17 +363,22 @@ class HypothesisReport:
 
 def _hypothesis_norms(spec: ParticleSpec, sigma: float, grid: KGrid) -> np.ndarray:
     """The four weighted L^2 norms of each chi_i on one grid, shape (n, 4)."""
-    return _weighted_norms(spec, sigma, grid.absk, grid.weights)
+    octant = grid.absk.reshape((grid.N,) * grid.d)[(slice(grid.N // 2, None),) * grid.d]
+    return _weighted_norms(spec, sigma, octant.ravel(), (2.0 * grid.h) ** grid.d)
 
 
-def _weighted_norms(spec: ParticleSpec, sigma: float, k: np.ndarray, weights) -> np.ndarray:
-    """``_hypothesis_norms`` from the node norms k and quadrature weights, one
-    |k|^p at a time."""
+def _weighted_norms(spec: ParticleSpec, sigma: float, k: np.ndarray, weight: float) -> np.ndarray:
+    """``_hypothesis_norms`` from |k| on the positive octant of a grid whose
+    weights are all (weight/2^d), one |k|^p at a time.
+
+    chi^2 |k|^p is radial, so each of the 2^d sign octants sums alike, and
+    each norm is 2^d times its sum over the positive octant.
+    """
     powers = (-2, -1, 1, 3.0 - 2.0 * sigma)
     norms = []
     for ff in spec.form_factors:
         chi2 = ff.profile(k) ** 2
-        norms.append(np.sqrt([float(np.sum(chi2 * k**p * weights)) for p in powers]))
+        norms.append(np.sqrt([float(np.sum(chi2 * k**p * weight)) for p in powers]))
     return np.array(norms)
 
 
@@ -365,13 +389,15 @@ def check_hypotheses(spec: ParticleSpec, sigma: float, grid: KGrid) -> Hypothesi
     Divergence is a report state, not an error: a flag means the norm is not
     resolution-stable, e.g. the point charge chi = 1 whose tail norms grow
     without bound as the cutoff widens.  The refinements are taken one at a
-    time, as the |k| of build_kgrid(d, K, 2N) and build_kgrid(d, 2K, 2N).
+    time, as build_kgrid(d, K, 2N) and build_kgrid(d, 2K, 2N), and no grid is
+    built: every norm is a sum over one sign octant of its grid, times 2^d.
     """
     if not 0.5 <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [1/2, 1], got {sigma}")
     norms = _hypothesis_norms(spec, sigma, grid)
-    norms_fine, norms_wide = (_weighted_norms(spec, sigma, k, h**grid.d) for h, _, k in
-                              (_grid_axis(grid.d, K, 2 * grid.N) for K in (grid.K, 2 * grid.K)))
+    norms_fine, norms_wide = (
+        _weighted_norms(spec, sigma, _radii(grid.d, half), (2.0 * h) ** grid.d)
+        for h, half in (_grid_axis(K, 2 * grid.N) for K in (grid.K, 2 * grid.K)))
     with np.errstate(invalid="ignore", divide="ignore"):
         flags = (norms_fine > 1.1 * norms) | (norms_wide > 1.1 * norms)
     return HypothesisReport(
@@ -398,14 +424,20 @@ def default_basis(grid: KGrid) -> PolarizationBasis:
 class Model:
     """State-independent data of the flow, built once by :func:`compile_model`.
 
-    With L = d-1 polarizations and M nodes:
+    With L = d-1 polarizations, M nodes and the half grid H of the first
+    M/2 nodes (see the module docstring), every node table covers H only;
+    row or column j is node j of H:
 
     * ``axes`` (d, N): the per-axis node coordinates, whose ``ij`` meshgrid
       is ``grid.nodes`` (checked when the model is built);
-    * ``eps`` (L*M, d): row lam*M + j is eps_lam at node j;
-    * ``epsk`` (L*M, d*d): column nu*d + mu holds eps_lam^nu(j) k_j^mu;
-    * ``ipref`` (n, M): i chi_i/sqrt(2|k|), the field output's factor;
-    * ``wpref`` (n, M): weights * chi_i/sqrt(2|k|), the bracket's factor;
+    * ``nodes`` (M/2, d) and ``absk`` (M/2,): k and |k|;
+    * ``eps`` (L*M/2, d): row lam*M/2 + j is eps_lam(k_j);
+    * ``epsk`` (L*M/2, d*d): column nu*d + mu holds eps_lam^nu(k_j) k_j^mu;
+    * ``rot`` (L, L, M/2): ``rot[lam, mu]`` is R_lam,mu(k) = eps_lam(-k) .
+      eps_mu(k), the orthogonal map between the frames at +-k, real but
+      stored complex, so that its products with the field need no cast;
+    * ``ipref`` (n, M/2): i chi_i/sqrt(2|k|), the field output's factor;
+    * ``wpref`` (n, M/2): weights * chi_i/sqrt(2|k|), the bracket's factor;
     * ``pair[i, j]`` for i < j: the weighted smeared Coulomb kernel
       weights * g chi_i chi_j/|k|^2 (empty for other potentials).
 
@@ -416,8 +448,11 @@ class Model:
     pot: PotentialSpec
     grid: KGrid
     axes: np.ndarray
+    nodes: np.ndarray
+    absk: np.ndarray
     eps: np.ndarray
     epsk: np.ndarray
+    rot: np.ndarray
     ipref: np.ndarray
     wpref: np.ndarray
     pair: dict
@@ -441,50 +476,71 @@ def _model_for(spec, pot, grid, basis, *states) -> Model:
 
 @functools.lru_cache(maxsize=16)
 def _compile(spec, pot, grid, basis) -> Model:
-    d = grid.d
+    d, half = grid.d, grid.node_count // 2
     axes = np.array([grid.nodes[:: grid.N ** (d - 1 - nu), nu][: grid.N] for nu in range(d)])
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     if not np.array_equal(mesh, grid.nodes):
         raise ValueError("grid nodes are not the ij tensor product of their axes")
-    eps = np.asfortranarray(basis.vectors.transpose(1, 0, 2).reshape(-1, d))
-    k = np.tile(grid.nodes, (d - 1, 1))
+    if not (np.array_equal(grid.nodes[::-1], -grid.nodes)
+            and np.array_equal(grid.weights[::-1], grid.weights)):
+        raise ValueError("grid is not mirrored: node M-1-j must be -k_j, with k_j's weight")
+    here, there = basis.vectors[:half], basis.vectors[::-1][:half]  # eps(k), eps(-k) on H
+    rot = np.einsum("jlv,jmv->lmj", there, here).astype(complex)
+    if np.abs(there - np.einsum("lmj,jmv->jlv", rot.real, here)).max() > 1e-12:
+        raise ValueError("frame at -k is not a rotation of the frame at k: "
+                         "the polarization vectors are not transverse")
+    nodes, absk, weights = grid.nodes[:half], grid.absk[:half], grid.weights[:half]
+    eps = np.asfortranarray(here.transpose(1, 0, 2).reshape(-1, d))
+    k = np.tile(nodes, (d - 1, 1))
     epsk = np.asfortranarray((eps[:, :, None] * k[:, None, :]).reshape(-1, d * d))
-    chi = np.array([ff.profile(grid.absk) for ff in spec.form_factors])
-    pref = chi / np.sqrt(2.0 * grid.absk)
+    chi = np.array([ff.profile(absk) for ff in spec.form_factors])
+    pref = chi / np.sqrt(2.0 * absk)
     pair = {}
     if pot.kind == "smeared-coulomb":
-        pair = {(i, j): grid.weights * (pot.g * chi[i] * chi[j] / grid.absk**2)
+        pair = {(i, j): weights * (pot.g * chi[i] * chi[j] / absk**2)
                 for i, j in itertools.combinations(range(spec.n), 2)}
-    return Model(pot=pot, grid=grid, axes=axes, eps=eps, epsk=epsk, ipref=1j * pref,
-                 wpref=grid.weights * pref, pair=pair)
+    return Model(pot=pot, grid=grid, axes=axes, nodes=nodes, absk=absk, eps=eps, epsk=epsk,
+                 rot=rot, ipref=1j * pref, wpref=weights * pref, pair=pair)
 
 
-def _phases(model: Model, q: np.ndarray) -> np.ndarray:
-    """e^{-2 pi i k.q_i} for all particles at once, shape (..., n, M).
+def _phases(model: Model, q: np.ndarray, half: bool = False) -> np.ndarray:
+    """e^{-2 pi i k.q_i} for all particles at once, shape (..., n, M), or on
+    H alone, shape (..., n, M/2), with half set (what the kernels read).
 
     The nodes are the tensor product of ``model.axes``, so each phase is the
     outer product of d per-axis factors e^{-2 pi i k^nu q_i^nu}: d*N complex
-    exponentials per particle instead of N^d.
+    exponentials per particle instead of N^d.  H takes the first N/2 nodes of
+    the first axis.
     """
     d = q.shape[-1]
     per_axis = np.exp((-2j * np.pi) * (q[..., None] * model.axes))  # (..., n, d, N)
-    phases = per_axis[..., 0, :]
+    phases = per_axis[..., 0, : model.grid.N // 2 if half else None]
     for nu in range(1, d):
         phases = (phases[..., :, None] * per_axis[..., nu, None, :]).reshape(q.shape[:-1] + (-1,))
     return phases
 
 
-def _bracket(alpha: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """c_i = conj(alpha_lam(j)) coeff_i(j) for every particle, shape (..., n, L*M).
+def _bracket(model: Model, alpha: np.ndarray, coeff: np.ndarray, turn=None) -> np.ndarray:
+    """c_i = coeff_i(k) beta(k) on H for every particle, shape (..., n, L*M/2),
+    with beta_mu(k) = conj alpha_mu(k) + sum_lam R_lam,mu(k) alpha_lam(-k).
 
-    With coeff = weights * chi_i/sqrt(2|k|) * e^{-2 pi i k.q_i}, the
+    With coeff = weights * chi_i/sqrt(2|k|) * e^{-2 pi i k.q_i} on H, the
     vector potential and its gradient are two products with the model's
     tables: A_i^nu = 2 Re c_i . eps^nu and
-    d A_i^nu/d q_i^mu = 4 pi Im c_i . (eps^nu k^mu).  The polarization
-    vectors are real, so the parts separate cleanly.
+    d A_i^nu/d q_i^mu = 4 pi Im c_i . (eps^nu k^mu), each equal to its sum
+    over the whole grid.  The polarization vectors are real, so the parts
+    separate cleanly.  A factor ``turn`` E(|k|) of the whole-grid coefficient
+    is not conjugated at -k, so it enters as
+    beta = conj alpha(k) E + R alpha(-k) conj E.
     """
-    return (np.conj(alpha)[..., None, :, :] * coeff[..., :, None, :]).reshape(
-        coeff.shape[:-1] + (-1,))
+    half = model.nodes.shape[0]
+    beta, there = np.conj(alpha[..., :half]), alpha[..., ::-1][..., :half]
+    if turn is not None:
+        beta *= turn
+        there = there * np.conj(turn)
+    for lam in range(beta.shape[-2]):
+        beta += model.rot[lam] * there[..., lam, None, :]
+    return (beta[..., None, :, :] * coeff[..., :, None, :]).reshape(coeff.shape[:-1] + (-1,))
 
 
 def _vector_potentials(model: Model, c: np.ndarray) -> np.ndarray:
@@ -501,8 +557,8 @@ def _grad_vector_potentials(model: Model, c: np.ndarray) -> np.ndarray:
 
 def _energy(model: Model, spec: ParticleSpec, u: PhaseSpacePoint, dens: np.ndarray):
     """``hamiltonian`` of u from its ``_field_density`` dens, per row of a stack."""
-    phases = _phases(model, u.q)
-    a = _vector_potentials(model, _bracket(u.alpha, model.wpref * phases))
+    phases = _phases(model, u.q, half=True)
+    a = _vector_potentials(model, _bracket(model, u.alpha, model.wpref * phases))
     kinetic = np.sum(np.sum((u.p - a) ** 2, axis=-1) / (2.0 * spec.masses), axis=-1)
     field = np.float_power(_density_norm(u.grid, dens, 0.5, "homogeneous"), 2)
     return kinetic + _potential_value(u.q, phases, model) + field
@@ -526,14 +582,15 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     G_p,i = (1/m_i) sum_nu (p_i - A_i)^nu grad_{q_i} A_i^nu - grad_{q_i} V
     G_alpha,lam(k) = i sum_i chi_i/sqrt(2|k|) ((p_i - A_i)/m_i . eps_lam) e^{-2 pi i k.q_i}
 
-    G_alpha adds up the particles' terms in order, in place, without einsum.
+    G_alpha adds up the particles' terms on H in order, in place, without
+    einsum, and is written to the mirror as G_alpha(-k) = -R(k) conj G_alpha(k).
     On a stack every row is computed as the single point would be.
     """
     model = _model_for(spec, pot, grid, basis, u)
     masses = spec.masses[:, None]
-    phases = _phases(model, u.q)
+    phases = _phases(model, u.q, half=True)
     grad_v = _potential_gradient(u.q, phases, model)
-    c = _bracket(u.alpha, model.wpref * phases)
+    c = _bracket(model, u.alpha, model.wpref * phases)
     a = _vector_potentials(model, c)
     da = _grad_vector_potentials(model, c)
     del c
@@ -543,9 +600,15 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     np.divide(-a, masses, out=out.q)
     proj = (v @ model.eps.T).reshape(v.shape[:-1] + (grid.d - 1, -1))  # eps_lam(k) . v_i
     terms = np.multiply(model.ipref, phases, out=phases)
-    alpha = np.multiply(terms[..., 0, None, :], proj[..., 0, :, :], out=out.alpha)
+    half = phases.shape[-1]
+    alpha = np.multiply(terms[..., 0, None, :], proj[..., 0, :, :], out=out.alpha[..., :half])
     for i in range(1, spec.n):
         alpha += terms[..., i, None, :] * proj[..., i, :, :]
+    turned = model.rot[:, 0] * alpha[..., 0, None, :]  # R(k) G_alpha(k)
+    for mu in range(1, grid.d - 1):
+        turned += model.rot[:, mu] * alpha[..., mu, None, :]
+    mirror = np.conj(turned, out=out.alpha[..., ::-1][..., :half])
+    np.negative(mirror, out=mirror)
     return out
 
 
@@ -602,12 +665,13 @@ def characteristic_density_m(s: float, xi: PhaseSpacePoint, u: PhaseSpacePoint,
     masses = spec.masses[:, None]
     x = u.q + s * u.p / masses
     x0 = xi.q + s * xi.p / masses
-    phases = _phases(model, x)
-    coeff = model.wpref * (phases * np.exp(1j * s * grid.absk))
-    c_u = _bracket(u.alpha, coeff)
+    phases = _phases(model, x, half=True)
+    coeff, turn = model.wpref * phases, np.exp(1j * s * model.absk)
+    c_u = _bracket(model, u.alpha, coeff, turn)
     a = _vector_potentials(model, c_u)
     grad_dot = np.einsum("inm,im->in", _grad_vector_potentials(model, c_u), x0)
-    im_b = np.ascontiguousarray(_bracket(xi.alpha, coeff).imag) @ model.eps
+    # Im b = Re <i alpha_0, K>, half the vector potential of the field i alpha_0
+    im_b = 0.5 * _vector_potentials(model, _bracket(model, 1j * xi.alpha, coeff, turn))
     pma = u.p - a
     total = float(np.sum((2.0 * np.sum(pma * grad_dot, axis=1)
                           + np.sqrt(2.0) * np.sum(pma * im_b, axis=1)

@@ -302,6 +302,23 @@ class TestCommands:
         endpoint = point_from_json(summary["endpoint"], cfg.grid)
         assert endpoint.is_finite()
 
+    def test_simulate_keeps_only_the_states_it_writes(self, config_file, tmp_path,
+                                                      monkeypatch):
+        """summary.json takes the endpoint alone: of the 20 steps, the run keeps
+        rows 0 and 20, not every snapshot_every = 5 state."""
+        runs = []
+        real_evolve = nmdyn.cli.evolve
+
+        def recording_evolve(*args, **kwargs):
+            runs.append(real_evolve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(nmdyn.cli, "evolve", recording_evolve)
+        assert main(["simulate", config_file, "--out", str(tmp_path / "run")]) == 0
+        (traj,) = runs
+        assert traj.stored.shape[0] == 2
+        assert traj.stored_indices.tolist() == [0, 20]
+
     def test_summary_endpoint_restarts_a_run(self, config_file, tmp_path):
         out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))
         assert main(["simulate", config_file, "--out", str(out1)]) == 0

@@ -306,6 +306,30 @@ class TestEvolve:
         assert exc.value.time > 0.0
         assert not exc.value.state.is_finite()
 
+    def test_floating_point_error_in_a_step_is_a_blowup_of_that_step(self, tiny_grid,
+                                                                      monkeypatch):
+        """A FloatingPointError (which a raising np.errstate makes) inside a
+        step names the step and time, chained from the error; strang calls G
+        four times a step, so its 6th call is in step 2."""
+        spec = ParticleSpec(masses=np.array([1.0]), form_factors=(FormFactor.gaussian(1.0),))
+        u0 = random_point(np.random.default_rng(3), tiny_grid, n=1)
+        calls = []
+        real_g = nmdyn.integrator.nonlinearity_G
+
+        def failing_g(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 6:
+                raise FloatingPointError("overflow encountered in multiply")
+            return real_g(*args, **kwargs)
+
+        monkeypatch.setattr(nmdyn.integrator, "nonlinearity_G", failing_g)
+        with pytest.raises(NumericalBlowupError, match=r"t=0\.2 \(step 2\); last finite") as exc:
+            evolve(u0, 0.4, 0.1, spec, PotentialSpec.zero(), allow_flagged=True)
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+        assert "overflow encountered in multiply" in str(exc.value)
+        assert exc.value.time == pytest.approx(0.2)
+        assert exc.value.state.is_finite()
+
     def test_trajectory_requires_monotone_times(self):
         times = np.array([0.0, 0.1, 0.1])
         with pytest.raises(ValueError, match="monotone"):

@@ -5,6 +5,7 @@ finite-dimensional Cauchy-Schwarz constant for the quadrature sum itself, so
 violations would indicate implementation bugs, not discretization error.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import coupling, json_form, random_field, random_point, rotate_frame
 
-from nmdyn.geometry import build_kgrid, integrate_k, polarization_basis
+from nmdyn.geometry import KGrid, PolarizationBasis, build_kgrid, integrate_k, polarization_basis
 from nmdyn.integrator import divergence_report, evolve
 from nmdyn.interaction import (
     FormFactor,
@@ -147,13 +148,17 @@ class TestPotential:
         assert np.array_equal(grad[0], np.zeros(3))
 
     def test_smeared_realness(self, small_grid, rng):
-        """w = sum z and grad w = 2 pi i z.k over the pair terms z that V and
-        grad V sum: the imaginary parts, which _potential_value and
-        _potential_gradient drop, cancel in +/-k pairs."""
+        """w = sum z and grad w = 2 pi i z.k over all nodes, with the pair
+        terms z that V and grad V sum on H and, on the mirror half, the kernel
+        at -k times the whole grid's phases there: the imaginary parts, which
+        _potential_value and _potential_gradient drop, cancel in +/-k pairs."""
         model = compile_model(two_particle_spec(), PotentialSpec.coulomb(0.8), small_grid)
+        half = small_grid.node_count // 2
         for _ in range(25):
             q = np.array([rng.normal(size=3), np.zeros(3)])
-            ((_, _, z),) = _pairs(q, _phases(model, q), model)
+            ((_, _, z),) = _pairs(q, _phases(model, q, half=True), model)
+            phases = _phases(model, q)[:, half:]
+            z = np.concatenate([z, model.pair[0, 1][::-1] * np.conj(phases[0]) * phases[1]])
             w, zk = np.sum(z), 2.0 * np.pi * (z @ small_grid.nodes)  # grad w = i zk
             scale = abs(w) + np.abs(zk).max() + 1.0
             assert abs(np.imag(w)) <= 1e-12 * scale
@@ -565,6 +570,22 @@ class TestModel:
             calls[kernel]()
 
 
+    def test_compile_refuses_a_grid_that_is_not_mirrored(self):
+        grid = build_kgrid(3, 2.0, 4)
+        nodes = grid.nodes + 0.1  # still the tensor product of its axes
+        shifted = KGrid(d=3, K=2.0, N=4, nodes=nodes, weights=grid.weights,
+                        absk=np.linalg.norm(nodes, axis=1))
+        with pytest.raises(ValueError, match="grid is not mirrored"):
+            compile_model(two_particle_spec(), PotentialSpec.zero(), shifted)
+
+    def test_compile_refuses_a_frame_that_is_not_transverse(self):
+        grid = build_kgrid(3, 2.0, 4)
+        vectors = polarization_basis(grid).vectors.copy()
+        vectors[0] = np.eye(2, 3)  # node 0 of H, whose k is not along e_3
+        with pytest.raises(ValueError, match="not a rotation of the frame at k"):
+            compile_model(two_particle_spec(), PotentialSpec.zero(), grid,
+                          PolarizationBasis(grid, vectors))
+
     def test_compiling_does_not_import_numpy_ma(self):
         # numpy.ma costs about 12 ms of import on every command that compiles
         code = ("import sys\n"
@@ -695,12 +716,47 @@ def _loop_density_m(s, xi, u, spec, pot, grid, basis):
     return total - 2.0 * float(np.sum(grad_v * x0))
 
 
-def _assert_close(value, reference):
+def _assert_close(value, reference, rel=1e-12):
     value, reference = np.asarray(value), np.asarray(reference)
-    assert np.abs(value - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert np.abs(value - reference).max() <= rel * np.abs(reference).max()
 
 
 KERNEL_GRIDS = [(3, 2.0, 6), (4, 1.5, 4)]
+
+
+def _whole_grid_sums(u, spec, pot, grid, basis):
+    """A, grad A, V, grad V, G and H as einsums over all M nodes, from the
+    docstring formulas; the kernels sum over half the grid."""
+    n, d = u.p.shape
+    eps, k, w = basis.vectors, grid.nodes, grid.weights
+    pref = np.array([ff.profile(grid.absk) for ff in spec.form_factors]) / np.sqrt(2.0 * grid.absk)
+    phase = np.exp(-2j * np.pi * (u.q @ k.T))  # (n, M)
+    c = np.einsum("j,ij,ij,lj->ilj", w, pref, phase, np.conj(u.alpha))
+    a = 2.0 * np.einsum("ilj,jlv->iv", c, eps).real
+    da = 4.0 * np.pi * np.einsum("ilj,jlv,jm->ivm", c, eps, k).imag
+    v, grad_v = 0.0, np.zeros((n, d))
+    for i, j in itertools.combinations(range(n), 2):
+        x = u.q[i] - u.q[j]
+        if pot.kind == "smeared-coulomb":
+            kern = w * pot.g * pref[i] * pref[j] * 2.0 / grid.absk  # g chi_i chi_j/|k|^2
+            z = kern * np.conj(phase[i]) * phase[j]
+            v += np.sum(z).real
+            gw = (2j * np.pi * np.einsum("j,jm->m", z, k)).real
+        elif pot.kind == "product-of-cos":
+            kappa, amp = pot.wavevector, pot.amplitude
+            v += amp * np.prod(np.cos(kappa * x))
+            gw = np.array([-amp * kappa[m] * np.sin(kappa[m] * x[m])
+                           * np.prod(np.cos(np.delete(kappa * x, m))) for m in range(d)])
+        else:
+            continue
+        grad_v[i] += gw
+        grad_v[j] -= gw
+    vel = (u.p - a) / spec.masses[:, None]
+    g_p = np.einsum("iv,ivm->im", vel, da) - grad_v
+    g_alpha = 1j * np.einsum("ij,ij,iv,jlv->lj", pref, phase, vel, eps)
+    field = np.einsum("j,j,lj->", w, grid.absk, np.abs(u.alpha) ** 2)
+    energy = np.sum(np.sum((u.p - a) ** 2, axis=1) / (2.0 * spec.masses)) + v + field
+    return a, da, v, grad_v, (g_p, -a / spec.masses[:, None], g_alpha), energy
 
 
 class TestKernelMatchesNodeSums:
@@ -745,6 +801,36 @@ class TestKernelMatchesNodeSums:
         for s in (0.0, 0.7):
             _assert_close(characteristic_density_m(s, xi, u, spec, pot, grid),
                           _loop_density_m(s, xi, u, spec, pot, grid, basis))
+
+    @pytest.mark.parametrize("frame", ["default", "rotated"])
+    @pytest.mark.parametrize("kind", ["coulomb", "zero", "cosine"])
+    @pytest.mark.parametrize("d, K, N", [(3, 2.0, 6), (4, 1.5, 4)])
+    def test_half_grid_kernels_match_whole_grid_einsums(self, d, K, N, kind, frame):
+        """The kernels sum over half the grid, through the mirror; the einsums
+        over all M nodes share nothing with them but the grid and the frame."""
+        rng = np.random.default_rng(2)
+        grid = build_kgrid(d, K, N)
+        spec = ParticleSpec(np.array([1.0, 2.0, 1.5]),
+                            (FormFactor.gaussian(1.0), FormFactor.ball(1.2),
+                             FormFactor.table([0.0, 1.0, 2.0], [1.0, 0.6, 0.0])))
+        pot = {"coulomb": PotentialSpec.coulomb(0.8), "zero": PotentialSpec.zero(),
+               "cosine": PotentialSpec.cosine(0.7, np.linspace(0.5, 2.0, d))}[kind]
+        u = random_point(rng, grid, n=3, decay=False)
+        basis = default_basis(grid)
+        if frame == "rotated":
+            basis, alpha, _ = rotate_frame(rng, grid, basis, u.alpha)
+            u = PhaseSpacePoint(u.particles, FieldState(grid, alpha))
+        a, da, v, grad_v, g, energy = _whole_grid_sums(u, spec, pot, grid, basis)
+        a_half, da_half = coupling(u.q, u.alpha, spec, grid, basis)
+        _assert_close(a_half, a, 1e-13)
+        _assert_close(da_half, da, 1e-13)
+        v_half, grad_v_half = potential(u.q, spec, pot, grid)
+        _assert_close(v_half, v, 1e-13)
+        _assert_close(grad_v_half, grad_v, 1e-13)
+        g_half = nonlinearity_G(u, spec, pot, grid, basis)
+        for part, ref in zip((g_half.p, g_half.q, g_half.alpha), g):
+            _assert_close(part, ref, 1e-13)
+        _assert_close(hamiltonian(u, spec, pot, grid, basis), energy, 1e-13)
 
 
 class TestNonlinearities:
@@ -975,15 +1061,21 @@ class TestStacks:
                 assert _same_bits(theta.data[m], vartheta(t_m, u, spec, pot, grid).data)
 
     def test_field_output_is_the_einsum_contraction(self, case):
+        """On H, the contraction of the particles' terms; on the mirror,
+        G_alpha(-k) = -R(k) conj G_alpha(k), written out term by term."""
         grid, spec, pot, _, stack = case
         model = compile_model(spec, pot, grid)
-        phases = _phases(model, stack.q)
-        a = _vector_potentials(model, _bracket(stack.alpha, model.wpref * phases))
+        phases = _phases(model, stack.q, half=True)
+        a = _vector_potentials(model, _bracket(model, stack.alpha, model.wpref * phases))
         proj = (((stack.p - a) / spec.masses[:, None]) @ model.eps.T).reshape(
             stack.q.shape[:-1] + (grid.d - 1, -1))
-        pref = (np.array([ff.profile(grid.absk) for ff in spec.form_factors])
-                / np.sqrt(2.0 * grid.absk))
-        expected = 1j * np.einsum("...im,...ilm->...lm", pref * phases, proj)
+        absk = grid.absk[: grid.node_count // 2]
+        pref = np.array([ff.profile(absk) for ff in spec.form_factors]) / np.sqrt(2.0 * absk)
+        on_h = 1j * np.einsum("...im,...ilm->...lm", pref * phases, proj)
+        turned = model.rot[:, 0] * on_h[..., 0, None, :]
+        for mu in range(1, grid.d - 1):
+            turned = turned + model.rot[:, mu] * on_h[..., mu, None, :]
+        expected = np.concatenate([on_h, -np.conj(turned[..., ::-1])], axis=-1)
         assert _same_bits(nonlinearity_G(stack, spec, pot, grid).alpha, expected)
 
     def test_recorded_diagnostics_are_the_public_functions_bits(self, case):
