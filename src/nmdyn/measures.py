@@ -43,7 +43,6 @@ of other (d, K, N) raises ValueError.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -101,44 +100,15 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # bytes of state; 4 rows at 1,000 nodes, 1 at 13,824
 _BLOCK_BYTES = 128 * 1024
 
-# glibc's mallopt parameters; see _keep_freed_heap
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_freed_heap() -> None:
-    """Let this process reuse the heap it frees instead of returning it.
-
-    glibc gives freed heap back to the kernel once more than M_TRIM_THRESHOLD
-    sits free at its top (twice the largest freed mmap so far, 128 KiB at
-    first), and serves requests above M_MMAP_THRESHOLD with fresh mmaps.  A
-    step of a 4-row block allocates and frees about 1.5 MB of temporaries,
-    so with those defaults every G call faulted its pages back in: 175,000
-    minor faults and 0.1 s of system time in a 16-sample push at 1,000
-    nodes.  Fixed thresholds of 1 MiB (mmap) and 4 MiB (trim) end that.
-    Elsewhere than on glibc this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 1 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 4 << 20)
-
-
 def _blocks(rows, row_bytes: int):
     """Consecutive blocks of ``rows`` as (index of the first, list of B rows).
 
     B is the most rows of ``row_bytes`` that fit ``_BLOCK_BYTES``, at least
     one.  A row is one packed state (or one draw of a few states, each
     stacked apart), so the scenario alone (grid and particle count) fixes B;
-    no run-time figure moves it.  Blocks of more than one row set the
-    process's heap thresholds first (``_keep_freed_heap``); a run whose
-    states are too large to stack leaves the allocator as it is.
+    no run-time figure moves it.
     """
     rows, start, size = iter(rows), 0, max(1, _BLOCK_BYTES // row_bytes)
-    if size > 1:
-        _keep_freed_heap()
     while chunk := list(itertools.islice(rows, size)):
         yield start, chunk
         start += len(chunk)

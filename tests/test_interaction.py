@@ -1062,7 +1062,8 @@ class TestStacks:
 
     def test_field_output_is_the_einsum_contraction(self, case):
         """On H, the contraction of the particles' terms; on the mirror,
-        G_alpha(-k) = -R(k) conj G_alpha(k), written out term by term."""
+        G_alpha(-k) = conj(flip G_alpha(k)) with flip = -R, written out term
+        by term."""
         grid, spec, pot, _, stack = case
         model = compile_model(spec, pot, grid)
         phases = _phases(model, stack.q, half=True)
@@ -1072,10 +1073,10 @@ class TestStacks:
         absk = grid.absk[: grid.node_count // 2]
         pref = np.array([ff.profile(absk) for ff in spec.form_factors]) / np.sqrt(2.0 * absk)
         on_h = 1j * np.einsum("...im,...ilm->...lm", pref * phases, proj)
-        turned = model.rot[:, 0] * on_h[..., 0, None, :]
+        flipped = model.flip[:, 0] * on_h[..., 0, None, :]
         for mu in range(1, grid.d - 1):
-            turned = turned + model.rot[:, mu] * on_h[..., mu, None, :]
-        expected = np.concatenate([on_h, -np.conj(turned[..., ::-1])], axis=-1)
+            flipped = flipped + model.flip[:, mu] * on_h[..., mu, None, :]
+        expected = np.concatenate([on_h, np.conj(flipped[..., ::-1])], axis=-1)
         assert _same_bits(nonlinearity_G(stack, spec, pot, grid).alpha, expected)
 
     def test_recorded_diagnostics_are_the_public_functions_bits(self, case):
