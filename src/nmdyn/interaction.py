@@ -539,8 +539,9 @@ def _bracket(model: Model, alpha: np.ndarray, coeff: np.ndarray, turn=None) -> n
     if turn is not None:
         beta *= turn
         there = there * np.conj(turn)
-    # one node row at a time: the products with the reversed view of the
-    # field run 2x faster than broadcast over the polarizations
+    # beta -= flip^T alpha(-k), as flip = -R; one node row at a time, since
+    # products with the reversed view of the field run 2x faster so than
+    # broadcast over the polarizations
     for mu, lam in itertools.product(range(beta.shape[-2]), repeat=2):
         beta[..., mu, :] -= model.flip[lam, mu] * there[..., lam, :]
     return (beta[..., None, :, :] * coeff[..., :, None, :]).reshape(coeff.shape[:-1] + (-1,))
