@@ -802,7 +802,7 @@ class TestKernelMatchesNodeSums:
             _assert_close(characteristic_density_m(s, xi, u, spec, pot, grid),
                           _loop_density_m(s, xi, u, spec, pot, grid, basis))
 
-    @pytest.mark.parametrize("frame", ["default", "rotated"])
+    @pytest.mark.parametrize("frame", ["default", "rotated", "swapped"])
     @pytest.mark.parametrize("kind", ["coulomb", "zero", "cosine"])
     @pytest.mark.parametrize("d, K, N", [(3, 2.0, 6), (4, 1.5, 4)])
     def test_half_grid_kernels_match_whole_grid_einsums(self, d, K, N, kind, frame):
@@ -820,6 +820,10 @@ class TestKernelMatchesNodeSums:
         if frame == "rotated":
             basis, alpha, _ = rotate_frame(rng, grid, basis, u.alpha)
             u = PhaseSpacePoint(u.particles, FieldState(grid, alpha))
+        if frame == "swapped":  # polarizations reversed on -H: R is no reflection in d = 3
+            vectors = basis.vectors.copy()
+            vectors[grid.node_count // 2:] = vectors[grid.node_count // 2:, ::-1]
+            basis = PolarizationBasis(grid, vectors)
         a, da, v, grad_v, g, energy = _whole_grid_sums(u, spec, pot, grid, basis)
         a_half, da_half = coupling(u.q, u.alpha, spec, grid, basis)
         _assert_close(a_half, a, 1e-13)
