@@ -21,7 +21,6 @@ gives 2 and 3 with one stderr line, for ``main`` and the scripts alike.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -270,41 +269,9 @@ _FAILURES = ((ConfigError, "config error", 2),
              ((NumericalBlowupError, EnsemblePropagationError), "numerical abort", 3))
 
 
-# glibc's mallopt parameters; see _keep_freed_heap
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_freed_heap() -> None:
-    """Let this process reuse the heap it frees instead of returning it.
-
-    glibc gives freed heap back to the kernel once more than M_TRIM_THRESHOLD
-    sits free at its top (twice the largest freed mmap so far, 128 KiB at
-    first), and serves requests above M_MMAP_THRESHOLD with fresh mmaps.  A
-    step of a 4-row block at 1,000 nodes, or of one point at 13,824, frees
-    about 2 MB of temporaries, so with those defaults each step faulted its
-    pages back in (175,000 minor faults and 0.1 s of system time in a
-    16-sample push; 16,000 faults and 0.09 s of CPU in a 50-step simulate).
-    Fixed thresholds of 1 MiB (mmap) and 4 MiB (trim) end that.  Elsewhere
-    than on glibc this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 1 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 4 << 20)
-
-
 def guarded(run, *args) -> int:
     """run(*args)'s exit code; a refusal or numerical abort prints one stderr
-    line under its prefix and gives its documented code instead.
-
-    Every nmdyn program (``main`` and the scripts) runs through here, so this
-    is where the process's heap thresholds are set (``_keep_freed_heap``);
-    the library itself leaves the allocator as it is.
-    """
-    _keep_freed_heap()
+    line under its prefix and gives its documented code instead."""
     try:
         return run(*args)
     except Exception as err:

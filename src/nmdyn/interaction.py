@@ -295,7 +295,7 @@ def potential(q: np.ndarray, spec: ParticleSpec, pot: PotentialSpec,
     if q.shape != (spec.n, grid.d):
         raise ValueError(f"positions must have shape ({spec.n}, {grid.d}), got {q.shape}")
     model = compile_model(spec, pot, grid)
-    phases = _phases(model, q, half=True) if pot.kind == "smeared-coulomb" else None
+    phases = _phases(model, q) if pot.kind == "smeared-coulomb" else None
     return float(_potential_value(q, phases, model)), _potential_gradient(q, phases, model)
 
 
@@ -504,9 +504,8 @@ def _compile(spec, pot, grid, basis) -> Model:
                  flip=(-rot).astype(complex), ipref=1j * pref, wpref=weights * pref, pair=pair)
 
 
-def _phases(model: Model, q: np.ndarray, half: bool = False) -> np.ndarray:
-    """e^{-2 pi i k.q_i} for all particles at once, shape (..., n, M), or on
-    H alone, shape (..., n, M/2), with half set (what the kernels read).
+def _phases(model: Model, q: np.ndarray) -> np.ndarray:
+    """e^{-2 pi i k.q_i} on H for all particles at once, shape (..., n, M/2).
 
     The nodes are the tensor product of ``model.axes``, so each phase is the
     outer product of d per-axis factors e^{-2 pi i k^nu q_i^nu}: d*N complex
@@ -515,7 +514,7 @@ def _phases(model: Model, q: np.ndarray, half: bool = False) -> np.ndarray:
     """
     d = q.shape[-1]
     per_axis = np.exp((-2j * np.pi) * (q[..., None] * model.axes))  # (..., n, d, N)
-    phases = per_axis[..., 0, : model.grid.N // 2 if half else None]
+    phases = per_axis[..., 0, : model.grid.N // 2]
     for nu in range(1, d):
         phases = (phases[..., :, None] * per_axis[..., nu, None, :]).reshape(q.shape[:-1] + (-1,))
     return phases
@@ -561,7 +560,7 @@ def _grad_vector_potentials(model: Model, c: np.ndarray) -> np.ndarray:
 
 def _energy(model: Model, spec: ParticleSpec, u: PhaseSpacePoint, dens: np.ndarray):
     """``hamiltonian`` of u from its ``_field_density`` dens, per row of a stack."""
-    phases = _phases(model, u.q, half=True)
+    phases = _phases(model, u.q)
     a = _vector_potentials(model, _bracket(model, u.alpha, model.wpref * phases))
     kinetic = np.sum(np.sum((u.p - a) ** 2, axis=-1) / (2.0 * spec.masses), axis=-1)
     field = np.float_power(_density_norm(u.grid, dens, 0.5, "homogeneous"), 2)
@@ -592,7 +591,7 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     """
     model = _model_for(spec, pot, grid, basis, u)
     masses = spec.masses[:, None]
-    phases = _phases(model, u.q, half=True)
+    phases = _phases(model, u.q)
     grad_v = _potential_gradient(u.q, phases, model)
     c = _bracket(model, u.alpha, model.wpref * phases)
     a = _vector_potentials(model, c)
@@ -670,7 +669,7 @@ def characteristic_density_m(s: float, xi: PhaseSpacePoint, u: PhaseSpacePoint,
     masses = spec.masses[:, None]
     x = u.q + s * u.p / masses
     x0 = xi.q + s * xi.p / masses
-    phases = _phases(model, x, half=True)
+    phases = _phases(model, x)
     coeff, turn = model.wpref * phases, np.exp(1j * s * model.absk)
     c_u = _bracket(model, u.alpha, coeff, turn)
     a = _vector_potentials(model, c_u)

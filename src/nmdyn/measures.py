@@ -52,6 +52,7 @@ import numpy as np
 from .integrator import (
     NumericalBlowupError,
     _history,
+    _keep_freed_heap,
     _record,
     _step_count,
     _stored_steps,
@@ -106,9 +107,13 @@ def _blocks(rows, row_bytes: int):
     B is the most rows of ``row_bytes`` that fit ``_BLOCK_BYTES``, at least
     one.  A row is one packed state (or one draw of a few states, each
     stacked apart), so the scenario alone (grid and particle count) fixes B;
-    no run-time figure moves it.
+    no run-time figure moves it.  Blocks of more than one row set the
+    process's heap thresholds first (``integrator._keep_freed_heap``), as a
+    stepping run does.
     """
     rows, start, size = iter(rows), 0, max(1, _BLOCK_BYTES // row_bytes)
+    if size > 1:
+        _keep_freed_heap()
     while chunk := list(itertools.islice(rows, size)):
         yield start, chunk
         start += len(chunk)

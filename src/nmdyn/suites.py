@@ -139,7 +139,7 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
         return u, v, int(rng.integers(0, n))
 
     def bracket(w):
-        return _bracket(model, w.alpha, model.wpref * _phases(model, w.q, half=True))
+        return _bracket(model, w.alpha, model.wpref * _phases(model, w.q))
 
     def norm(x):
         return np.linalg.norm(x, axis=-1)

@@ -61,8 +61,7 @@ def coupling(q, alpha, spec, grid, basis=None):
     """A_i and grad A_i (row nu: grad A_i^nu) of every particle at positions q
     (n, d) in the field alpha, through the kernels' own bracket."""
     model = compile_model(spec, NO_POTENTIAL, grid, basis)
-    phases = _phases(model, np.asarray(q, dtype=float), half=True)
-    c = _bracket(model, alpha, model.wpref * phases)
+    c = _bracket(model, alpha, model.wpref * _phases(model, np.asarray(q, dtype=float)))
     return _vector_potentials(model, c), _grad_vector_potentials(model, c)
 
 

@@ -148,18 +148,21 @@ class TestPotential:
         assert np.array_equal(grad[0], np.zeros(3))
 
     def test_smeared_realness(self, small_grid, rng):
-        """w = sum z and grad w = 2 pi i z.k over all nodes, with the pair
-        terms z that V and grad V sum on H and, on the mirror half, the kernel
-        at -k times the whole grid's phases there: the imaginary parts, which
-        _potential_value and _potential_gradient drop, cancel in +/-k pairs."""
-        model = compile_model(two_particle_spec(), PotentialSpec.coulomb(0.8), small_grid)
-        half = small_grid.node_count // 2
+        """The pair terms z that V and grad V sum on H are the first half of
+        the whole grid's, w_j g chi_1 chi_2/|k_j|^2 e^{2 pi i k_j.(q_1 - q_2)}
+        written out over all M nodes; over the whole grid, w = sum z and
+        grad w = 2 pi i z.k, the imaginary parts, which _potential_value and
+        _potential_gradient drop, cancel in +/-k pairs."""
+        spec, grid = two_particle_spec(), small_grid
+        model = compile_model(spec, PotentialSpec.coulomb(0.8), grid)
+        chi = np.array([ff.profile(grid.absk) for ff in spec.form_factors])
+        kernel = grid.weights * 0.8 * chi[0] * chi[1] / grid.absk**2
         for _ in range(25):
             q = np.array([rng.normal(size=3), np.zeros(3)])
-            ((_, _, z),) = _pairs(q, _phases(model, q, half=True), model)
-            phases = _phases(model, q)[:, half:]
-            z = np.concatenate([z, model.pair[0, 1][::-1] * np.conj(phases[0]) * phases[1]])
-            w, zk = np.sum(z), 2.0 * np.pi * (z @ small_grid.nodes)  # grad w = i zk
+            ((_, _, z_half),) = _pairs(q, _phases(model, q), model)
+            z = kernel * np.exp(2j * np.pi * (q[0] - q[1]) @ grid.nodes.T)
+            assert np.abs(z_half - z[: grid.node_count // 2]).max() <= 1e-13 * np.abs(z).max()
+            w, zk = np.sum(z), 2.0 * np.pi * (z @ grid.nodes)  # grad w = i zk
             scale = abs(w) + np.abs(zk).max() + 1.0
             assert abs(np.imag(w)) <= 1e-12 * scale
             assert np.abs(np.real(zk)).max() <= 1e-12 * scale
@@ -613,13 +616,14 @@ class TestTensorProductPhases:
 
     @pytest.mark.parametrize("d, K, N", [(3, 2.0, 6), (4, 2.0, 6)])
     def test_phases_match_direct_exponential(self, d, K, N, rng):
-        """Both sides round the argument 2 pi k.q, at about 1e-15 |k.q|, so
-        positions stay in the unit box."""
+        """The phases on H, the first M/2 nodes.  Both sides round the
+        argument 2 pi k.q, at about 1e-15 |k.q|, so positions stay in the
+        unit box."""
         grid = build_kgrid(d, K, N)
         model = compile_model(two_particle_spec(), PotentialSpec.zero(), grid)
         for _ in range(20):
             q = rng.uniform(-1.0, 1.0, size=(2, d))
-            direct = np.exp(-2j * np.pi * q @ grid.nodes.T)
+            direct = np.exp(-2j * np.pi * q @ grid.nodes.T)[:, : grid.node_count // 2]
             assert np.abs(_phases(model, q) - direct).max() <= 1e-14
 
 
@@ -1070,7 +1074,7 @@ class TestStacks:
         by term."""
         grid, spec, pot, _, stack = case
         model = compile_model(spec, pot, grid)
-        phases = _phases(model, stack.q, half=True)
+        phases = _phases(model, stack.q)
         a = _vector_potentials(model, _bracket(model, stack.alpha, model.wpref * phases))
         proj = (((stack.p - a) / spec.masses[:, None]) @ model.eps.T).reshape(
             stack.q.shape[:-1] + (grid.d - 1, -1))
