@@ -36,7 +36,7 @@ from .state import FieldState, ParticleSpec, ParticleState, PhaseSpacePoint, poi
 __all__ = ["CONFIG_SCHEMA", "FORMAT_VERSION", "ConfigError", "ScenarioConfig",
            "load_config", "reference_scenario"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -156,7 +156,7 @@ CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "properties": {
-        "format_version": {"const": FORMAT_VERSION},
+        "format_version": {"enum": [1, FORMAT_VERSION]},
         "grid": {
             "type": "object",
             "properties": {"d": {"type": "integer", "minimum": 3},
@@ -283,6 +283,17 @@ def _schema_error(schema: dict, value, path: tuple) -> Optional[tuple]:
     if "oneOf" in schema:
         return _one_of_error(schema["oneOf"], value, path)
     return None
+
+
+def _old_frame_path(value, half: int, path: tuple = ("initial",)) -> Optional[tuple]:
+    """The path of the first explicit point, or field mode on a node j >= M/2,
+    in a version-1 ``initial``, where version 2 changed the frame; else None."""
+    if path[-1] == "point" or (path[-2:-1] == ("field_modes",) and half <= value[1] < 2 * half):
+        return path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    return next(filter(None, (_old_frame_path(item, half, path + (key,))
+                              for key, item in items)), None)
 
 
 def _non_finite(value, path: tuple = ()) -> Optional[tuple]:
@@ -488,6 +499,10 @@ def load_config(source, base_dir: str = ".",
         grid = build_kgrid(int(g["d"]), g["K"], int(g["N"]))
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
+    old = raw["format_version"] == 1 and _old_frame_path(raw["initial"], grid.node_count // 2)
+    if old:
+        raise ConfigError(f"{'.'.join(map(str, old))}: format_version 1 gives field components "
+                          f"on nodes j >= {grid.node_count // 2} in the old frame; use version 2")
     try:
         spec = ParticleSpec(
             masses=np.array([part["mass"] for part in raw["particles"]]),

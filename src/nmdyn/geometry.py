@@ -11,11 +11,11 @@ integrand in d = 3 the convergence is first order in h: the error halves
 per halving of h (-17% at K = 6, N = 48 for e^{-2|k|^2}/|k|^2).
 
 Polarization frames: at every node ``{eps_1, ..., eps_{d-1}, k/|k|}`` is an
-orthonormal basis of R^d.  The eps vectors are the images of e_1, ..., e_{d-1}
-under the Householder reflection mapping the reference axis e_d to k/|k|
-(canonical basis when k/|k| = +/- e_d).  The frame is deterministic but not
-continuous in k -- no global smooth frame on the sphere exists.  All physical
-formulas depend on the frame only through the transverse projector
+orthonormal basis of R^d.  For k^0 < 0 the eps vectors are the images of e_1,
+..., e_{d-1} under the Householder reflection mapping e_d to k/|k| (canonical
+basis when k/|k| = +/- e_d); eps(-k) = eps(k).  The frame is deterministic but
+not continuous in k -- no global smooth frame on the sphere exists.  All
+physical formulas depend on the frame only through the transverse projector
 sum_l eps_l eps_l^T = 1 - khat khat^T, which is what makes this harmless.
 
 Fourier convention: 2*pi in the exponent, e^{2*pi*i*k*x}, throughout.
@@ -166,15 +166,17 @@ def transverse_frame(khat: np.ndarray) -> np.ndarray:
 
 
 def polarization_basis(grid: KGrid) -> PolarizationBasis:
-    """Deterministic transverse polarization frame at every node of the grid.
-
-    The grid construction excludes k = 0, so khat is well defined everywhere;
-    axis-aligned nodes cannot occur either (every node component is a
-    half-odd multiple of h), but the degenerate branch of
-    :func:`transverse_frame` keeps the function total anyway.
+    """Deterministic transverse polarization frame at every node of the grid:
+    :func:`transverse_frame` on the half grid H (the first M/2 nodes), copied
+    to the mirror node M-1-j = -k_j, so eps(-k) = eps(k), transverse to -khat
+    with the opposite orientation.  k = 0 is no node, so khat is well defined;
+    axis-aligned nodes cannot occur either (every node component is a half-odd
+    multiple of h), but the degenerate branch of :func:`transverse_frame`
+    keeps the function total anyway.
     """
-    khat = grid.nodes / grid.absk[:, None]
-    return PolarizationBasis(grid=grid, vectors=transverse_frame(khat))
+    half = grid.node_count // 2
+    here = transverse_frame(grid.nodes[:half] / grid.absk[:half, None])
+    return PolarizationBasis(grid=grid, vectors=np.concatenate([here, here[::-1]]))
 
 
 def integrate_k(grid: KGrid, values: np.ndarray) -> complex | float:

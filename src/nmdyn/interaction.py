@@ -33,27 +33,24 @@ not the free-space potential, and the same holds for A_i (ROADMAP item 1).
 The state-independent data of the flow live in one immutable ``Model``
 (see its docstring for the tables), built once per (spec, pot, grid, basis)
 by ``compile_model`` and memoized by their identity; ``basis=None`` means
-``default_basis(grid)``.  The kernels take that model key as arguments (a
-rotated frame included), and ``_model_for`` refuses a grid whose (d, K, N)
+``default_basis(grid)``.  The kernels take that model key as arguments (any
+mirrored frame included), and ``_model_for`` refuses a grid whose (d, K, N)
 differ from a state's; runs pass their first state's grid and basis=None.
 
 Every coupling term is summed over the half grid H, the first M/2 nodes
 (k^0 < 0), and reads the other half through the mirror: node M-1-j is
 exactly -k_j (``build_kgrid``).  The identities are exact: the phase
-P_i(k) = e^{-2 pi i k.q_i} has P_i(-k) = conj P_i(k); chi, |k| and the
-weights are the same at +-k; and the frames at +-k span the same transverse
-plane, so eps_lam(-k) = sum_mu R_lam,mu(k) eps_mu(k) with the orthogonal
-R_lam,mu(k) = eps_lam(-k) . eps_mu(k).  R is a per-node map, not a sign (for
-the Householder frame it is a reflection).  Hence one bracket on H,
+P_i(k) = e^{-2 pi i k.q_i} has P_i(-k) = conj P_i(k); chi, |k|, the weights
+and the frame eps_lam (``polarization_basis``; ``compile_model`` refuses any
+other) are the same at +-k.  Hence one bracket on H,
 
-    c_i = w chi_i/sqrt(2|k|) P_i beta,  beta_mu(k) = conj alpha_mu(k)
-                                        + sum_lam R_lam,mu(k) alpha_lam(-k),
+    c_i = w chi_i/sqrt(2|k|) P_i beta,  beta(k) = conj alpha(k) + alpha(-k),
 
 gives A_i = 2 Re c_i . eps and grad A_i = 4 pi Im c_i . (eps k), two matrix
 products for all particles at once, with the phase factored per grid axis.
 A pair term z = kernel * conj P_i P_j on H gives V = 2 sum_H Re z and
 grad V = -4 pi sum_H (Im z) k, and G's field output, computed on H, is
-G_alpha(-k) = -R(k) conj G_alpha(k) on the mirror.  ``hamiltonian``,
+G_alpha(-k) = -conj G_alpha(k) on the mirror.  ``hamiltonian``,
 ``nonlinearity_G``, ``nonlinearity_F`` and ``vartheta`` also take an (S, D)
 stack of points and compute every row exactly as the point alone.
 """
@@ -433,10 +430,6 @@ class Model:
     * ``nodes`` (M/2, d) and ``absk`` (M/2,): k and |k|;
     * ``eps`` (L*M/2, d): row lam*M/2 + j is eps_lam(k_j);
     * ``epsk`` (L*M/2, d*d): column nu*d + mu holds eps_lam^nu(k_j) k_j^mu;
-    * ``flip`` (L, L, M/2): ``flip[lam, mu]`` is -R_lam,mu(k), minus the
-      orthogonal map R_lam,mu(k) = eps_lam(-k) . eps_mu(k) between the frames
-      at +-k, so that G_alpha(-k) = conj(flip G_alpha(k)); real, but stored
-      complex, so that its products with the field need no cast;
     * ``ipref`` (n, M/2): i chi_i/sqrt(2|k|), the field output's factor;
     * ``wpref`` (n, M/2): weights * chi_i/sqrt(2|k|), the bracket's factor;
     * ``pair[i, j]`` for i < j: the weighted smeared Coulomb kernel
@@ -453,7 +446,6 @@ class Model:
     absk: np.ndarray
     eps: np.ndarray
     epsk: np.ndarray
-    flip: np.ndarray
     ipref: np.ndarray
     wpref: np.ndarray
     pair: dict
@@ -485,11 +477,9 @@ def _compile(spec, pot, grid, basis) -> Model:
     if not (np.array_equal(grid.nodes[::-1], -grid.nodes)
             and np.array_equal(grid.weights[::-1], grid.weights)):
         raise ValueError("grid is not mirrored: node M-1-j must be -k_j, with k_j's weight")
-    here, there = basis.vectors[:half], basis.vectors[::-1][:half]  # eps(k), eps(-k) on H
-    rot = np.einsum("jlv,jmv->lmj", there, here)
-    if np.abs(there - np.einsum("lmj,jmv->jlv", rot, here)).max() > 1e-12:
-        raise ValueError("frame at -k is not a rotation of the frame at k: "
-                         "the polarization vectors are not transverse")
+    here = basis.vectors[:half]
+    if not np.array_equal(basis.vectors[::-1][:half], here):
+        raise ValueError("frame is not mirrored: eps(-k_j) must be eps(k_j)")
     nodes, absk, weights = grid.nodes[:half], grid.absk[:half], grid.weights[:half]
     eps = np.asfortranarray(here.transpose(1, 0, 2).reshape(-1, d))
     k = np.tile(nodes, (d - 1, 1))
@@ -501,7 +491,7 @@ def _compile(spec, pot, grid, basis) -> Model:
         pair = {(i, j): weights * (pot.g * chi[i] * chi[j] / absk**2)
                 for i, j in itertools.combinations(range(spec.n), 2)}
     return Model(pot=pot, grid=grid, axes=axes, nodes=nodes, absk=absk, eps=eps, epsk=epsk,
-                 flip=(-rot).astype(complex), ipref=1j * pref, wpref=weights * pref, pair=pair)
+                 ipref=1j * pref, wpref=weights * pref, pair=pair)
 
 
 def _phases(model: Model, q: np.ndarray) -> np.ndarray:
@@ -522,7 +512,7 @@ def _phases(model: Model, q: np.ndarray) -> np.ndarray:
 
 def _bracket(model: Model, alpha: np.ndarray, coeff: np.ndarray, turn=None) -> np.ndarray:
     """c_i = coeff_i(k) beta(k) on H for every particle, shape (..., n, L*M/2),
-    with beta_mu(k) = conj alpha_mu(k) + sum_lam R_lam,mu(k) alpha_lam(-k).
+    with beta(k) = conj alpha(k) + alpha(-k).
 
     With coeff = weights * chi_i/sqrt(2|k|) * e^{-2 pi i k.q_i} on H, the
     vector potential and its gradient are two products with the model's
@@ -531,18 +521,14 @@ def _bracket(model: Model, alpha: np.ndarray, coeff: np.ndarray, turn=None) -> n
     over the whole grid.  The polarization vectors are real, so the parts
     separate cleanly.  A factor ``turn`` E(|k|) of the whole-grid coefficient
     is not conjugated at -k, so it enters as
-    beta = conj alpha(k) E + R alpha(-k) conj E.
+    beta = conj alpha(k) E + alpha(-k) conj E.
     """
     half = model.nodes.shape[0]
     beta, there = np.conj(alpha[..., :half]), alpha[..., ::-1][..., :half]
     if turn is not None:
         beta *= turn
         there = there * np.conj(turn)
-    # beta -= flip^T alpha(-k), as flip = -R; one node row at a time, since
-    # products with the reversed view of the field run 2x faster so than
-    # broadcast over the polarizations
-    for mu, lam in itertools.product(range(beta.shape[-2]), repeat=2):
-        beta[..., mu, :] -= model.flip[lam, mu] * there[..., lam, :]
+    beta += there
     return (beta[..., None, :, :] * coeff[..., :, None, :]).reshape(coeff.shape[:-1] + (-1,))
 
 
@@ -586,7 +572,7 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     G_alpha,lam(k) = i sum_i chi_i/sqrt(2|k|) ((p_i - A_i)/m_i . eps_lam) e^{-2 pi i k.q_i}
 
     G_alpha adds up the particles' terms on H in order, in place, without
-    einsum, and is written to the mirror as G_alpha(-k) = -R(k) conj G_alpha(k).
+    einsum, and is written to the mirror as G_alpha(-k) = -conj G_alpha(k).
     On a stack every row is computed as the single point would be.
     """
     model = _model_for(spec, pot, grid, basis, u)
@@ -607,12 +593,8 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     alpha = np.multiply(terms[..., 0, None, :], proj[..., 0, :, :], out=out.alpha[..., :half])
     for i in range(1, spec.n):
         alpha += terms[..., i, None, :] * proj[..., i, :, :]
-    mirror = out.alpha[..., ::-1][..., :half]
-    for lam in range(grid.d - 1):
-        row = np.multiply(model.flip[lam, 0], alpha[..., 0, :], out=mirror[..., lam, :])
-        for mu in range(1, grid.d - 1):
-            row += model.flip[lam, mu] * alpha[..., mu, :]
-    np.conjugate(mirror, out=mirror)
+    np.negative(alpha.real, out=out.alpha.real[..., ::-1][..., :half])  # -conj on the mirror
+    out.alpha.imag[..., ::-1][..., :half] = alpha.imag
     return out
 
 

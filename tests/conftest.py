@@ -40,13 +40,16 @@ def random_point(rng, grid, n=2, scale=1.0, decay=True):
 
 
 def rotate_frame(rng, grid, basis, alpha):
-    """Random per-node O(d-1) change of polarization frame.
+    """Random per-node O(d-1) change of polarization frame, drawn on the half
+    grid H and copied to the mirror node, so the rotated frame stays the
+    same at k and -k, as the kernels require.
 
     Returns the rotated basis and the field components expressed in it; all
     physical outputs must be unchanged.
     """
     dm = grid.d - 1
-    q_mat = np.linalg.qr(rng.normal(size=(grid.node_count, dm, dm)))[0]
+    q_half = np.linalg.qr(rng.normal(size=(grid.node_count // 2, dm, dm)))[0]
+    q_mat = np.concatenate([q_half, q_half[::-1]])
     vectors = np.einsum("jlv,jlm->jmv", basis.vectors, q_mat)
     rotated = np.einsum("jlm,lj->mj", q_mat, alpha)
     return PolarizationBasis(grid, vectors), rotated, q_mat

@@ -213,6 +213,45 @@ class TestConfig:
             load_config(raw)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("mangle,path", [
+        (lambda c, point: c.update(initial={"point": point}), "initial.point"),
+        (lambda c, point: c["initial"]["measure"].update(center={"point": point}),
+         "initial.measure.center.point"),
+        (lambda c, point: c["initial"].update(measure={"kind": "mixture", "components": [
+            {"weight": 0.5, "measure": c["initial"]["measure"]},
+            {"weight": 0.5, "measure": {"kind": "dirac", "center": {"point": point}}}]}),
+         "initial.measure.components.1.measure.center.point"),
+        (lambda c, point: c["initial"]["measure"].update(field_modes=[[0, 0], [1, 7], [0, 500]]),
+         "initial.measure.field_modes.2"),
+    ], ids=["point", "center-point", "mixture-point", "mode-on-minus-h"])
+    def test_version_1_field_components_on_minus_h_are_refused(self, tmp_path, capsys,
+                                                               mangle, path):
+        # the frame on -H changed in version 2, so these would name other fields
+        raw = small_scenario()
+        mangle(raw, point_to_json(load_config(small_scenario()).point))
+        load_config(raw)  # as a version-2 document it loads
+        raw["format_version"] = 1
+        doc = tmp_path / "old.json"
+        doc.write_text(json.dumps(raw))
+        assert main(["simulate", str(doc), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: format_version 1 gives field components on nodes "
+            f"j >= 500 in the old frame; use version 2\n")
+
+    def test_version_1_coherent_start_loads_as_the_same_state(self, tmp_path):
+        # a coherent profile and field modes on H mean the same in both frames
+        old, new = small_scenario(), small_scenario()
+        old["format_version"] = 1
+        assert new["format_version"] == FORMAT_VERSION == 2
+        old_cfg, new_cfg = load_config(old), load_config(new)
+        assert old_cfg.point.data.tobytes() == new_cfg.point.data.tobytes()
+        assert old_cfg.measure.field_modes == new_cfg.measure.field_modes
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old))
+        assert main(["simulate", str(path), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["format_version"] == 2 and summary["config"]["format_version"] == 1
+
     def test_integral_floats_build_the_integer_grid(self, tmp_path):
         # draft 2020-12 counts 3.0 as an integer, so the schema admits it
         raw = small_scenario()
@@ -717,7 +756,8 @@ class TestCommands:
     def test_numerical_abort_exits_3(self, tmp_path, capsys):
         raw = small_scenario()
         raw["grid"] = {"d": 3, "K": 1.0, "N": 2}
-        raw["run"] = {"T": 3.0, "dt": 1.0}
+        # the overflow's step depends on rounding: 4 steps leave a margin
+        raw["run"] = {"T": 4.0, "dt": 1.0}
         raw["initial"] = {"coherent": {
             "p": [[0, 0, 0], [0, 0, 0]], "q": [[0, 0, 0], [0, 0, 0]],
             "amplitude": 1e8, "width": 1e-4, "direction": [1.0, 1.0, 1.0]}}
@@ -1023,9 +1063,9 @@ class TestSuitesOnSmallScenario:
         assert nmdyn.interaction._compile.cache_info().currsize == 1
 
     def test_lemma_bounds_counts_match_a_per_draw_loop(self, cfg, monkeypatch):
-        # the Cauchy-Schwarz constants are loose: at 1/100 of the hypothesis
+        # the Cauchy-Schwarz constants are loose: at 1/200 of the hypothesis
         # norms every check fails on some of the 7 draws and passes on others
-        tight = _tightened_hypotheses(monkeypatch, 0.01)
+        tight = _tightened_hypotheses(monkeypatch, 0.005)
         rows = nmdyn.measures._BLOCK_BYTES // (8 * 4012)
         assert 7 % rows != 0  # the last block is partial
         outcome = run_suite("lemma-bounds", cfg, draws=7)

@@ -20,10 +20,10 @@ GAUSS_L2 = (np.pi / 2.0) ** 1.5
 GAUSS_COULOMB = 2.0 * np.pi * np.sqrt(np.pi / 2.0)
 GAUSS_HALF_MOMENT = np.pi / 2.0
 
-# Householder frame at khat = (1,1,1)/sqrt(3), worked by hand from
-# eps_lam = e_lam - (sqrt(3)+1)/2 * v, v = khat - e_3:
-EPS1_HAND = np.array([0.2113248654051871, -0.7886751345948129, 0.5773502691896258])
-EPS2_HAND = np.array([-0.7886751345948129, 0.2113248654051871, 0.5773502691896258])
+# Householder frame at khat = -(1,1,1)/sqrt(3), a node of the half grid H,
+# worked by hand from eps_lam = e_lam + (sqrt(3)-1)/2 * v, v = khat - e_3:
+EPS1_HAND = np.array([0.7886751345948129, -0.2113248654051871, -0.5773502691896258])
+EPS2_HAND = np.array([-0.2113248654051871, 0.7886751345948129, -0.5773502691896258])
 
 
 def reflection_permutation(nodes):
@@ -150,9 +150,12 @@ class TestPolarization:
     def test_householder_frame_matches_hand_computation(self):
         grid = build_kgrid(3, 1.0, 2)
         basis = polarization_basis(grid)
-        j = int(np.flatnonzero((grid.nodes > 0).all(axis=1))[0])  # node (.5,.5,.5)
+        j = int(np.flatnonzero((grid.nodes < 0).all(axis=1))[0])  # node (-.5,-.5,-.5)
         np.testing.assert_allclose(basis.vectors[j, 0], EPS1_HAND, atol=1e-15)
         np.testing.assert_allclose(basis.vectors[j, 1], EPS2_HAND, atol=1e-15)
+        # node (.5,.5,.5), its mirror, holds the same vectors
+        mirror = int(np.flatnonzero((grid.nodes > 0).all(axis=1))[0])
+        assert np.array_equal(basis.vectors[mirror], basis.vectors[j])
 
     def test_projector_matches_gram_schmidt_oracle(self):
         # Independent construction: Gram-Schmidt of (e1, e2) against khat.
@@ -177,6 +180,12 @@ class TestPolarization:
         gram = np.einsum("jlc,jmc->jlm", basis.vectors, basis.vectors)
         assert np.abs(gram - np.eye(d - 1)).max() <= 1e-12
         assert np.abs(np.einsum("jlc,jc->jl", basis.vectors, khat)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d,K,N", [(3, 2.0, 8), (4, 1.0, 4)])
+    def test_frame_is_the_same_at_k_and_minus_k(self, d, K, N):
+        vectors = polarization_basis(build_kgrid(d, K, N)).vectors
+        half = vectors.shape[0] // 2
+        assert np.array_equal(vectors[::-1][:half], vectors[:half])
 
     def test_deterministic_rebuild(self):
         a = polarization_basis(build_kgrid(3, 2.5, 6)).vectors

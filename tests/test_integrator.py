@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import nmdyn.integrator
+import nmdyn.interaction
 from nmdyn.config import load_config
 from nmdyn.geometry import build_kgrid
 from nmdyn.integrator import (
@@ -37,6 +38,7 @@ from nmdyn.interaction import (
     check_hypotheses,
     default_basis,
     hamiltonian,
+    nonlinearity_F,
 )
 from nmdyn.state import (
     FieldState,
@@ -47,7 +49,7 @@ from nmdyn.state import (
     phase_norm,
 )
 
-from conftest import random_point
+from conftest import coupling, random_point, rotate_frame
 
 
 def zero_form_factor() -> FormFactor:
@@ -477,6 +479,122 @@ class TestDivergence:
         assert rep.epsilon == 1e-6
         assert rep.envelope_violations == 0
         assert rep.times.size == rep.divergence.size == 3
+
+
+QUICKSTART = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "configs",
+                          "quickstart.json")
+
+
+def total_momentum(u: PhaseSpacePoint) -> np.ndarray:
+    """P = sum_i p_i + 2 pi sum_lam sum_j w_j k_j |alpha_lam(k_j)|^2, per row of
+    a stack: the Noether charge of the grid flow's translation symmetry
+    (q_i -> q_i + a, alpha -> alpha e^{-2 pi i k.a}), whatever the frame."""
+    grid = u.grid
+    density = np.sum(np.abs(u.alpha) ** 2, axis=-2)
+    return np.sum(u.p, axis=-2) + 2.0 * np.pi * (density * grid.weights) @ grid.nodes
+
+
+class TestTotalMomentum:
+    """Both schemes keep P along a run of the quickstart point, while the
+    particles' momentum alone moves by 0.08-0.19 over T = 1."""
+
+    # measured worst drift over T = 1, dt = 0.01: strang 1.2e-15, interaction-rk4
+    # 1.8e-9 (ball charges; 1.0e-10 gaussian): RK4 keeps P only to its error
+    BOUNDS = {"strang": 1e-13, "interaction-rk4": 1e-8}
+    POTENTIALS = {"zero": PotentialSpec.zero(), "coulomb": PotentialSpec.coulomb(0.125),
+                  "cosine": PotentialSpec.cosine(0.3, [1.0, 2.0, 0.5])}
+    CHARGES = {"gaussian": FormFactor.gaussian(1.0), "ball": FormFactor.ball(1.5)}
+
+    @staticmethod
+    def drifts(u0, spec, pot, scheme):
+        """The largest |P - P(0)| and |sum_i p_i - its start| along the run, per row."""
+        p0, moved0 = total_momentum(u0), np.sum(u0.p, axis=-2)
+        worst = moved = 0.0
+        for u in stepper(u0, 1.0, 0.01, spec, pot, scheme):
+            worst = np.maximum(worst, np.abs(total_momentum(u) - p0).max(axis=-1))
+            moved = np.maximum(moved, np.abs(np.sum(u.p, axis=-2) - moved0).max(axis=-1))
+        return worst, moved
+
+    @pytest.mark.parametrize("charge", ["gaussian", "ball"])
+    @pytest.mark.parametrize("kind", ["zero", "coulomb", "cosine"])
+    @pytest.mark.parametrize("scheme", ["strang", "interaction-rk4"])
+    def test_total_momentum_is_conserved(self, scheme, kind, charge):
+        cfg = load_config(QUICKSTART)
+        spec = ParticleSpec(cfg.spec.masses, [self.CHARGES[charge]] * 2)
+        worst, moved = self.drifts(cfg.point, spec, self.POTENTIALS[kind], scheme)
+        assert worst <= self.BOUNDS[scheme]
+        assert moved > 0.05
+
+    @pytest.mark.parametrize("scheme", ["strang", "interaction-rk4"])
+    def test_each_row_of_a_stack_conserves_its_momentum(self, scheme):
+        cfg = load_config(QUICKSTART)
+        u0 = cfg.point
+        other = PhaseSpacePoint(ParticleState(-u0.p[::-1], u0.q), u0.field)
+        stack = u0._like(np.stack([u0.data, other.data]))
+        worst, moved = self.drifts(stack, cfg.spec, cfg.pot, scheme)
+        assert worst.shape == (2,)
+        assert np.all(worst <= self.BOUNDS[scheme]) and np.all(moved > 0.05)
+
+
+def soliton(grid, basis, spec, v, q0, t=0.0) -> PhaseSpacePoint:
+    """The charged soliton of one charge of mass 1 at velocity v (2 pi |v| < 1),
+    an exact solution of the grid flow in the frame ``basis``:
+
+        alpha_lam(k, t) = chi/sqrt(2|k|) (eps_lam . v) e^{-2 pi i k.q(t)} / (|k| - 2 pi k.v),
+        q(t) = q0 + v t,   p = v + A(q(t), alpha(t)), constant in t.
+    """
+    q = q0 + v * t
+    chi = spec.form_factors[0].profile(grid.absk)
+    scalar = (chi / np.sqrt(2.0 * grid.absk) * np.exp(-2j * np.pi * (grid.nodes @ q))
+              / (grid.absk - 2.0 * np.pi * (grid.nodes @ v)))
+    alpha = scalar * (basis.vectors @ v).T
+    a = coupling(q[None], alpha, spec, grid, basis)[0][0]
+    return PhaseSpacePoint(ParticleState((v + a)[None], q[None]), FieldState(grid, alpha))
+
+
+class TestChargedSoliton:
+    """One gaussian charge moving at |v| = 0.15 on the quickstart grid, in the
+    default frame and in a rotated frame that is the same at +-k."""
+
+    V = 0.15 * np.array([0.6, 0.0, 0.8])
+    Q0 = np.array([0.3, -0.2, 0.1])
+    SPEC = ParticleSpec(np.array([1.0]), [FormFactor.gaussian(1.0)])
+
+    @pytest.fixture(params=["default", "rotated"])
+    def frame(self, request, monkeypatch):
+        """The grid and the frame every run uses: a rotated frame replaces the
+        grid's default one."""
+        grid = build_kgrid(3, 2.0, 10)
+        basis = default_basis(grid)
+        if request.param == "rotated":
+            basis = rotate_frame(np.random.default_rng(3), grid, basis,
+                                 np.zeros((2, grid.node_count)))[0]
+            monkeypatch.setattr(nmdyn.interaction, "default_basis", lambda _: basis)
+        return grid, basis
+
+    def test_the_soliton_solves_the_flow(self, frame):
+        # measured |F_p| <= 9e-18, |q' - v| <= 3e-17, field defect 4e-17 relative
+        grid, basis = frame
+        u = soliton(grid, basis, self.SPEC, self.V, self.Q0)
+        f = nonlinearity_F(u, self.SPEC, PotentialSpec.zero(), grid, basis)
+        assert np.abs(f.p).max() <= 1e-15
+        assert np.abs(f.q - self.V).max() <= 1e-15
+        # d alpha/dt = -i |k| alpha + G_alpha, and the soliton's is -2 pi i (k.v) alpha
+        defect = f.alpha - 1j * grid.absk * u.alpha + 2j * np.pi * (grid.nodes @ self.V) * u.alpha
+        assert np.abs(defect).max() <= 1e-14 * np.abs(u.alpha).max()
+
+    def test_strang_converges_to_the_soliton_at_second_order(self, frame):
+        # q errors at T = 2 (ratios 4.008, 4.002), the same in both frames to
+        # 1e-13 relative
+        grid, basis = frame
+        u0 = soliton(grid, basis, self.SPEC, self.V, self.Q0)
+        errors = []
+        for dt in (0.1, 0.05, 0.025):
+            traj = evolve(u0, 2.0, dt, self.SPEC, PotentialSpec.zero(), store_every=10**6)
+            errors.append(np.abs(traj.q[-1, 0] - (self.Q0 + 2.0 * self.V)).max())
+        assert all(3.2 <= coarse / fine <= 4.8 for coarse, fine in zip(errors, errors[1:]))
+        assert errors == pytest.approx([7.772585899147e-4, 1.939298763357e-4,
+                                        4.846068561859e-5], rel=1e-9)
 
 
 class TestExports:

@@ -585,7 +585,7 @@ class TestModel:
         grid = build_kgrid(3, 2.0, 4)
         vectors = polarization_basis(grid).vectors.copy()
         vectors[0] = np.eye(2, 3)  # node 0 of H, whose k is not along e_3
-        with pytest.raises(ValueError, match="not a rotation of the frame at k"):
+        with pytest.raises(ValueError, match="frame is not mirrored"):
             compile_model(two_particle_spec(), PotentialSpec.zero(), grid,
                           PolarizationBasis(grid, vectors))
 
@@ -824,10 +824,12 @@ class TestKernelMatchesNodeSums:
         if frame == "rotated":
             basis, alpha, _ = rotate_frame(rng, grid, basis, u.alpha)
             u = PhaseSpacePoint(u.particles, FieldState(grid, alpha))
-        if frame == "swapped":  # polarizations reversed on -H: R is no reflection in d = 3
-            vectors = basis.vectors.copy()
-            vectors[grid.node_count // 2:] = vectors[grid.node_count // 2:, ::-1]
-            basis = PolarizationBasis(grid, vectors)
+        if frame == "swapped":  # polarizations reversed at every node: the same at +-k
+            half_swapped = basis.vectors.copy()
+            half_swapped[grid.node_count // 2:] = half_swapped[grid.node_count // 2:, ::-1]
+            with pytest.raises(ValueError, match="frame is not mirrored"):
+                compile_model(spec, pot, grid, PolarizationBasis(grid, half_swapped))
+            basis = PolarizationBasis(grid, basis.vectors[:, ::-1])
         a, da, v, grad_v, g, energy = _whole_grid_sums(u, spec, pot, grid, basis)
         a_half, da_half = coupling(u.q, u.alpha, spec, grid, basis)
         _assert_close(a_half, a, 1e-13)
@@ -1070,8 +1072,7 @@ class TestStacks:
 
     def test_field_output_is_the_einsum_contraction(self, case):
         """On H, the contraction of the particles' terms; on the mirror,
-        G_alpha(-k) = conj(flip G_alpha(k)) with flip = -R, written out term
-        by term."""
+        G_alpha(-k) = -conj G_alpha(k)."""
         grid, spec, pot, _, stack = case
         model = compile_model(spec, pot, grid)
         phases = _phases(model, stack.q)
@@ -1081,10 +1082,7 @@ class TestStacks:
         absk = grid.absk[: grid.node_count // 2]
         pref = np.array([ff.profile(absk) for ff in spec.form_factors]) / np.sqrt(2.0 * absk)
         on_h = 1j * np.einsum("...im,...ilm->...lm", pref * phases, proj)
-        flipped = model.flip[:, 0] * on_h[..., 0, None, :]
-        for mu in range(1, grid.d - 1):
-            flipped = flipped + model.flip[:, mu] * on_h[..., mu, None, :]
-        expected = np.concatenate([on_h, np.conj(flipped[..., ::-1])], axis=-1)
+        expected = np.concatenate([on_h, -np.conj(on_h[..., ::-1])], axis=-1)
         assert _same_bits(nonlinearity_G(stack, spec, pot, grid).alpha, expected)
 
     def test_recorded_diagnostics_are_the_public_functions_bits(self, case):
