@@ -496,7 +496,7 @@ def total_momentum(u: PhaseSpacePoint) -> np.ndarray:
 
 class TestTotalMomentum:
     """Both schemes keep P along a run of the quickstart point, while the
-    particles' momentum alone moves by 0.08-0.19 over T = 1."""
+    particles' momentum alone moves by 0.076-0.19 over T = 1."""
 
     # measured worst drift over T = 1, dt = 0.01: strang 1.2e-15, interaction-rk4
     # 1.8e-9 (ball charges; 1.0e-10 gaussian): RK4 keeps P only to its error
@@ -585,7 +585,7 @@ class TestChargedSoliton:
 
     def test_strang_converges_to_the_soliton_at_second_order(self, frame):
         # q errors at T = 2 (ratios 4.008, 4.002), the same in both frames to
-        # 1e-13 relative
+        # 3e-12 relative
         grid, basis = frame
         u0 = soliton(grid, basis, self.SPEC, self.V, self.Q0)
         errors = []
