@@ -1,13 +1,13 @@
 """Time evolution of the coupled particle-field system.
 
-Two independent schemes share the exact free flow and one RK4 step (``_rk4``):
+Two independent schemes share the exact free flow and classical 4-stage RK4:
 
 * ``strang``: the symmetric splitting Phi^0_{dt/2} o Kick_dt o Phi^0_{dt/2},
-  where the kick integrates du/dt = G(u) with one classical 4-stage
-  Runge-Kutta step.  The linear part (ballistic drift and the e^{-i t |k|}
-  field rotation) is applied exactly, so the |k| multiplier never limits the
-  step size at large cutoffs.
-* ``interaction-rk4``: non-autonomous RK4 on the interaction-picture field
+  where the kick integrates du/dt = G(u) with one RK4 step on (p, q) that
+  holds the field's bracket (``_strang``).  The linear part (ballistic drift
+  and the e^{-i t |k|} field rotation) is applied exactly, so the |k|
+  multiplier never limits the step size at large cutoffs.
+* ``interaction-rk4``: RK4 (``_rk4``) on the interaction-picture field
   du~/dt = vartheta(t, u~); the recorded samples are mapped back to physical
   variables through the free flow at each sample time.
 
@@ -52,11 +52,12 @@ from .geometry import KGrid
 from .interaction import (
     HypothesisReport,
     PotentialSpec,
+    _beta,
     _energy,
+    _g_on_half,
     _model_for,
     check_hypotheses,
     compile_model,
-    nonlinearity_G,
     vartheta,
 )
 from .state import (
@@ -95,7 +96,7 @@ class FlaggedHypothesesError(RuntimeError):
 
 
 class NumericalBlowupError(RuntimeError):
-    """Raised when the state stops being finite, or a step raises
+    """Raised when the state stops being finite, or a step or its record raises
     FloatingPointError; carries the non-finite state, or the last finite one."""
 
     def __init__(self, message: str, time: float, state: PhaseSpacePoint):
@@ -168,7 +169,7 @@ class DivergenceReport:
 
 
 def _rk4(f, t: float, u: PhaseSpacePoint, dt: float) -> PhaseSpacePoint:
-    """One classical 4-stage Runge-Kutta step of du/dt = f(t, u), summing
+    """interaction-rk4's classical RK4 step of du/dt = f(t, u), summing
     k1 + 2 k2 + 2 k3 + k4 in that order in k1's vector (f returns new points)."""
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
@@ -182,15 +183,35 @@ def _rk4(f, t: float, u: PhaseSpacePoint, dt: float) -> PhaseSpacePoint:
 
 
 def _strang(u, dt, spec, pot, turn) -> PhaseSpacePoint:
-    """``strang_step`` with its half-step field turn e^{-i (dt/2) |k|} given."""
-    kicked = _rk4(lambda _, v: nonlinearity_G(v, spec, pot, u.grid), 0.0,
-                  _turned(u, dt / 2.0, turn, spec), dt)
-    return _turned(kicked, dt / 2.0, turn, spec)
+    """``strang_step`` with its half-step field turn e^{-i (dt/2) |k|} given.
+    The kick holds the half-turned field's bracket beta (``interaction``):
+    RK4 on (p, q) alone, the field's slopes on H summed with RK4's weights
+    into one increment delta, written as alpha(k) + delta, alpha(-k) - conj delta."""
+    model = compile_model(spec, pot, u.grid)
+    v = _turned(u, dt / 2.0, turn, spec)
+    beta, n2 = _beta(model, v.alpha), 2 * v._nd
+    # a slope is [G_p | G_q | G_alpha on H], so its .alpha is (..., L, M/2)
+    slope = v._like(np.empty(beta.shape[:-2] + (n2 + 2 * beta.shape[-2] * beta.shape[-1],)))
+    _g_on_half(model, spec, v.p, v.q, beta, slope)
+    total, k = slope.data, v._like(np.empty_like(slope.data))
+    for step, weight in ((dt / 2.0, 2.0), (dt / 2.0, 2.0), (dt, 1.0)):
+        stage = v._like(v.data[..., :n2] + step * slope.data[..., :n2])
+        _g_on_half(model, spec, stage.p, stage.q, beta, k)
+        total += weight * k.data
+        slope = k
+    total *= dt / 6.0
+    v.data[..., :n2] += total[..., :n2]
+    delta, half = v._like(total).alpha, beta.shape[-1]
+    v.alpha[..., :half] += delta
+    v.alpha[..., ::-1][..., :half] -= np.conj(delta)
+    return _turned(v, dt / 2.0, turn, spec)
 
 
 def strang_step(u: PhaseSpacePoint, dt: float, spec: ParticleSpec,
                 pot: PotentialSpec) -> PhaseSpacePoint:
-    """One symmetric splitting step; dt may be negative (time reversal)."""
+    """One symmetric splitting step, its kick holding the field's bracket; dt < 0 reverses."""
+    if dt == 0.0:
+        raise ValueError("dt must be nonzero")
     return _strang(u, dt, spec, pot, np.exp(-1j * (dt / 2.0) * u.grid.absk))
 
 
@@ -238,12 +259,10 @@ def _keep_freed_heap() -> None:
 
     glibc gives freed heap back to the kernel once more than M_TRIM_THRESHOLD
     sits free at its top (twice the largest freed mmap so far, 128 KiB at
-    first), and serves requests above M_MMAP_THRESHOLD with fresh mmaps.  A
-    step of a 4-row block at 1,000 nodes, or of one point at 13,824, frees
-    about 2 MB of temporaries, so with those defaults each step faulted its
-    pages back in (175,000 minor faults and 0.1 s of system time in a
-    16-sample push; 16,000 faults and 0.09 s of CPU in a 50-step evolve).
-    Fixed thresholds of 1 MiB (mmap) and 4 MiB (trim) end that.  The first
+    first), and serves requests above M_MMAP_THRESHOLD with fresh mmaps, so
+    each step faulted its temporaries' pages back in (a 16-sample push at
+    1,000 nodes: about 50,000 minor faults and 10-40% more CPU).  Fixed
+    thresholds of 1 MiB (mmap) and 4 MiB (trim) end that.  The first
     stepping run (``stepper``) or stacked block (``measures._blocks``) of a
     process sets them, once; elsewhere than on glibc this does nothing.
     """
@@ -256,6 +275,15 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 4 << 20)
 
 
+def _blowup(what, t, k, last, state) -> NumericalBlowupError:
+    """The NumericalBlowupError of step k at time t, carrying ``state``."""
+    with np.errstate(all="ignore"):
+        figures = (f"last finite |p|={np.abs(last.p).max():.3e}, "
+                   f"norm_X0={np.max(phase_norm(last, 0.0)):.3e}")
+    return NumericalBlowupError(f"{what} at t={t:.6g} (step {k}); {figures}",
+                                time=float(t), state=state)
+
+
 def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
             pot: PotentialSpec, scheme: str = "strang"):
     """Iterator over the physical states after each of the T/dt steps from u0.
@@ -263,25 +291,16 @@ def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
     u0 is one point or an (S, D) stack, stepped as a whole.  The arguments
     are checked when it is called; each item then costs one step.  A strang
     run computes its half-step field turn e^{-i (dt/2) |k|} once.  A
-    non-finite state raises NumericalBlowupError carrying the time, the state
-    and figures of the last finite state (the largest over a stack's rows).
-    So does a FloatingPointError inside a step, which only a raising
-    ``np.errstate`` makes: it is chained from the error and carries the last
-    finite state.  It sets the process's heap thresholds first
-    (``_keep_freed_heap``).
+    non-finite state raises NumericalBlowupError (``_blowup``) with figures
+    of the last finite state (the largest over a stack's rows); so does a
+    FloatingPointError in a step (a raising ``np.errstate``), chained from it.
+    It sets the process's heap thresholds first (``_keep_freed_heap``).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     _keep_freed_heap()
     times = np.arange(_step_count(T, dt) + 1) * dt
     turn = np.exp(-1j * (dt / 2.0) * u0.grid.absk)
-
-    def blowup(what, k, last, state):
-        with np.errstate(all="ignore"):
-            figures = (f"last finite |p|={np.abs(last.p).max():.3e}, "
-                       f"norm_X0={np.max(phase_norm(last, 0.0)):.3e}")
-        return NumericalBlowupError(f"{what} at t={times[k]:.6g} (step {k}); {figures}",
-                                    time=float(times[k]), state=state)
 
     def states():
         state = last = u0
@@ -293,9 +312,9 @@ def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
                     state = rk4_interaction_step(times[k - 1], state, dt, spec, pot)
                     physical = free_flow(state, times[k], spec)
             except FloatingPointError as err:
-                raise blowup(f"floating-point error ({err})", k, last, last) from err
+                raise _blowup(f"floating-point error ({err})", times[k], k, last, last) from err
             if not physical.is_finite():
-                raise blowup("non-finite state", k, last, physical)
+                raise _blowup("non-finite state", times[k], k, last, physical)
             last = physical
             yield physical
 
@@ -321,24 +340,27 @@ def _history(rows: tuple, u0: PhaseSpacePoint, n: int, stored_indices: np.ndarra
     }
 
 
-def _record(u0: PhaseSpacePoint, states, stored_indices: np.ndarray, hist: dict,
+def _record(u0: PhaseSpacePoint, states, dt: float, stored_indices: np.ndarray, hist: dict,
             spec: ParticleSpec, pot: PotentialSpec) -> None:
-    """Write the diagnostics of u0 and of every state ``states`` yields.
+    """Write the diagnostics of u0 and of every state ``states`` yields, one per dt.
 
     u0 is one point or a stack; ``hist`` holds ``history`` arrays with the
     same leading axes, filled in place.  Energy and norms share one field
     density per state, through the helpers (and bits) of ``hamiltonian`` and
-    ``phase_norm``.
+    ``phase_norm``.  A FloatingPointError there is step k's blowup (0 for u0).
     """
     energies, norms, p, q, stored = (hist[key] for key in
                                      ("energies", "norms", "p", "q", "stored"))
     model = compile_model(spec, pot, u0.grid)
     row = 0
     for k, physical in enumerate(itertools.chain([u0], states)):
-        dens = _field_density(physical.alpha)
-        energies[..., k] = _energy(model, spec, physical, dens)
-        for j, norm in enumerate(_phase_norms(physical, dens, NORM_SIGMAS)):
-            norms[..., k, j] = norm
+        try:
+            dens = _field_density(physical.alpha)
+            energies[..., k] = _energy(model, spec, physical, dens)
+            for j, norm in enumerate(_phase_norms(physical, dens, NORM_SIGMAS)):
+                norms[..., k, j] = norm
+        except FloatingPointError as err:
+            raise _blowup(f"floating-point error ({err})", k * dt, k, physical, physical) from err
         p[..., k, :, :], q[..., k, :, :] = physical.p, physical.q
         if k == stored_indices[row]:
             stored[..., row, :] = physical.data
@@ -368,7 +390,7 @@ def evolve(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
     refuse_flagged(spec, u0.grid, allow_flagged)
 
     hist = _history((), u0, n, stored_indices)
-    _record(u0, states, stored_indices, hist, spec, pot)
+    _record(u0, states, dt, stored_indices, hist, spec, pot)
     hist["stored"].flags.writeable = False
     return _trajectory(u0.grid, dt, stored_indices, hist)
 

@@ -49,8 +49,11 @@ other) are the same at +-k.  Hence one bracket on H,
 gives A_i = 2 Re c_i . eps and grad A_i = 4 pi Im c_i . (eps k), two matrix
 products for all particles at once, with the phase factored per grid axis.
 A pair term z = kernel * conj P_i P_j on H gives V = 2 sum_H Re z and
-grad V = -4 pi sum_H (Im z) k, and G's field output, computed on H, is
-G_alpha(-k) = -conj G_alpha(k) on the mirror.  ``hamiltonian``,
+grad V = -4 pi sum_H (Im z) k.  G's field output on H is i times a real
+even factor times P_i, so G_alpha(-k) = -conj G_alpha(k) on the mirror and
+beta(G_alpha) = 0 exactly: the field reaches the charges only through A
+(minimal coupling p - A), which reads alpha only through beta, and the
+interaction flow never moves beta, so Strang's kick holds it.  ``hamiltonian``,
 ``nonlinearity_G``, ``nonlinearity_F`` and ``vartheta`` also take an (S, D)
 stack of points and compute every row exactly as the point alone.
 """
@@ -510,25 +513,22 @@ def _phases(model: Model, q: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _bracket(model: Model, alpha: np.ndarray, coeff: np.ndarray, turn=None) -> np.ndarray:
-    """c_i = coeff_i(k) beta(k) on H for every particle, shape (..., n, L*M/2),
-    with beta(k) = conj alpha(k) + alpha(-k).
-
-    With coeff = weights * chi_i/sqrt(2|k|) * e^{-2 pi i k.q_i} on H, the
-    vector potential and its gradient are two products with the model's
-    tables: A_i^nu = 2 Re c_i . eps^nu and
-    d A_i^nu/d q_i^mu = 4 pi Im c_i . (eps^nu k^mu), each equal to its sum
-    over the whole grid.  The polarization vectors are real, so the parts
-    separate cleanly.  A factor ``turn`` E(|k|) of the whole-grid coefficient
-    is not conjugated at -k, so it enters as
-    beta = conj alpha(k) E + alpha(-k) conj E.
-    """
+def _beta(model: Model, alpha: np.ndarray, turn=None) -> np.ndarray:
+    """beta(k) = conj alpha(k) + alpha(-k) on H, shape (..., L, M/2).  A factor
+    ``turn`` E(|k|) of the whole-grid coefficient is not conjugated at -k, so
+    it enters as beta = conj alpha(k) E + alpha(-k) conj E."""
     half = model.nodes.shape[0]
     beta, there = np.conj(alpha[..., :half]), alpha[..., ::-1][..., :half]
     if turn is not None:
         beta *= turn
         there = there * np.conj(turn)
     beta += there
+    return beta
+
+
+def _bracket(beta: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """c_i = coeff_i(k) beta(k) on H for every particle, shape (..., n, L*M/2); with
+    coeff = weights * chi_i/sqrt(2|k|) * P_i, what A_i and grad A_i read (module docstring)."""
     return (beta[..., None, :, :] * coeff[..., :, None, :]).reshape(coeff.shape[:-1] + (-1,))
 
 
@@ -547,7 +547,7 @@ def _grad_vector_potentials(model: Model, c: np.ndarray) -> np.ndarray:
 def _energy(model: Model, spec: ParticleSpec, u: PhaseSpacePoint, dens: np.ndarray):
     """``hamiltonian`` of u from its ``_field_density`` dens, per row of a stack."""
     phases = _phases(model, u.q)
-    a = _vector_potentials(model, _bracket(model, u.alpha, model.wpref * phases))
+    a = _vector_potentials(model, _bracket(_beta(model, u.alpha), model.wpref * phases))
     kinetic = np.sum(np.sum((u.p - a) ** 2, axis=-1) / (2.0 * spec.masses), axis=-1)
     field = np.float_power(_density_norm(u.grid, dens, 0.5, "homogeneous"), 2)
     return kinetic + _potential_value(u.q, phases, model) + field
@@ -564,6 +564,27 @@ def hamiltonian(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     return _scalar(_energy(model, spec, u, _field_density(u.alpha)))
 
 
+def _g_on_half(model: Model, spec: ParticleSpec, p, q, beta, out) -> None:
+    """G_p, G_q and G_alpha on H at (p, q) in a field whose bracket is beta,
+    written to out.p, out.q and out.alpha's first M/2 nodes."""
+    masses = spec.masses[:, None]
+    phases = _phases(model, q)
+    grad_v = _potential_gradient(q, phases, model)
+    c = _bracket(beta, model.wpref * phases)
+    a = _vector_potentials(model, c)
+    da = _grad_vector_potentials(model, c)
+    del c
+    v = (p - a) / masses
+    np.subtract(np.einsum("...inm,...in->...im", da, v), grad_v, out=out.p)
+    np.divide(-a, masses, out=out.q)
+    proj = (v @ model.eps.T).reshape(v.shape[:-1] + (model.grid.d - 1, -1))  # eps_lam . v_i
+    terms = np.multiply(model.ipref, phases, out=phases)
+    alpha = np.multiply(terms[..., 0, None, :], proj[..., 0, :, :],
+                        out=out.alpha[..., : phases.shape[-1]])
+    for i in range(1, spec.n):
+        alpha += terms[..., i, None, :] * proj[..., i, :, :]
+
+
 def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
                    grid: KGrid, basis: Optional[PolarizationBasis] = None) -> PhaseSpacePoint:
     """The nonlinearity with free transport removed: G_q = -A_i/m_i.
@@ -571,30 +592,17 @@ def nonlinearity_G(u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpec,
     G_p,i = (1/m_i) sum_nu (p_i - A_i)^nu grad_{q_i} A_i^nu - grad_{q_i} V
     G_alpha,lam(k) = i sum_i chi_i/sqrt(2|k|) ((p_i - A_i)/m_i . eps_lam) e^{-2 pi i k.q_i}
 
-    G_alpha adds up the particles' terms on H in order, in place, without
-    einsum, and is written to the mirror as G_alpha(-k) = -conj G_alpha(k).
-    On a stack every row is computed as the single point would be.
+    The field enters only through its bracket (``_beta``); ``_g_on_half``
+    adds G_alpha's particle terms on H in order, in place, without einsum,
+    and the mirror gets -conj of them, so beta(G_alpha) is exactly 0.  On a
+    stack every row is computed as the single point would be.
     """
     model = _model_for(spec, pot, grid, basis, u)
-    masses = spec.masses[:, None]
-    phases = _phases(model, u.q)
-    grad_v = _potential_gradient(u.q, phases, model)
-    c = _bracket(model, u.alpha, model.wpref * phases)
-    a = _vector_potentials(model, c)
-    da = _grad_vector_potentials(model, c)
-    del c
-    v = (u.p - a) / masses
     out = u._like(np.empty_like(u.data))
-    np.subtract(np.einsum("...inm,...in->...im", da, v), grad_v, out=out.p)
-    np.divide(-a, masses, out=out.q)
-    proj = (v @ model.eps.T).reshape(v.shape[:-1] + (grid.d - 1, -1))  # eps_lam(k) . v_i
-    terms = np.multiply(model.ipref, phases, out=phases)
-    half = phases.shape[-1]
-    alpha = np.multiply(terms[..., 0, None, :], proj[..., 0, :, :], out=out.alpha[..., :half])
-    for i in range(1, spec.n):
-        alpha += terms[..., i, None, :] * proj[..., i, :, :]
-    np.negative(alpha.real, out=out.alpha.real[..., ::-1][..., :half])  # -conj on the mirror
-    out.alpha.imag[..., ::-1][..., :half] = alpha.imag
+    _g_on_half(model, spec, u.p, u.q, _beta(model, u.alpha), out)
+    alpha, half = out.alpha, model.absk.size
+    np.negative(alpha.real[..., :half], out=alpha.real[..., ::-1][..., :half])
+    alpha.imag[..., ::-1][..., :half] = alpha.imag[..., :half]
     return out
 
 
@@ -653,11 +661,11 @@ def characteristic_density_m(s: float, xi: PhaseSpacePoint, u: PhaseSpacePoint,
     x0 = xi.q + s * xi.p / masses
     phases = _phases(model, x)
     coeff, turn = model.wpref * phases, np.exp(1j * s * model.absk)
-    c_u = _bracket(model, u.alpha, coeff, turn)
+    c_u = _bracket(_beta(model, u.alpha, turn), coeff)
     a = _vector_potentials(model, c_u)
     grad_dot = np.einsum("inm,im->in", _grad_vector_potentials(model, c_u), x0)
     # Im b = Re <i alpha_0, K>, half the vector potential of the field i alpha_0
-    im_b = 0.5 * _vector_potentials(model, _bracket(model, 1j * xi.alpha, coeff, turn))
+    im_b = 0.5 * _vector_potentials(model, _bracket(_beta(model, 1j * xi.alpha, turn), coeff))
     pma = u.p - a
     total = float(np.sum((2.0 * np.sum(pma * grad_dot, axis=1)
                           + np.sqrt(2.0) * np.sum(pma * im_b, axis=1)

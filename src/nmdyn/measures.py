@@ -312,21 +312,21 @@ def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
     hist = _history((ensemble.size,), points[0], n, stored_indices)
 
     def push(u, part):
-        _record(u, stepper(u, T, dt, spec, pot, scheme), stored_indices,
+        _record(u, stepper(u, T, dt, spec, pot, scheme), dt, stored_indices,
                 {key: array[part] for key, array in hist.items()}, spec, pot)
 
     for lo, stack in _stacks((u.data for u in points), points[0].data.nbytes):
         block = slice(lo, lo + len(stack))
         try:
             push(points[lo]._like(stack), block)
-        except (NumericalBlowupError, FloatingPointError):
+        except NumericalBlowupError:
             # a stack cannot say which row failed: step its samples alone, in
             # order, so the first that fails alone is named (rows that pass
             # alone stand, as they would in any block)
             for m in range(block.start, block.stop):
                 try:
                     push(points[m], m)
-                except (NumericalBlowupError, FloatingPointError) as err:
+                except NumericalBlowupError as err:
                     raise EnsemblePropagationError(f"sample {m} failed: {err}", m) from err
 
     hist["stored"].flags.writeable = False

@@ -20,7 +20,7 @@ from .config import ConfigError, ScenarioConfig
 from .geometry import KGrid, integrate_k
 from .integrator import (SCHEME_ORDER, SCHEMES, _step_count, divergence_report,
                          refuse_flagged, stepper)
-from .interaction import (_bracket, _grad_vector_potentials, _hypothesis_norms, _phases,
+from .interaction import (_beta, _bracket, _grad_vector_potentials, _hypothesis_norms, _phases,
                           _vector_potentials, characteristic_density_m, compile_model,
                           nonlinearity_F, potential_gradient_bound, vartheta)
 from .measures import (MeasureSpec, _blocks, characteristic_residual, moment_report,
@@ -139,7 +139,7 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
         return u, v, int(rng.integers(0, n))
 
     def bracket(w):
-        return _bracket(model, w.alpha, model.wpref * _phases(model, w.q))
+        return _bracket(_beta(model, w.alpha), model.wpref * _phases(model, w.q))
 
     def norm(x):
         return np.linalg.norm(x, axis=-1)

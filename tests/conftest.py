@@ -9,6 +9,7 @@ from nmdyn.cli import _json_chunks
 from nmdyn.geometry import PolarizationBasis, build_kgrid
 from nmdyn.interaction import (
     PotentialSpec,
+    _beta,
     _bracket,
     _grad_vector_potentials,
     _phases,
@@ -64,7 +65,7 @@ def coupling(q, alpha, spec, grid, basis=None):
     """A_i and grad A_i (row nu: grad A_i^nu) of every particle at positions q
     (n, d) in the field alpha, through the kernels' own bracket."""
     model = compile_model(spec, NO_POTENTIAL, grid, basis)
-    c = _bracket(model, alpha, model.wpref * _phases(model, np.asarray(q, dtype=float)))
+    c = _bracket(_beta(model, alpha), model.wpref * _phases(model, np.asarray(q, dtype=float)))
     return _vector_potentials(model, c), _grad_vector_potentials(model, c)
 
 

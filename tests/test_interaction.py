@@ -34,6 +34,7 @@ from nmdyn.interaction import (
     vartheta,
 )
 from nmdyn.interaction import (
+    _beta,
     _bracket,
     _compile,
     _hypothesis_norms,
@@ -899,6 +900,23 @@ class TestNonlinearities:
         rotated_f = np.einsum("jlm,lj->mj", q_mat, f1.alpha)
         assert np.allclose(rotated_f, f2.alpha, atol=1e-12 * (1 + np.abs(f2.alpha).max()))
 
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("kind", ["zero", "coulomb", "cosine"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_field_output_has_bracket_zero(self, d, kind, rows):
+        """beta = conj G_alpha(k) + G_alpha(-k) is exactly 0 at every node, so
+        the field's bracket is the same at every stage state of a kick."""
+        grid = build_kgrid(d, 2.0, 4)
+        pot = {"zero": PotentialSpec.zero(), "coulomb": PotentialSpec.coulomb(0.8),
+               "cosine": PotentialSpec.cosine(0.7, np.linspace(0.5, 2.0, d))}[kind]
+        rng = np.random.default_rng(d)
+        u = random_point(rng, grid, decay=False)
+        if rows:
+            u = u._like(np.stack([random_point(rng, grid, decay=False).data
+                                  for _ in range(rows)]))
+        g = nonlinearity_G(u, two_particle_spec(), pot, grid).alpha
+        assert np.array_equal(np.conj(g) + g[..., ::-1], np.zeros_like(g))
+
     def test_vartheta_at_zero_is_G(self, small_grid, rng):
         spec = two_particle_spec()
         pot = PotentialSpec.coulomb(0.8)
@@ -1076,7 +1094,7 @@ class TestStacks:
         grid, spec, pot, _, stack = case
         model = compile_model(spec, pot, grid)
         phases = _phases(model, stack.q)
-        a = _vector_potentials(model, _bracket(model, stack.alpha, model.wpref * phases))
+        a = _vector_potentials(model, _bracket(_beta(model, stack.alpha), model.wpref * phases))
         proj = (((stack.p - a) / spec.masses[:, None]) @ model.eps.T).reshape(
             stack.q.shape[:-1] + (grid.d - 1, -1))
         absk = grid.absk[: grid.node_count // 2]

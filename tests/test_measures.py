@@ -422,7 +422,9 @@ class TestPushForward:
         ff = FormFactor.gaussian(1.0)
         spec = ParticleSpec(masses=np.array([1.0, 1.5]), form_factors=[ff, ff])
         pot = PotentialSpec.coulomb(0.5)
-        late, early = wild(1e10), wild(1e130)  # non-finite after step 3 and after step 1
+        # non-finite after step 3 and after step 1; at 1e8 and above, late's
+        # step-2 state is finite but its |alpha|^2 overflows when recorded
+        late, early = wild(1e7), wild(1e130)
         ens0 = Ensemble(points=(calm, late, early))
         assert measures._BLOCK_BYTES >= 3 * calm.data.nbytes  # one block of three rows
         for mode in ("ignore", "raise"):
