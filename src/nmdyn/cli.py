@@ -33,8 +33,9 @@ from .config import (FORMAT_VERSION, ConfigError, ScenarioConfig, load_config,
 from .integrator import (FlaggedHypothesesError, NumericalBlowupError, _step_count, evolve,
                          trajectory_to_csv)
 from .interaction import check_hypotheses
-from .measures import (EnsemblePropagationError, characteristic_residual, ensemble_to_csv,
-                       moment_report, push_forward, sample_measure)
+from .measures import (EnsemblePropagationError, _characteristic_checks, _characteristic_terms,
+                       _moment_summary, _moment_terms, _pushed_blocks, _streamed, _table_terms,
+                       _write_table, sample_measure)
 from .state import point_to_json
 from .suites import SUITES, _random_direction, run_suite
 
@@ -159,16 +160,18 @@ def cmd_ensemble(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed,
                       out_override=args.out)
     measure = cfg.require_measure()
-    ens = push_forward(sample_measure(measure, cfg.m_samples, cfg.seed),
-                       cfg.T, cfg.dt, cfg.spec, cfg.pot, scheme=cfg.scheme,
-                       store_every=cfg.snapshot_every, allow_flagged=args.allow_flagged)
     rng = np.random.default_rng(cfg.seed)
     ys = [_random_direction(rng, cfg.grid, cfg.spec.masses.size) for _ in range(3)]
-    char = characteristic_residual(ens, ys, cfg.T, 0.0, 0.0, cfg.spec, cfg.pot)
-    moments = moment_report(ens, cfg.spec, cfg.pot)
+    blocks = _pushed_blocks(sample_measure(measure, cfg.m_samples, cfg.seed), cfg.T, cfg.dt,
+                            cfg.spec, cfg.pot, cfg.scheme, cfg.snapshot_every, args.allow_flagged)
+    char, moments, table = _streamed(
+        blocks, lambda b: _characteristic_terms(b, ys, cfg.T, 0.0, 0.0, cfg.spec, cfg.pot),
+        _moment_terms, _table_terms)
+    char = _characteristic_checks(*char, cfg.T, 0.0, 0.0)
+    moments = _moment_summary(cfg.grid, cfg.spec, cfg.pot, *moments)
     out = _out_dir(cfg)
     _write_csv(os.path.join(out, "ensemble.csv"), cfg,
-               lambda handle: ensemble_to_csv(ens, handle))
+               lambda handle: _write_table(handle, *table))
     write_payload(os.path.join(out, "reports.json"), cfg, {
         "moments": moments,
         "characteristic": char,

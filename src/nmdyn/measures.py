@@ -15,11 +15,12 @@ consecutive blocks, each stepped as one (B, D) stack whose rows compute
 exactly what a lone sample would; B is the largest row count whose stacked
 state fits ``_BLOCK_BYTES``, a property of the scenario and never of the run.
 All ensemble reductions run in fixed sample order with compensated (Kahan)
-summation, so identical inputs give byte-identical outputs at any B.  A
-pushed ensemble keeps every sample's trajectory; the stored states of all
-samples are one read-only (S, n_stored, D) array, and its points and each
-trajectory's ``stored`` are views of it.  The checks below read the stored
-rows in stacks of the same block size.
+summation, so identical inputs give byte-identical outputs at any B.
+``push_forward`` keeps every sample's trajectory, as views of one read-only
+(S, n_stored, D) array.  The checks below read the stored rows in stacks of
+the same block size, as per-sample terms then their aggregation; the
+``ensemble`` command and the characteristic and moments suites push block
+by block (``_pushed_blocks``) and keep only the terms.
 
 The characteristic-equation check works in the interaction picture: with
 u~(s) = free_flow(-s) applied to the physical sample at time s, the exact
@@ -292,7 +293,7 @@ def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
 
     The form-factor resolution check runs once and is shared by all samples.
     Samples propagate in sample order, in the consecutive blocks of
-    ``_stacks``, each stepped as one stack by the stepping loop of
+    ``_blocks``, each stepped as one stack by the stepping loop of
     ``evolve``; a row's result is the same in any block.  The stored states
     of all samples fill one read-only (S, n_stored, D) array, and the
     result's trajectories and points are views of it.  A sample whose state
@@ -302,6 +303,14 @@ def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
     sample order is named, with its own step and time.  Invalid arguments
     raise ValueError unwrapped, as does a sample off the first one's grid.
     """
+    return next(_pushed_blocks(ensemble, T, dt, spec, pot, scheme, store_every, allow_flagged,
+                               whole=True))
+
+
+def _pushed_blocks(ensemble, T, dt, spec, pot, scheme, store_every, allow_flagged, whole=False):
+    """``push_forward`` one block at a time, its checks run once: the pushed
+    sub-ensemble of each block in turn, none kept once the next is asked for;
+    with ``whole``, the one pushed ensemble, its blocks written into one set of arrays."""
     points = ensemble.points
     grid = points[0].grid
     _model_for(spec, pot, grid, None, *points)
@@ -309,36 +318,48 @@ def push_forward(ensemble: Ensemble, T: float, dt: float, spec: ParticleSpec,
     refuse_flagged(spec, grid, allow_flagged)
     n = _step_count(T, dt)
     stored_indices = _stored_steps(n, store_every)
-    hist = _history((ensemble.size,), points[0], n, stored_indices)
+    every = _history((ensemble.size,), points[0], n, stored_indices) if whole else None
 
-    def push(u, part):
-        _record(u, stepper(u, T, dt, spec, pot, scheme), dt, stored_indices,
-                {key: array[part] for key, array in hist.items()}, spec, pot)
+    def push(u, hist):
+        _record(u, stepper(u, T, dt, spec, pot, scheme), dt, stored_indices, hist, spec, pot)
 
-    for lo, stack in _stacks((u.data for u in points), points[0].data.nbytes):
-        block = slice(lo, lo + len(stack))
+    def pushed(hist):  # the samples of filled history arrays, as read-only views
+        hist["stored"].flags.writeable = False
+        trajs = [_trajectory(grid, dt, stored_indices, {key: a[m] for key, a in hist.items()})
+                 for m in range(len(hist["stored"]))]
+        return Ensemble(points=tuple(traj.endpoint() for traj in trajs), seed=ensemble.seed,
+                        measure=ensemble.measure, trajectories=tuple(trajs))
+
+    for lo, chunk in _blocks(points, points[0].data.nbytes):
+        hist = ({key: array[lo:lo + len(chunk)] for key, array in every.items()} if whole
+                else _history((len(chunk),), points[0], n, stored_indices))
         try:
-            push(points[lo]._like(stack), block)
+            push(chunk[0]._like(np.stack([u.data for u in chunk])), hist)
         except NumericalBlowupError:
             # a stack cannot say which row failed: step its samples alone, in
-            # order, so the first that fails alone is named (rows that pass
-            # alone stand, as they would in any block)
-            for m in range(block.start, block.stop):
+            # order, so the first that fails alone is named by its index in the
+            # whole ensemble (rows that pass alone stand, as in any block)
+            for m, u in enumerate(chunk, lo):
                 try:
-                    push(points[m], m)
+                    push(u, {key: array[m - lo] for key, array in hist.items()})
                 except NumericalBlowupError as err:
                     raise EnsemblePropagationError(f"sample {m} failed: {err}", m) from err
+        if not whole:
+            yield pushed(hist)
+        del hist  # before the next block's arrays are made
+    if whole:
+        yield pushed(every)
 
-    hist["stored"].flags.writeable = False
-    trajectories = tuple(
-        _trajectory(grid, dt, stored_indices, {key: array[m] for key, array in hist.items()})
-        for m in range(ensemble.size))
-    return Ensemble(
-        points=tuple(traj.endpoint() for traj in trajectories),
-        seed=ensemble.seed,
-        measure=ensemble.measure,
-        trajectories=trajectories,
-    )
+
+def _streamed(blocks, *terms) -> list:
+    """For each function in ``terms``, its per-sample arrays over the pushed
+    ``blocks``, joined in sample order; one block is alive at a time."""
+    parts = [[] for _ in terms]
+    for block in blocks:
+        for part, term in zip(parts, terms):
+            part.append(term(block))
+        del block  # before the next block is pushed
+    return [tuple(map(np.concatenate, zip(*part))) for part in parts]
 
 
 def _kahan_mean(values: Sequence[complex]) -> complex:
@@ -405,11 +426,18 @@ def characteristic_residual(ensemble: Ensemble,
     Every direction must be on the ensemble's grid.  Returns one
     CharacteristicCheck, or a list of them in direction order.
     """
+    single = isinstance(y, PhaseSpacePoint)
+    terms = _characteristic_terms(ensemble, [y] if single else list(y), t, t0, sigma, spec, pot)
+    checks = _characteristic_checks(*terms, t, t0, sigma)
+    return checks[0] if single else checks
+
+
+def _characteristic_terms(ensemble, directions, t, t0, sigma, spec, pot) -> tuple:
+    """Each sample's z = e^{2 pi i Re<y, u~>} at t and t0 and the integral of
+    the right-hand side: three (S, n_dir) arrays."""
     if ensemble.trajectories is None:
         raise ValueError("characteristic_residual needs the trajectories of "
                          "a pushed ensemble")
-    single = isinstance(y, PhaseSpacePoint)
-    directions = [y] if single else list(y)
     if not directions:
         raise ValueError("need at least one direction y")
     grid = ensemble.points[0].grid
@@ -444,28 +472,31 @@ def characteristic_residual(ensemble: Ensemble,
         terms[:, cols] = row_weights[cols] * z[:, cols] * real_inner(theta, ys, sigma)
     z = z.reshape(n_dir, ensemble.size, n_times)
     terms = terms.reshape(z.shape)
-    z_t, z_t0 = z[:, :, at_t], z[:, :, at_t0]
     acc = np.zeros((n_dir, ensemble.size), dtype=complex)
     for k in range(n_times):  # in time order, as the trapezoid sum runs
         acc += terms[:, :, k]
-    integrals = sign * acc
+    return z[:, :, at_t].T, z[:, :, at_t0].T, (sign * acc).T
 
+
+def _characteristic_checks(z_t, z_t0, integrals, t, t0, sigma) -> list:
+    """One CharacteristicCheck per direction of ``_characteristic_terms``."""
+    size = len(z_t)
     checks = []
-    for j in range(n_dir):
-        defects = z_t[j] - z_t0[j] - 2j * np.pi * integrals[j]
-        lhs = complex(_kahan_mean(z_t[j]))
-        rhs = complex(_kahan_mean(z_t0[j] + 2j * np.pi * integrals[j]))
+    for j in range(z_t.shape[1]):
+        defects = z_t[:, j] - z_t0[:, j] - 2j * np.pi * integrals[:, j]
+        lhs = complex(_kahan_mean(z_t[:, j]))
+        rhs = complex(_kahan_mean(z_t0[:, j] + 2j * np.pi * integrals[:, j]))
         mean_defect = complex(_kahan_mean(defects))
-        if ensemble.size > 1:
+        if size > 1:
             spread = float(np.sum(np.abs(defects - mean_defect) ** 2))
-            stderr = np.sqrt(spread / (ensemble.size * (ensemble.size - 1)))
+            stderr = np.sqrt(spread / (size * (size - 1)))
         else:
             stderr = 0.0
         checks.append(CharacteristicCheck(
             lhs=lhs, rhs=rhs, residual=abs(mean_defect), mc_stderr=float(stderr),
             t0=float(t0), t=float(t), sigma=float(sigma),
         ))
-    return checks[0] if single else checks
+    return checks
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,15 +573,17 @@ def _exponential_form(times: np.ndarray, values: np.ndarray) -> float:
 
 def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec) -> MomentReport:
     """Ensemble fourth moments at every stored snapshot time."""
+    return _moment_summary(ensemble.points[0].grid, spec, pot, *_moment_terms(ensemble))
+
+
+def _moment_terms(ensemble: Ensemble) -> tuple:
+    """Each sample's stored times, and sum |p|^2, ||alpha||_{1/2} and
+    ||alpha||_0 at them, (S, n_times) each, and its initial energy (S,)."""
     if ensemble.trajectories is None:
         raise ValueError("moment_report needs the trajectories of a pushed ensemble")
     grid = ensemble.points[0].grid
-    times = ensemble.trajectories[0].stored_times
-    n_times = times.size
-
-    # sum |p|^2 and the two field norms of every stored state, sample-major;
-    # their powers go through float_power, which rounds as Python's ** does
     trajs = ensemble.trajectories
+    n_times = trajs[0].stored_indices.size
     p2, half, l2 = (np.empty(ensemble.size * n_times) for _ in range(3))
     snapshots = (row for traj in trajs for row in traj.stored)
     for start, stack in _stacks(snapshots, trajs[0].stored[0].nbytes):
@@ -559,10 +592,18 @@ def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec) ->
         p2[rows] = np.sum(u.p ** 2, axis=(-2, -1))
         dens = _field_density(u.alpha)
         half[rows], l2[rows] = (_density_norm(u.grid, dens, s, "homogeneous") for s in (0.5, 0.0))
-    p2, half, l2 = (a.reshape(ensemble.size, n_times) for a in (p2, half, l2))
+    return (np.array([traj.stored_times for traj in trajs]),
+            *(a.reshape(ensemble.size, n_times) for a in (p2, half, l2)),
+            np.array([traj.energies[0] for traj in trajs]))
+
+
+def _moment_summary(grid, spec, pot, times, p2, half, l2, energies) -> MomentReport:
+    """The MomentReport of the ``_moment_terms`` of every sample, in sample order."""
+    times = times[0]  # the same for every sample
+    # the powers go through float_power, which rounds as Python's ** does
     p4, half4, l2_4 = (
         np.array([float(np.real(_kahan_mean(np.float_power(a[:, k], power).tolist())))
-                  for k in range(n_times)])
+                  for k in range(times.size)])
         for a, power in ((p2, 2), (half, 4), (l2, 4)))
 
     # conserved-energy certificates from the initial samples
@@ -571,8 +612,8 @@ def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec) ->
     c_dim = np.sqrt(2.0 * (grid.d - 1))
     bound_terms = []
     l2_curves = []
-    for traj, l2_0 in zip(trajs, np.float_power(l2[:, 0], 2).tolist()):
-        ebar = traj.energies[0] + v_bound
+    for energy, l2_0 in zip(energies, np.float_power(l2[:, 0], 2).tolist()):
+        ebar = energy + v_bound
         p_bounds = np.sqrt(2.0 * spec.masses * ebar) + c_dim * chi_over_k * np.sqrt(ebar)
         bound_terms.append(float(np.sum(p_bounds**2)) ** 2 + ebar**2)
         rate = 2.0 * ebar * float(np.sum(chi_over_k / np.sqrt(spec.masses)))
@@ -600,14 +641,19 @@ def moment_report(ensemble: Ensemble, spec: ParticleSpec, pot: PotentialSpec) ->
 
 def ensemble_to_csv(ensemble: Ensemble, path) -> None:
     """One row per (sample, step): sample, t, H, and the three X^sigma norms."""
+    _write_table(path, *_table_terms(ensemble))
+
+
+def _table_terms(ensemble: Ensemble) -> tuple:
+    """Each sample's ``ensemble_to_csv`` rows but the sample column: (S, n + 1, 5)."""
     if ensemble.trajectories is None:
         raise ValueError("ensemble_to_csv needs trajectories")
-    trajs = ensemble.trajectories
-    table = np.column_stack([
-        np.repeat(np.arange(len(trajs), dtype=float), [t.times.size for t in trajs]),
-        np.concatenate([t.times for t in trajs]),
-        np.concatenate([t.energies for t in trajs]),
-        np.concatenate([t.norms for t in trajs]),
-    ])
-    header = "sample,t,H,norm_X0,norm_X12,norm_X1"
-    np.savetxt(path, table, delimiter=",", header=header, comments="")
+    return np.array([np.column_stack([t.times, t.energies, t.norms])
+                     for t in ensemble.trajectories]),
+
+
+def _write_table(path, rows: np.ndarray) -> None:
+    """``ensemble_to_csv``'s file from the ``_table_terms`` rows of every sample."""
+    samples = np.repeat(np.arange(len(rows), dtype=float), rows.shape[1])
+    np.savetxt(path, np.column_stack([samples, rows.reshape(-1, rows.shape[-1])]),
+               delimiter=",", header="sample,t,H,norm_X0,norm_X12,norm_X1", comments="")

@@ -23,8 +23,9 @@ from .integrator import (SCHEME_ORDER, SCHEMES, _step_count, divergence_report,
 from .interaction import (_beta, _bracket, _grad_vector_potentials, _hypothesis_norms, _phases,
                           _vector_potentials, characteristic_density_m, compile_model,
                           nonlinearity_F, potential_gradient_bound, vartheta)
-from .measures import (MeasureSpec, _blocks, characteristic_residual, moment_report,
-                       push_forward, sample_measure)
+from .measures import (MeasureSpec, _blocks, _characteristic_checks, _characteristic_terms,
+                       _moment_summary, _moment_terms, _pushed_blocks, _streamed,
+                       characteristic_residual, push_forward, sample_measure)
 from .state import (FieldState, ParticleState, PhaseSpacePoint, _density_norm,
                     _field_density, _field_norm, phase_norm, real_inner)
 
@@ -300,15 +301,17 @@ def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
         checks.append(_check("point-mass decay ratio (2dt/dt)",
                              res[1] / res[2], 3.4, ">="))
 
-    common = dict(scheme=cfg.scheme, store_every=cfg.snapshot_every,
-                  allow_flagged=allow_flagged)
     ens0 = sample_measure(measure, cfg.m_samples, cfg.seed)
-    fine = push_forward(ens0, cfg.T, cfg.dt, *args, **common)
-    coarse = push_forward(ens0, cfg.T, 2 * cfg.dt, *args, **common)
+
+    def residuals(dt):
+        (terms,) = _streamed(_pushed_blocks(ens0, cfg.T, dt, *args, cfg.scheme,
+                                            cfg.snapshot_every, allow_flagged),
+                             lambda b: _characteristic_terms(b, ys, cfg.T, 0.0, 0.0, *args))
+        return _characteristic_checks(*terms, cfg.T, 0.0, 0.0)
+
+    fine_checks, coarse_checks = residuals(cfg.dt), residuals(2 * cfg.dt)
     delta_f = cfg.snapshot_every * cfg.dt
     delta_c = 2 * delta_f
-    fine_checks = characteristic_residual(fine, ys, cfg.T, 0.0, 0.0, *args)
-    coarse_checks = characteristic_residual(coarse, ys, cfg.T, 0.0, 0.0, *args)
     for j, (f, c) in enumerate(zip(fine_checks, coarse_checks)):
         budget = 3 * f.mc_stderr + 1.5 * (c.residual / delta_c**2) * delta_f**2
         checks.append(_check(f"ensemble residual (direction {j})",
@@ -365,10 +368,10 @@ def verify_moments(cfg: ScenarioConfig, allow_flagged: bool = False,
                    **_) -> VerifyOutcome:
     """Fourth-moment propagation against conserved-energy certificates."""
     measure = cfg.require_measure()
-    ens = push_forward(sample_measure(measure, cfg.m_samples, cfg.seed),
-                       cfg.T, cfg.dt, cfg.spec, cfg.pot, scheme=cfg.scheme,
-                       store_every=cfg.snapshot_every, allow_flagged=allow_flagged)
-    rep = moment_report(ens, cfg.spec, cfg.pot)
+    (terms,) = _streamed(_pushed_blocks(sample_measure(measure, cfg.m_samples, cfg.seed), cfg.T,
+                                        cfg.dt, cfg.spec, cfg.pot, cfg.scheme,
+                                        cfg.snapshot_every, allow_flagged), _moment_terms)
+    rep = _moment_summary(cfg.grid, cfg.spec, cfg.pot, *terms)
     return VerifyOutcome("moments", (
         _check("bounded-envelope violations", rep.violations_bounded, 0, "=="),
         _check("exponential-envelope violations", rep.violations_exp, 0, "=="),

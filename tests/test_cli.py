@@ -8,10 +8,12 @@ depend on resolution.
 
 import dataclasses
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import jsonschema
@@ -53,7 +55,9 @@ from nmdyn.state import (
     point_to_json,
     real_inner,
 )
-from nmdyn.suites import _random_state, run_suite
+from nmdyn.measures import (characteristic_residual, ensemble_to_csv, moment_report,
+                            push_forward, sample_measure)
+from nmdyn.suites import _random_direction, _random_state, run_suite
 
 
 def small_scenario() -> dict:
@@ -407,6 +411,75 @@ class TestCommands:
             outputs.append([(tmp_path / name / f).read_bytes()
                             for f in ("ensemble.csv", "reports.json")])
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_ensemble_names_a_failing_sample_in_a_later_block(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # six samples of 32 KB states, the last a near-point charge whose field
+        # blows up: in blocks of 1, of 4 (4 + 2) and of all 6 it is sample 5
+        raw = small_scenario()
+        calm = raw["initial"]["measure"]
+        wild = {"kind": "dirac", "center": {"coherent": {
+            **calm["center"]["coherent"], "amplitude": 1e8, "width": 1e-4}}}
+        raw["initial"] = {"measure": {"kind": "mixture", "components": [
+            {"weight": 5 / 6, "measure": calm}, {"weight": 1 / 6, "measure": wild}]}}
+        path = tmp_path / "wild.json"
+        path.write_text(json.dumps(raw))
+        default = nmdyn.measures._BLOCK_BYTES
+        assert 1 < default // (8 * 4012) < 6
+        errors = []
+        for name, budget in (("one", 0), ("default", default), ("all", 10**9)):
+            monkeypatch.setattr(nmdyn.measures, "_BLOCK_BYTES", budget)
+            with np.errstate(all="ignore"):
+                assert main(["ensemble", str(path), "--out", str(tmp_path / name)]) == 3
+            errors.append(capsys.readouterr().err)
+            assert not (tmp_path / name).exists()
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0].startswith("numerical abort: sample 5 failed: non-finite state")
+        assert errors[0].count("\n") == 1
+
+    def test_ensemble_memory_is_flat_in_the_sample_count(self, tmp_path):
+        # quickstart grid, 11 snapshots of 32 KB per sample: 12 more samples
+        # held whole add 12 x 11 x 32 KB = 4.2 MB; streamed one block at a
+        # time, they add 12 initial samples and a few scalars per step each
+        quickstart = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                                  "configs", "quickstart.json")
+        with open(quickstart) as handle:
+            raw = json.load(handle)
+        raw["run"]["T"] = 0.5
+
+        def peak(m):
+            raw["ensemble"]["M"] = m
+            path = tmp_path / f"m{m}.json"
+            path.write_text(json.dumps(raw))
+            tracemalloc.start()
+            try:
+                assert main(["ensemble", str(path), "--out", str(tmp_path / f"m{m}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # compiles the model and fills the caches
+        assert peak(16) - peak(4) < 1.5e6
+
+    def test_streamed_ensemble_equals_the_whole_push(self, config_file, tmp_path):
+        # six samples in blocks of 4 + 2, against the public functions on one push
+        out = tmp_path / "cli"
+        assert main(["ensemble", config_file, "--out", str(out)]) == 0
+        cfg = load_config(config_file)
+        ens = push_forward(sample_measure(cfg.measure, cfg.m_samples, cfg.seed), cfg.T,
+                           cfg.dt, cfg.spec, cfg.pot, scheme=cfg.scheme,
+                           store_every=cfg.snapshot_every)
+        rng = np.random.default_rng(cfg.seed)
+        ys = [_random_direction(rng, cfg.grid, cfg.spec.masses.size) for _ in range(3)]
+        write_payload(str(tmp_path / "reports.json"), cfg, {
+            "moments": moment_report(ens, cfg.spec, cfg.pot),
+            "characteristic": characteristic_residual(ens, ys, cfg.T, 0.0, 0.0,
+                                                      cfg.spec, cfg.pot),
+        })
+        assert (tmp_path / "reports.json").read_bytes() == (out / "reports.json").read_bytes()
+        table = io.StringIO()
+        ensemble_to_csv(ens, table)
+        assert (out / "ensemble.csv").read_text().split("\n", 2)[2] == table.getvalue()
 
     def test_threads_env_fallback(self, config_file, tmp_path, monkeypatch):
         base, via_env = tmp_path / "base", tmp_path / "env"
@@ -1122,6 +1195,19 @@ class TestSuitesOnSmallScenario:
             for suite, code in (("lemma-bounds", 1), ("mvfi-identity", 0)):
                 assert main(["verify", suite, config_file, "--draws", "7",
                              "--out", str(tmp_path / name)]) == code
+                files.append((tmp_path / name / f"verify_{suite}.json").read_bytes())
+            outputs.append(files)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_pushing_suites_block_invariant(self, config_file, tmp_path, monkeypatch):
+        # 6 samples of 32 KB states: blocks of 1, of 4 (4 + 2) and of all 6
+        default = nmdyn.measures._BLOCK_BYTES
+        outputs = []
+        for name, budget in (("one", 0), ("default", default), ("all", 10**9)):
+            monkeypatch.setattr(nmdyn.measures, "_BLOCK_BYTES", budget)
+            files = []
+            for suite in ("characteristic", "moments"):
+                assert main(["verify", suite, config_file, "--out", str(tmp_path / name)]) == 0
                 files.append((tmp_path / name / f"verify_{suite}.json").read_bytes())
             outputs.append(files)
         assert outputs[0] == outputs[1] == outputs[2]
