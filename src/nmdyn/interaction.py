@@ -53,9 +53,11 @@ grad V = -4 pi sum_H (Im z) k.  G's field output on H is i times a real
 even factor times P_i, so G_alpha(-k) = -conj G_alpha(k) on the mirror and
 beta(G_alpha) = 0 exactly: the field reaches the charges only through A
 (minimal coupling p - A), which reads alpha only through beta, and the
-interaction flow never moves beta, so Strang's kick holds it.  ``hamiltonian``,
-``nonlinearity_G``, ``nonlinearity_F`` and ``vartheta`` also take an (S, D)
-stack of points and compute every row exactly as the point alone.
+interaction flow never moves beta, so Strang's kick holds it.  ``vartheta``
+needs the free flow's turn E = e^{-i t |k|} on H only, as E is even in k:
+beta of E alpha, then G(k) conj E on H and -conj(G(k) E) at -k.  Those and
+``hamiltonian``, ``nonlinearity_G`` and ``nonlinearity_F`` also take an
+(S, D) stack of points and compute every row exactly as the point alone.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ from .state import (
     _density_norm,
     _field_density,
     _scalar,
-    free_flow,
 )
 
 __all__ = [
@@ -619,12 +620,27 @@ def vartheta(t: float, u: PhaseSpacePoint, spec: ParticleSpec, pot: PotentialSpe
     """Interaction-picture vector field Phi^0_{-t} o G o Phi^0_t (u).
 
     The free flow is linear, so pulling the tangent back is free_flow(-t)
-    applied to the tangent container itself.  On a stack, t may be an (S,)
-    array of one time per row.
+    applied to the tangent; ``_vartheta_on_half`` does both flows on H.  On
+    a stack, t may be an (S,) array of one time per row.
     """
-    moved = free_flow(u, t, spec)
-    g = nonlinearity_G(moved, spec, pot, grid, basis)
-    return free_flow(g, -t, spec)
+    model = _model_for(spec, pot, grid, basis, u)
+    turn = np.exp(-1j * np.reshape(t, np.shape(t) + (1, 1)) * model.absk)
+    return _vartheta_on_half(model, spec, t, u, turn)
+
+
+def _vartheta_on_half(model: Model, spec: ParticleSpec, t, u: PhaseSpacePoint,
+                      turn: np.ndarray) -> PhaseSpacePoint:
+    """``vartheta`` from the free flow's turn e^{-i t |k|} on H, the composition's
+    rounded products: G on H at q + t p/m in the turned field's bracket, conj(turn)
+    G on H and -conj(turn G) at -k, then q' = G_q + (-t) G_p/m."""
+    t, masses, back = np.reshape(t, np.shape(t) + (1, 1)), spec.masses[:, None], np.conj(turn)
+    out = u._like(np.empty_like(u.data))
+    _g_on_half(model, spec, u.p, u.q + t * u.p / masses, _beta(model, u.alpha, back), out)
+    alpha, half = out.alpha, model.absk.size
+    np.negative(np.conj(alpha[..., :half] * turn), out=alpha[..., ::-1][..., :half])
+    alpha[..., :half] *= back
+    out.q[...] = out.q + (-t) * out.p / masses
+    return out
 
 
 # --------------------------------------------------------------------------

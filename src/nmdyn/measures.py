@@ -417,8 +417,8 @@ def characteristic_residual(ensemble: Ensemble,
     side integral is the trapezoid rule over the stored times in
     [min(t0,t), max(t0,t)], and both endpoint characteristic functions are
     compensated means in sample order.  The snapshots of all samples are
-    read in the blocks of ``_stacks``, with one time per row, and paired
-    with every direction at once.
+    read in the blocks of ``_stacks``, with one time per row, and each
+    stack is paired with one direction at a time.
 
     ``y`` may be a single direction or a sequence; the expensive part (the
     interaction-picture states and their drift-removed generator) does not
@@ -434,7 +434,7 @@ def characteristic_residual(ensemble: Ensemble,
 
 def _characteristic_terms(ensemble, directions, t, t0, sigma, spec, pot) -> tuple:
     """Each sample's z = e^{2 pi i Re<y, u~>} at t and t0 and the integral of
-    the right-hand side: three (S, n_dir) arrays."""
+    the right-hand side, three (S, n_dir) arrays, one direction at a time."""
     if ensemble.trajectories is None:
         raise ValueError("characteristic_residual needs the trajectories of "
                          "a pushed ensemble")
@@ -457,7 +457,6 @@ def _characteristic_terms(ensemble, directions, t, t0, sigma, spec, pot) -> tupl
     at_t = np.flatnonzero(np.abs(times - t) <= 1e-9)[-1]
     at_t0 = np.flatnonzero(np.abs(times - t0) <= 1e-9)[-1]
     trajs = ensemble.trajectories
-    ys = directions[0]._like(np.stack([y.data for y in directions])[:, None, :])
     n_dir, n_times = len(directions), times.size
     z = np.empty((n_dir, ensemble.size * n_times), dtype=complex)
     terms = np.empty_like(z)
@@ -468,8 +467,9 @@ def _characteristic_terms(ensemble, directions, t, t0, sigma, spec, pot) -> tupl
         s = row_times[cols]
         interaction = free_flow(PhaseSpacePoint._of(grid, stack), -s, spec)
         theta = vartheta(s, interaction, spec, pot, grid)
-        z[:, cols] = np.exp(2j * np.pi * real_inner(ys, interaction, sigma))
-        terms[:, cols] = row_weights[cols] * z[:, cols] * real_inner(theta, ys, sigma)
+        for j, y in enumerate(directions):
+            z[j, cols] = np.exp(2j * np.pi * real_inner(y, interaction, sigma))
+            terms[j, cols] = row_weights[cols] * z[j, cols] * real_inner(theta, y, sigma)
     z = z.reshape(n_dir, ensemble.size, n_times)
     terms = terms.reshape(z.shape)
     acc = np.zeros((n_dir, ensemble.size), dtype=complex)

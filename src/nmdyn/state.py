@@ -244,9 +244,8 @@ def real_inner(a: PhaseSpacePoint, b: PhaseSpacePoint, sigma: float):
     """Re<a, b>_{X^sigma}: z = q + i p on particles, (1+|k|^2)^sigma on the field.
 
     Symmetric and bilinear over the reals; real_inner(u, u, sigma) equals
-    phase_norm(u, sigma, inhomogeneous)**2.  Stacks broadcast against each
-    other by their leading axes, so (J, 1, D) against (S, D) gives all J*S
-    pairings as a (J, S) array.
+    phase_norm(u, sigma, inhomogeneous)**2.  Stacks broadcast by their
+    leading axes: (J, 1, D) against (S, D) gives all J*S pairings.
     """
     grids = [(u.grid.d, u.grid.K, u.grid.N) for u in (a, b)]
     if grids[0] != grids[1]:

@@ -25,7 +25,7 @@ from .interaction import (_beta, _bracket, _grad_vector_potentials, _hypothesis_
                           nonlinearity_F, potential_gradient_bound, vartheta)
 from .measures import (MeasureSpec, _blocks, _characteristic_checks, _characteristic_terms,
                        _moment_summary, _moment_terms, _pushed_blocks, _streamed,
-                       characteristic_residual, push_forward, sample_measure)
+                       sample_measure)
 from .state import (FieldState, ParticleState, PhaseSpacePoint, _density_norm,
                     _field_density, _field_norm, phase_norm, real_inner)
 
@@ -275,10 +275,12 @@ def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
     second order under dt refinement (ratios ~4 under halving).  Sampled
     part: the residual at the configured dt must fit inside the Monte-Carlo
     noise plus the discretization bias, whose coefficient is measured on the
-    same samples at twice the snapshot spacing.
+    same samples at twice the snapshot spacing.  Both parts push through one
+    helper that streams the blocks (``_pushed_blocks``) into residual terms,
+    so no pushed state outlives its residual.
     """
     measure = cfg.require_measure()
-    args = (cfg.spec, cfg.pot)
+    args, window = (cfg.spec, cfg.pot), (cfg.T, 0.0, 0.0)
     rng = np.random.default_rng(cfg.seed)
     ys = [_random_direction(rng, cfg.grid, cfg.spec.masses.size) for _ in range(5)]
     checks = []
@@ -287,29 +289,20 @@ def verify_characteristic(cfg: ScenarioConfig, allow_flagged: bool = False,
         raise ConfigError(f"run: the characteristic suite also runs at {coarsest}*dt,"
                           f" so T must be positive and T/dt divisible by {coarsest}")
 
+    def residuals(ens, dt, every, directions):
+        blocks = _pushed_blocks(ens, cfg.T, dt, *args, cfg.scheme, every, allow_flagged)
+        (terms,) = _streamed(blocks, lambda b: _characteristic_terms(b, directions, *window, *args))
+        return _characteristic_checks(*terms, *window)
+
     if cfg.point is not None:
-        dirac = MeasureSpec.dirac(cfg.point)
-        res = []
-        for mult in (4, 2, 1):
-            ens = push_forward(sample_measure(dirac, 1, cfg.seed), cfg.T,
-                               mult * cfg.dt, *args, scheme=cfg.scheme,
-                               allow_flagged=allow_flagged)
-            chk = characteristic_residual(ens, ys[0], cfg.T, 0.0, 0.0, *args)
-            res.append(chk.residual)
-        checks.append(_check("point-mass decay ratio (4dt/2dt)",
-                             res[0] / res[1], 3.4, ">="))
-        checks.append(_check("point-mass decay ratio (2dt/dt)",
-                             res[1] / res[2], 3.4, ">="))
+        dirac = sample_measure(MeasureSpec.dirac(cfg.point), 1, cfg.seed)
+        res = [residuals(dirac, mult * cfg.dt, 1, ys[:1])[0].residual for mult in (4, 2, 1)]
+        for name, ratio in (("4dt/2dt", res[0] / res[1]), ("2dt/dt", res[1] / res[2])):
+            checks.append(_check(f"point-mass decay ratio ({name})", ratio, 3.4, ">="))
 
     ens0 = sample_measure(measure, cfg.m_samples, cfg.seed)
-
-    def residuals(dt):
-        (terms,) = _streamed(_pushed_blocks(ens0, cfg.T, dt, *args, cfg.scheme,
-                                            cfg.snapshot_every, allow_flagged),
-                             lambda b: _characteristic_terms(b, ys, cfg.T, 0.0, 0.0, *args))
-        return _characteristic_checks(*terms, cfg.T, 0.0, 0.0)
-
-    fine_checks, coarse_checks = residuals(cfg.dt), residuals(2 * cfg.dt)
+    fine_checks, coarse_checks = (residuals(ens0, dt, cfg.snapshot_every, ys)
+                                  for dt in (cfg.dt, 2 * cfg.dt))
     delta_f = cfg.snapshot_every * cfg.dt
     delta_c = 2 * delta_f
     for j, (f, c) in enumerate(zip(fine_checks, coarse_checks)):

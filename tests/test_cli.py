@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import jsonschema
 import numpy as np
@@ -1123,6 +1124,24 @@ class TestSuitesOnSmallScenario:
         kwargs = {"draws": 50} if suite == "mvfi-identity" else {}
         outcome = run_suite(suite, cfg, **kwargs)
         assert outcome.passed, outcome.table()
+
+    def test_characteristic_holds_no_point_mass_push_while_sampling(self, cfg, monkeypatch):
+        # each trajectory the suite makes, by whether it starts at the point;
+        # when a sampled one is made, count the point-mass ones still alive
+        made, alive, trajectory = [], [], nmdyn.measures._trajectory
+
+        def tracked(*args):
+            traj = trajectory(*args)
+            at_point = np.array_equal(traj.stored[0], cfg.point.data)
+            if not at_point:
+                alive.append(sum(ref() is not None for was_point, ref in made if was_point))
+            made.append((at_point, weakref.ref(traj)))
+            return traj
+
+        monkeypatch.setattr(nmdyn.measures, "_trajectory", tracked)
+        assert run_suite("characteristic", cfg).passed
+        assert sum(at_point for at_point, _ in made) == 3  # the pushes at 4, 2 and 1 dt
+        assert len(alive) == 2 * cfg.m_samples and max(alive) == 0
 
     def test_lemma_bounds_small_draw_budget(self, cfg):
         outcome = run_suite("lemma-bounds", cfg, draws=60)

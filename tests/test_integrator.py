@@ -167,6 +167,25 @@ class TestBitIdentity:
         assert nmdyn.integrator._rk4(f, t, stack, dt).data.tobytes() == expected.data.tobytes()
 
     @pytest.mark.parametrize("rows", [None, 3])
+    def test_interaction_step_is_rk4_through_the_composition(self, coupled, rows):
+        """With one field turn on H per stage time, the step is bit for bit
+        _rk4 over free_flow(-t) o G o free_flow(t), for 20 steps."""
+        grid, spec, pot, u0, _ = coupled
+        if rows:
+            rng = np.random.default_rng(3)
+            u0 = u0._like(np.stack([u0.data] + [random_point(rng, grid, scale=0.3).data
+                                                for _ in range(rows - 1)]))
+
+        def composed(t, v):
+            return free_flow(nonlinearity_G(free_flow(v, t, spec), spec, pot, grid), -t, spec)
+
+        dt, state, expected = 0.02, u0, u0
+        for k in range(20):
+            state = rk4_interaction_step(k * dt, state, dt, spec, pot)
+            expected = nmdyn.integrator._rk4(composed, k * dt, expected, dt)
+            assert np.array_equal(state.data, expected.data)
+
+    @pytest.mark.parametrize("rows", [None, 3])
     def test_stepper_states_are_chained_strang_steps(self, coupled, rows):
         grid, spec, pot, u0, _ = coupled
         if rows:

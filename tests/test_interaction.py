@@ -927,6 +927,31 @@ class TestNonlinearities:
         assert np.array_equal(theta.q, g.q)
         assert np.array_equal(theta.alpha, g.alpha)
 
+    @pytest.mark.parametrize("frame", ["default", "rotated"])
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("kind", ["zero", "coulomb", "cosine"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_vartheta_on_half_is_the_composition(self, d, kind, rows, frame):
+        """vartheta turns the field on H only, and equals free_flow(-t) o G o
+        free_flow(t) on the whole grid exactly; a stack takes one time per row."""
+        grid = build_kgrid(d, 2.0, 4)
+        pot = {"zero": PotentialSpec.zero(), "coulomb": PotentialSpec.coulomb(0.8),
+               "cosine": PotentialSpec.cosine(0.7, np.linspace(0.5, 2.0, d))}[kind]
+        spec, rng = two_particle_spec(), np.random.default_rng(10 * d + 1)
+        u = random_point(rng, grid, decay=False)
+        basis = default_basis(grid)
+        if frame == "rotated":
+            basis = rotate_frame(rng, grid, basis, u.alpha)[0]
+        times = [0.0, 0.37, -1.3]
+        if rows:
+            u = u._like(np.stack([random_point(rng, grid, decay=False).data
+                                  for _ in range(rows)]))
+            times = [np.array(times)]
+        for t in times:
+            g = nonlinearity_G(free_flow(u, t, spec), spec, pot, grid, basis)
+            expected = free_flow(g, -t, spec)
+            assert np.array_equal(vartheta(t, u, spec, pot, grid, basis).data, expected.data)
+
     def test_vartheta_growth_envelope(self, small_grid, rng):
         """Fitted constant in ||theta(t,u)|| <= C (||u||^2 + 1) stays modest."""
         spec = two_particle_spec()

@@ -13,6 +13,8 @@ dominates) and the fine run must fit inside 3*stderr + 1.5*c_fit*delta^2.
 Convergence ratios quoted in comments were measured on this exact scenario.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -509,6 +511,25 @@ class TestCharacteristicResidual:
         blob = json_form(chk)
         assert complex(*blob["lhs"]) == chk.lhs
         assert blob["residual"] == chk.residual and blob["sigma"] == 0.5
+
+    def test_memory_does_not_grow_with_the_directions(self, grid10, scenario, directions):
+        # one sample, 4 snapshots: one 4-row block of 32 KB states; pairing
+        # it with 5 directions at once took 0.49 MB more than with one
+        args = (scenario["spec"], scenario["pot"])
+        ens = push_forward(Ensemble((scenario["center"],)), 0.03, 0.01, *args)
+        ys = [directions["y0"], directions["y1"], *directions["ys"]]
+
+        def peak(ys):
+            tracemalloc.start()
+            try:
+                characteristic_residual(ens, ys, 0.03, 0.0, 0.0, *args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(ys[:1])  # fills the caches
+        assert len(ens.trajectories[0].stored) == 4
+        assert peak(ys) - peak(ys[:1]) < 1e5
 
     def test_direction_on_another_grid_is_refused(self, scenario, directions, pushed_pair):
         """Same N, other K: the directions stack, so only the check tells."""
