@@ -133,9 +133,9 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed,
                       out_override=args.out)
     u0 = cfg.require_point()
-    # only the endpoint is written: keep rows 0 and n, not every snapshot
+    # only the endpoint is written: keep rows 0 and n (one row at T = 0)
     traj = evolve(u0, cfg.T, cfg.dt, cfg.spec, cfg.pot, scheme=cfg.scheme,
-                  store_every=_step_count(cfg.T, cfg.dt), allow_flagged=args.allow_flagged)
+                  store_every=max(1, _step_count(cfg.T, cfg.dt)), allow_flagged=args.allow_flagged)
     out = _out_dir(cfg)
     _write_csv(os.path.join(out, "trajectory.csv"), cfg,
                lambda handle: trajectory_to_csv(traj, handle))

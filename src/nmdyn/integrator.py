@@ -42,7 +42,6 @@ array whose stored states and endpoint are views.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import itertools
 from dataclasses import dataclass
@@ -247,35 +246,9 @@ def refuse_flagged(spec: ParticleSpec, grid: KGrid, allow_flagged: bool) -> Hypo
     if report.flagged and not allow_flagged:
         raise FlaggedHypothesesError(
             "form-factor norms are not resolution-stable on this grid "
-            "(see check_hypotheses); pass allow_flagged=True to override"
+            "(see check_hypotheses); pass allow_flagged=True or --allow-flagged to override"
         )
     return report
-
-
-# glibc's mallopt parameters; see _keep_freed_heap
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Let this process reuse the heap it frees instead of returning it.
-
-    glibc gives freed heap back to the kernel once more than M_TRIM_THRESHOLD
-    sits free at its top (twice the largest freed mmap so far, 128 KiB at
-    first), and serves requests above M_MMAP_THRESHOLD with fresh mmaps, so
-    each step faulted its temporaries' pages back in (a 16-sample push at
-    1,000 nodes: about 50,000 minor faults and 10-40% more CPU).  Fixed
-    thresholds of 1 MiB (mmap) and 4 MiB (trim) end that.  The first
-    stepping run (``stepper``) or stacked block (``measures._blocks``) of a
-    process sets them, once; elsewhere than on glibc this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 1 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 4 << 20)
 
 
 def _blowup(what, t, k, last, state) -> NumericalBlowupError:
@@ -297,11 +270,9 @@ def stepper(u0: PhaseSpacePoint, T: float, dt: float, spec: ParticleSpec,
     non-finite state raises NumericalBlowupError (``_blowup``) with figures
     of the last finite state (the largest over a stack's rows); so does a
     FloatingPointError in a step (a raising ``np.errstate``), chained from it.
-    It sets the process's heap thresholds first (``_keep_freed_heap``).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    _keep_freed_heap()
     times = np.arange(_step_count(T, dt) + 1) * dt
     turn = np.exp(-1j * (dt / 2.0) * u0.grid.absk)
 

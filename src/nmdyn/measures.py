@@ -53,7 +53,6 @@ import numpy as np
 from .integrator import (
     NumericalBlowupError,
     _history,
-    _keep_freed_heap,
     _record,
     _step_count,
     _stored_steps,
@@ -108,16 +107,17 @@ def _blocks(rows, row_bytes: int):
     B is the most rows of ``row_bytes`` that fit ``_BLOCK_BYTES``, at least
     one.  A row is one packed state (or one draw of a few states, each
     stacked apart), so the scenario alone (grid and particle count) fixes B;
-    no run-time figure moves it.  Blocks of more than one row set the
-    process's heap thresholds first (``integrator._keep_freed_heap``), as a
-    stepping run does.
+    no run-time figure moves it.
     """
     rows, start, size = iter(rows), 0, max(1, _BLOCK_BYTES // row_bytes)
-    if size > 1:
-        _keep_freed_heap()
     while chunk := list(itertools.islice(rows, size)):
         yield start, chunk
         start += len(chunk)
+
+
+def _stacked(points) -> PhaseSpacePoint:
+    """Points of one layout as one (B, D) stack."""
+    return points[0]._like(np.stack([u.data for u in points]))
 
 
 def _stacks(rows, row_bytes: int):
@@ -334,7 +334,7 @@ def _pushed_blocks(ensemble, T, dt, spec, pot, scheme, store_every, allow_flagge
         hist = ({key: array[lo:lo + len(chunk)] for key, array in every.items()} if whole
                 else _history((len(chunk),), points[0], n, stored_indices))
         try:
-            push(chunk[0]._like(np.stack([u.data for u in chunk])), hist)
+            push(_stacked(chunk), hist)
         except NumericalBlowupError:
             # a stack cannot say which row failed: step its samples alone, in
             # order, so the first that fails alone is named by its index in the

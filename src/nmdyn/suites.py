@@ -24,7 +24,7 @@ from .interaction import (_beta, _bracket, _grad_vector_potentials, _hypothesis_
                           _vector_potentials, characteristic_density_m, compile_model,
                           nonlinearity_F, potential_gradient_bound, vartheta)
 from .measures import (MeasureSpec, _blocks, _characteristic_checks, _characteristic_terms,
-                       _moment_summary, _moment_terms, _pushed_blocks, _streamed,
+                       _moment_summary, _moment_terms, _pushed_blocks, _stacked, _streamed,
                        sample_measure)
 from .state import (FieldState, ParticleState, PhaseSpacePoint, _density_norm,
                     _field_density, _field_norm, phase_norm, real_inner)
@@ -102,9 +102,17 @@ def verify_gauge(cfg: ScenarioConfig, **_) -> VerifyOutcome:
     ))
 
 
-def _stacked(points) -> PhaseSpacePoint:
-    """Points of one layout as one (B, D) stack."""
-    return points[0]._like(np.stack([w.data for w in points]))
+def _drawn_blocks(draw, draws: int):
+    """``draws`` calls of ``draw`` (two states and a scalar each), in order, in
+    the blocks of ``measures._blocks``: per block, the (B, D) stacks of the
+    first and second states, the scalars and the state pairs; draws >= 1."""
+    if draws < 1:
+        raise ConfigError(f"draws must be at least 1, got {draws}")
+    first = draw()
+    drawn = itertools.chain([first], (draw() for _ in range(draws - 1)))
+    for _, block in _blocks(drawn, first[0].data.nbytes):
+        points_u, points_v, scalars = zip(*block)
+        yield _stacked(points_u), _stacked(points_v), scalars, zip(points_u, points_v)
 
 
 def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOutcome:
@@ -114,11 +122,10 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
     norms); a violation would mean the implementation disagrees with its own
     constants, so the pass criterion is an exact zero count.  Each draw is
     two states u, v and a particle i, drawn in a fixed order; consecutive
-    draws are evaluated together, in the blocks ``measures._blocks`` makes
-    of rows of one state's bytes, as a (B, D) stack of u and one of v.  One
-    bracket per stack gives A and grad A of every particle, from which each
-    draw takes its particle i; F and the field norms run on the stacks row
-    by row.  draws must be at least 1.
+    draws are evaluated together (``_drawn_blocks``), as a (B, D) stack of
+    u and one of v.  One bracket per stack gives A and grad A of every
+    particle, from which each draw takes its particle i; F and the field
+    norms run on the stacks row by row.  draws must be at least 1.
     """
     grid, spec, pot = cfg.grid, cfg.spec, cfg.pot
     n = spec.masses.size
@@ -146,14 +153,8 @@ def verify_lemma_bounds(cfg: ScenarioConfig, draws: int = 1000, **_) -> VerifyOu
         return np.linalg.norm(x, axis=-1)
 
     v_field = v_grad = v_lip = v_vf = 0
-    if draws < 1:
-        raise ConfigError(f"draws must be at least 1, got {draws}")
-    first = draw()
-    drawn = itertools.chain([first], (draw() for _ in range(draws - 1)))
-    for _, block in _blocks(drawn, first[0].data.nbytes):
-        points_u, points_v, picks = zip(*block)
-        u, v = _stacked(points_u), _stacked(points_v)
-        rows, i = np.arange(len(block)), np.array(picks)
+    for u, v, picks, _ in _drawn_blocks(draw, draws):
+        rows, i = np.arange(len(picks)), np.array(picks)
         c_u = bracket(u)
         a_all = _vector_potentials(model, c_u)
         a = a_all[rows, i]
@@ -317,11 +318,10 @@ def verify_mvfi_identity(cfg: ScenarioConfig, draws: int = 100, **_) -> VerifyOu
     drift-removed vector field, the two sides computed independently.
 
     Each draw is two states u, xi and a time s, drawn in a fixed order;
-    consecutive draws are evaluated together, in the blocks
-    ``measures._blocks`` makes of rows of one state's bytes: vartheta runs
-    on the stack of u with one time per row, and real_inner pairs its rows
-    with those of the stacked xi~.  m(s, xi) stays one call per draw, as the
-    identity's independent route.  draws must be at least 1.
+    consecutive draws are evaluated together (``_drawn_blocks``): vartheta
+    runs on the stack of u with one time per row, and real_inner pairs its
+    rows with those of the stacked xi~.  m(s, xi) stays one call per draw,
+    as the identity's independent route.  draws must be at least 1.
     """
     grid, spec, pot = cfg.grid, cfg.spec, cfg.pot
     n = spec.masses.size
@@ -333,13 +333,7 @@ def verify_mvfi_identity(cfg: ScenarioConfig, draws: int = 100, **_) -> VerifyOu
         return u, xi, rng.uniform(-2.0, 2.0)
 
     worst = 0.0
-    if draws < 1:
-        raise ConfigError(f"draws must be at least 1, got {draws}")
-    first = draw()
-    drawn = itertools.chain([first], (draw() for _ in range(draws - 1)))
-    for _, block in _blocks(drawn, first[0].data.nbytes):
-        points_u, points_xi, times = zip(*block)
-        u, xi = _stacked(points_u), _stacked(points_xi)
+    for u, xi, times, points in _drawn_blocks(draw, draws):
         theta = vartheta(np.array(times), u, spec, pot, grid)
         pairing = xi._like(np.empty_like(xi.data))
         pairing.p[...] = -xi.q / np.pi
@@ -349,7 +343,7 @@ def verify_mvfi_identity(cfg: ScenarioConfig, draws: int = 100, **_) -> VerifyOu
         # float_power rounds as Python's ** on one float does (see _density_norm)
         scale = ((1.0 + np.float_power(phase_norm(u, 0.0), 2))
                  * (1.0 + phase_norm(xi, 0.0)))
-        for b, (s, u_b, xi_b) in enumerate(zip(times, points_u, points_xi)):
+        for b, (s, (u_b, xi_b)) in enumerate(zip(times, points)):
             m = characteristic_density_m(s, xi_b, u_b, spec, pot, grid)
             worst = max(worst, abs(m - rhs[b]) / scale[b])
     return VerifyOutcome("mvfi-identity", (

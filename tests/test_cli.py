@@ -363,6 +363,21 @@ class TestCommands:
         assert traj.stored.shape[0] == 2
         assert traj.stored_indices.tolist() == [0, 20]
 
+    def test_simulate_at_a_zero_horizon_writes_the_start(self, tmp_path):
+        """T = 0 is a run of no steps: its one row is the initial state."""
+        raw = small_scenario()
+        raw["run"]["T"] = 0
+        raw["initial"] = raw["initial"]["measure"]["center"]
+        path = tmp_path / "still.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()[3:]
+        assert len(rows) == 1 and float(rows[0].split(",")[0]) == 0.0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["steps"] == 0
+        assert summary["relative_energy_drift"] == 0.0
+
     def test_summary_endpoint_restarts_a_run(self, config_file, tmp_path):
         out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))
         assert main(["simulate", config_file, "--out", str(out1)]) == 0
@@ -816,6 +831,18 @@ class TestCommands:
         # same config is accepted with the override
         assert main(["simulate", str(path), "--out", str(tmp_path),
                      "--allow-flagged"]) == 0
+
+    @pytest.mark.parametrize("command", [["simulate"], ["ensemble"], ["verify", "gronwall"]],
+                             ids=["simulate", "ensemble", "verify"])
+    def test_flag_refusal_names_the_command_line_flag(self, command, tmp_path, capsys):
+        raw = small_scenario()
+        raw["particles"][0]["form_factor"] = {"family": "point"}
+        path = tmp_path / "flagged.json"
+        path.write_text(json.dumps(raw))
+        assert main([*command, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("hypothesis flag: ") and "--allow-flagged" in err
 
     def test_mixture_initial_cannot_simulate(self, tmp_path, capsys):
         raw = small_scenario()

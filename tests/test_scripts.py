@@ -48,13 +48,6 @@ def test_moment_curves(quickstart, tmp_path):
     assert len(lines) == 1 + 5  # snapshots at t = 0, 0.05, ..., 0.2
 
 
-def test_run_reference(quickstart, tmp_path):
-    out = tmp_path / "reference"
-    assert load_script("run_reference").main(["--config", quickstart, "--out", str(out)]) == 0
-    for name in ("trajectory.csv", "summary.json", "ensemble.csv", "reports.json"):
-        assert (out / name).stat().st_size > 0
-
-
 @pytest.fixture(scope="module")
 def verify_all_run(tmp_path_factory):
     """verify_all on quickstart, run once: (its config copy, exit code, out dir)."""
@@ -82,8 +75,7 @@ def test_verify_all_writes_what_nmdyn_verify_writes(verify_all_run, tmp_path):
 
 @pytest.mark.parametrize("entry", ["nmdyn simulate", "nmdyn ensemble", "nmdyn hypotheses",
                                    "nmdyn verify gauge", "nmdyn verify all",
-                                   "convergence_study", "moment_curves", "run_reference",
-                                   "verify_all"])
+                                   "convergence_study", "moment_curves", "verify_all"])
 def test_missing_config_is_one_line_and_exit_2(entry, tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     out = str(tmp_path / "out")
@@ -94,20 +86,6 @@ def test_missing_config_is_one_line_and_exit_2(entry, tmp_path, capsys):
         code = load_script(entry).main(["--config", missing, *extra])
     assert code == 2
     assert capsys.readouterr().err == f"config error: config file not found: {missing}\n"
-
-
-@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
-def test_run_reference_out_that_cannot_be_a_directory_is_a_config_error(
-        under, tmp_path, capsys):
-    blocker = tmp_path / "taken"
-    blocker.write_text("kept\n")
-    out = blocker / "reference" if under else blocker
-    assert load_script("run_reference").main(["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("config error: --out")
-    assert blocker.read_text() == "kept\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 @pytest.mark.parametrize("entry,flag,run", [("moment_curves", "--out", "push_forward"),
